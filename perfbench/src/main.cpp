@@ -24,7 +24,7 @@ using perfbench::Result;
 [[noreturn]] void usage(const std::string& problem) {
   std::fprintf(stderr,
                "perfbench: %s\nusage: perfbench --workload "
-               "lockstep_deep|committee_wide|oracle_band|settlement_dp --seed N "
+               "lockstep_deep|oracle_band|settlement_dp --seed N "
                "--seconds S --trace 0|1\n",
                problem.c_str());
   std::exit(2);
@@ -95,7 +95,6 @@ int main(int argc, char** argv) {
   const Args args = parse(argc, argv);
   Result (*run)(const Args&) = nullptr;
   if (args.workload == "lockstep_deep") run = perfbench::run_lockstep_deep;
-  else if (args.workload == "committee_wide") run = perfbench::run_committee_wide;
   else if (args.workload == "oracle_band") run = perfbench::run_oracle_band;
   else if (args.workload == "settlement_dp") run = perfbench::run_settlement_dp;
   else usage("unknown workload '" + args.workload + "'");

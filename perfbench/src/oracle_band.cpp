@@ -377,6 +377,7 @@ Result run_untraced(const Args& args) {
   std::vector<double> setup_s, wall_s;
   std::string first_codes;
   std::size_t jobs_per_batch = 0;
+  double timed_s = 0.0;  // batches after the first, which warms the arenas
   const Clock::time_point budget_start = Clock::now();
   while (wall_s.size() < 3 || seconds_since(budget_start) < args.seconds) {
     const Clock::time_point setup_start = Clock::now();
@@ -384,6 +385,7 @@ Result run_untraced(const Args& args) {
     setup_s.push_back(seconds_since(setup_start));
     double wall = 0.0;
     const std::string codes = grade_batch(jobs, &wall);
+    if (!wall_s.empty()) timed_s += wall;
     wall_s.push_back(wall);
     if (first_codes.empty()) first_codes = codes;
     jobs_per_batch = jobs.size();
@@ -393,7 +395,8 @@ Result run_untraced(const Args& args) {
   }
   std::size_t tally[256] = {};
   for (const char c : first_codes) ++tally[static_cast<unsigned char>(c)];
-  const double verdicts_per_s = static_cast<double>(jobs_per_batch) / median(wall_s);
+  const double verdicts_per_s =
+      static_cast<double>(jobs_per_batch * (wall_s.size() - 1)) / timed_s;
   std::printf("oracle_band: %zu graded executions per batch, %zu batches, %zu threads\n",
               jobs_per_batch, wall_s.size(), kEngineThreads);
   std::printf("oracle_band: codes . %zu  a %zu  V %zu  d %zu  u %zu  ! %zu\n", tally['.'],

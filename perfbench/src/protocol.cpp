@@ -1,16 +1,19 @@
-// lockstep_deep and committee_wide: one serial balance-attack execution per
-// repetition, on the law and network shape of the E14 transport cells.
+// lockstep_deep: one serial balance-attack execution per repetition, on the
+// law and network shape of the E14 transport cells.
 //
 // Untraced, a repetition is: draw the schedule and construct the Simulation
-// (setup), then run() (the timed part). Throughput counts block x recipient
-// acceptances (blocks held across the views, genesis excluded) per second:
-// the work a run does scales with them, and their number varies by seed (by
-// ~10% at 30 slots), which slots per second would report as speed. Repetitions run back to back on one
-// thread, so only the first finds the BlockTree storage arena cold; the
-// median is the warm steady state, and the arena's high-water mark shows in
-// peak_rss_mb. The extra cost of a cold repetition is mostly the kernel
-// handing out fresh arena pages, not work of the layers this workload is
-// meant to expose.
+// (setup), then run() (the timed part). Repetitions cycle through
+// kCellsPerRun cells. Throughput counts block x recipient acceptances (blocks
+// held across the views, genesis excluded) over the timed seconds: the work a
+// run does scales with them, and their number varies by cell, which slots
+// per second would report as speed. It is total work over total time rather
+// than a median repetition, because host contention makes repetition times
+// bimodal and a median jumps between the modes.
+// Repetitions run back to back on one thread, so only the first finds the
+// BlockTree storage arena cold; it is left out of the throughput, and the
+// arena's high-water mark shows in peak_rss_mb. The extra cost of a cold
+// repetition is mostly the kernel handing out fresh arena pages, not work of
+// the layers this workload is meant to expose.
 //
 // Traced, a repetition runs the same cell four ways:
 //   (a) plain run(), the untraced reference digest and wall time;
@@ -44,11 +47,11 @@ struct Shape {
 };
 
 constexpr Shape kLockstepDeep{"lockstep_deep", 256, 10000};
-// 30 slots (~37 blocks) keeps every view's columns and hash index in one
-// capacity class for practically every seed. At 25 slots the block count
-// straddles the trees' 32-entry doubling, and peak RSS splits by seed into
-// two modes (~490 and ~690 MiB).
-constexpr Shape kCommitteeWide{"committee_wide", 100000, 30};
+
+/// Untraced repetitions cycle through this many cells, drawn from the run's
+/// seed, so a run's figure averages over cell shapes instead of resting on
+/// one. The traced run uses the first of them.
+constexpr std::size_t kCellsPerRun = 8;
 
 /// A pre-drawn cell, laid out like the transport probes' streams (schedule,
 /// then the adversary seed, then the simulation seed), so a cell seed that
@@ -129,7 +132,7 @@ std::size_t held_blocks(const mh::Simulation& sim) {
 }
 
 /// The repo's golden balance-probe pin, reproduced through this file's cell
-/// layout and digest: the recorded-digest gate of both protocol workloads.
+/// layout and digest: the recorded-digest gate of the workload.
 bool golden_pin_holds() {
   const Cell cell = draw_cell(mh::kBalanceProbePinParties, mh::kBalanceProbePinHorizon,
                               mh::kBalanceProbePinSeed);
@@ -263,14 +266,16 @@ Result run_untraced(const Args& args, const Shape& shape) {
   if (!pin_ok) ++result.failed;
   std::printf("%s: golden balance-probe pin %s\n", shape.name, pin_ok ? "held" : "DRIFT");
 
-  const std::uint64_t cell_seed = mh::engine::SeedSequence(args.seed).derive(0);
+  const mh::engine::SeedSequence cell_seeds(args.seed);
+  std::vector<std::uint64_t> digests(kCellsPerRun, 0);
   std::vector<double> setup_s, run_s;
-  std::uint64_t first_digest = 0;
-  std::size_t blocks = 0, acceptances = 0;
+  double timed_s = 0.0;
+  std::size_t timed_reps = 0, timed_blocks = 0, timed_acceptances = 0;
   const Clock::time_point budget_start = Clock::now();
-  while (run_s.size() < 3 || seconds_since(budget_start) < args.seconds) {
+  for (std::size_t rep = 0; rep < 3 || seconds_since(budget_start) < args.seconds; ++rep) {
+    const std::size_t index = rep % kCellsPerRun;
     const Clock::time_point setup_start = Clock::now();
-    const Cell cell = draw_cell(shape.parties, shape.horizon, cell_seed);
+    const Cell cell = draw_cell(shape.parties, shape.horizon, cell_seeds.derive(index));
     mh::BalanceAttacker adversary;
     mh::Simulation sim(cell.schedule, sim_config(cell), 0, &adversary);
     setup_s.push_back(seconds_since(setup_start));
@@ -278,26 +283,29 @@ Result run_untraced(const Args& args, const Shape& shape) {
     sim.run();
     run_s.push_back(seconds_since(run_start));
 
-    const std::uint64_t digest = sim_digest(sim);
-    if (run_s.size() == 1) {
-      first_digest = digest;
-      blocks = sim.all_blocks().size();
-      acceptances = held_blocks(sim) - shape.parties;  // genesis is not received
+    if (rep > 0) {  // the first repetition warms the arena and is not timed
+      timed_s += run_s.back();
+      ++timed_reps;
+      timed_blocks += sim.all_blocks().size();
+      timed_acceptances += held_blocks(sim) - shape.parties;  // genesis is not received
     }
+    const std::uint64_t digest = sim_digest(sim);
+    if (rep < kCellsPerRun) digests[index] = digest;
     ++result.attempted;
-    if (digest != first_digest || !honest_blocks_delivered(sim)) ++result.failed;
+    if (digest != digests[index] || !honest_blocks_delivered(sim)) ++result.failed;
   }
-  const double run = median(run_s);
-  const double acceptances_per_s = static_cast<double>(acceptances) / run;
-  std::printf("%s: %zu parties x %zu slots, %zu blocks, %zu acceptances, digest 0x%016llx, "
-              "%zu repetitions\n",
-              shape.name, shape.parties, shape.horizon, blocks, acceptances,
-              static_cast<unsigned long long>(first_digest), run_s.size());
+  const double acceptances_per_s = static_cast<double>(timed_acceptances) / timed_s;
+  std::printf("%s: %zu parties x %zu slots, %zu cells, %zu repetitions (%zu timed), "
+              "%.0f blocks and %.0f acceptances per timed repetition, cell-0 digest 0x%016llx\n",
+              shape.name, shape.parties, shape.horizon, kCellsPerRun, run_s.size(), timed_reps,
+              static_cast<double>(timed_blocks) / static_cast<double>(timed_reps),
+              static_cast<double>(timed_acceptances) / static_cast<double>(timed_reps),
+              static_cast<unsigned long long>(digests[0]));
   std::printf("%s: slots_per_s %.1f, acceptances_per_s %.0f, ns_per_acceptance %.1f "
               "(run s: q1 %.4f median %.4f q3 %.4f), setup_s %.5f\n",
-              shape.name, static_cast<double>(shape.horizon) / run, acceptances_per_s,
-              1e9 / acceptances_per_s, percentile(run_s, 0.25), run, percentile(run_s, 0.75),
-              median(setup_s));
+              shape.name, static_cast<double>(timed_reps * shape.horizon) / timed_s,
+              acceptances_per_s, 1e9 / acceptances_per_s, percentile(run_s, 0.25),
+              median(run_s), percentile(run_s, 0.75), median(setup_s));
   add_end_to_end(result, acceptances_per_s, median(setup_s));
   return result;
 }
@@ -406,13 +414,10 @@ Result run_traced(const Args& args, const Shape& shape) {
   return result;
 }
 
-Result run_shape(const Args& args, const Shape& shape) {
-  return args.trace ? run_traced(args, shape) : run_untraced(args, shape);
-}
-
 }  // namespace
 
-Result run_lockstep_deep(const Args& args) { return run_shape(args, kLockstepDeep); }
-Result run_committee_wide(const Args& args) { return run_shape(args, kCommitteeWide); }
+Result run_lockstep_deep(const Args& args) {
+  return args.trace ? run_traced(args, kLockstepDeep) : run_untraced(args, kLockstepDeep);
+}
 
 }  // namespace perfbench

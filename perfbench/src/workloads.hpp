@@ -1,4 +1,4 @@
-// The four workloads. Each runs one batch job repeatedly for the run's
+// The three workloads. Each runs one batch job repeatedly for the run's
 // budget and returns either the end-to-end metrics (args.trace == false) or
 // the per-layer metrics of a separate traced pass (args.trace == true).
 #pragma once
@@ -9,8 +9,6 @@ namespace perfbench {
 
 /// 256 honest parties x 10^4 slots, balance attack, Delta = 0.
 Result run_lockstep_deep(const Args& args);
-/// 10^5 honest parties x 30 slots, same law and attack.
-Result run_committee_wide(const Args& args);
 /// Several thousand short graded executions over the four oracle faces.
 Result run_oracle_band(const Args& args);
 /// The 36-law Table-1 grid through sweep_settlement_series at k <= 300.
