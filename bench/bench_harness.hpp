@@ -4,8 +4,8 @@
 // report, benchmark::Initialize + RunSpecifiedBenchmarks, exit code. The
 // harness centralizes that plus the observability plumbing:
 //
-//   * --list-metrics (or MH_OBS_DUMP=1): switch metric recording on and print
-//     the registry snapshot as an aligned table after the run;
+//   * --list-metrics: switch metric recording on and print the registry
+//     snapshot as an aligned table after the run;
 //   * MH_BENCH_JSON=<path>: write the unified "mh-bench-v1" artifact (run
 //     metadata + metrics snapshot) — the BENCH_*.json files CI archives;
 //   * median-of-N timing helpers (warmup + repetitions) for benches that
@@ -79,8 +79,8 @@ inline bool env_flag(const char* name) { return ::mh::env::flag(name); }
 inline int run_main(int argc, char** argv, const char* bench_name,
                     const std::function<bool()>& report, MainOptions options = {}) {
   // --list-metrics is ours, not google-benchmark's: strip it before
-  // Initialize. Both it and MH_OBS_DUMP imply recording on.
-  bool dump = env_flag("MH_OBS_DUMP");
+  // Initialize. It implies recording on.
+  bool dump = false;
   for (int i = 1; i < argc;) {
     if (std::strcmp(argv[i], "--list-metrics") == 0) {
       dump = true;
@@ -102,8 +102,7 @@ inline int run_main(int argc, char** argv, const char* bench_name,
   const obs::Snapshot snapshot = obs::Registry::global().snapshot();
   if (dump) {
     if (snapshot.empty())
-      std::printf("\nmetrics: registry is empty%s\n",
-                  obs::compiled() ? "" : " (hooks not compiled in; configure with -DMH_OBS=ON)");
+      std::printf("\nmetrics: registry is empty\n");
     else
       std::printf("\n%s", obs::metrics_table(snapshot).c_str());
   }

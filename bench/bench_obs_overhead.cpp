@@ -1,6 +1,6 @@
-// E15 — the observability overhead gate: proves the metrics + tracing layer
-// costs < 2% wall-clock on the E14 transport acceptance cell, and that
-// enabling it changes no result bit.
+// E15 — the observability overhead gate: proves the metrics layer costs < 2%
+// wall-clock on the E14 transport acceptance cell, and that enabling it
+// changes no result bit.
 //
 // The probe cell (default 256 parties x 10^4 slots, the E14 acceptance
 // point) runs alternately with metric recording off and on, same seed every
@@ -10,11 +10,8 @@
 //   * every run — on or off — must produce the golden digest of the cell
 //     (instrumentation perturbing results is a correctness bug, not a perf
 //     bug);
-//   * with hooks compiled in (-DMH_OBS=ON), median overhead must stay below
-//     MH_OBS_MAX_OVERHEAD_PCT (default 2.0).
+//   * median overhead must stay below MH_OBS_MAX_OVERHEAD_PCT (default 2.0).
 //
-// Without MH_OBS the hooks are gone and the comparison degenerates to
-// noise-vs-noise; the report says so and only the digest gate applies.
 // MH_BENCH_JSON=BENCH_obs.json archives the unified artifact (timings in the
 // results block, the enabled runs' metrics in the metrics block).
 #include <benchmark/benchmark.h>
@@ -36,7 +33,6 @@ struct OverheadOutcome {
   std::size_t horizon = 0;
   std::size_t reps = 0;
   bool digests_match = false;
-  bool gated = false;  ///< the <2% gate applied (hooks compiled in)
   bool ok = false;
 };
 
@@ -87,19 +83,14 @@ bool overhead_report() {
   o.on_ms = mh::bench::median(on_ms);
   o.overhead_pct = 100.0 * (o.on_ms - o.off_ms) / o.off_ms;
   o.digests_match = digests_match;
-  o.gated = mh::obs::compiled();
-  o.ok = digests_match && (!o.gated || o.overhead_pct <= max_overhead_pct);
+  o.ok = digests_match && o.overhead_pct <= max_overhead_pct;
 
   std::printf("  metrics off: %.1f ms   metrics on: %.1f ms   overhead: %+.2f%%\n",
               o.off_ms, o.on_ms, o.overhead_pct);
   std::printf("  digests (on == off == 0x%016llx): %s\n",
               static_cast<unsigned long long>(expect_digest),
               digests_match ? "match" : "MISMATCH");
-  if (o.gated)
-    std::printf("  gate: overhead <= %.1f%% -> %s\n\n", max_overhead_pct,
-                o.ok ? "pass" : "FAIL");
-  else
-    std::printf("  gate: skipped (hooks not compiled in; configure with -DMH_OBS=ON)\n\n");
+  std::printf("  gate: overhead <= %.1f%% -> %s\n\n", max_overhead_pct, o.ok ? "pass" : "FAIL");
   return o.ok;
 }
 
@@ -112,7 +103,6 @@ mh::obs::Json overhead_results() {
   results.set("on_ms", g_outcome.on_ms);
   results.set("overhead_pct", g_outcome.overhead_pct);
   results.set("digests_match", g_outcome.digests_match);
-  results.set("gated", g_outcome.gated);
   return results;
 }
 

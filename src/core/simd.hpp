@@ -3,7 +3,7 @@
 // MH_SIMD_LOOP marks a loop whose iterations are independent element-wise
 // assignments (no reductions, no cross-iteration dependencies) so the
 // compiler may vectorize it. It expands to `#pragma omp simd` when the build
-// enables MH_SIMD_ENABLED (CMake: MH_SIMD=ON and the compiler accepts
+// defines MH_SIMD_ENABLED (CMake does whenever the compiler accepts
 // -fopenmp-simd — the pragma-only mode, no OpenMP runtime, no _OPENMP) and
 // to nothing otherwise, leaving the identical scalar loop.
 //
@@ -13,19 +13,6 @@
 // bit-identical and Fast keeps its pinned tolerance. Never annotate a
 // reduction (sinks, nonneg_mass): lane-split accumulation reorders adds.
 #pragma once
-
-namespace mh {
-
-/// Did this build compile the DP gather loops with the simd pragma?
-constexpr bool simd_enabled() noexcept {
-#if defined(MH_SIMD_ENABLED)
-  return true;
-#else
-  return false;
-#endif
-}
-
-}  // namespace mh
 
 #if defined(MH_SIMD_ENABLED)
 #define MH_SIMD_LOOP _Pragma("omp simd")

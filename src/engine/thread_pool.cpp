@@ -89,15 +89,13 @@ void ThreadPool::drain(bool stolen) {
     } else {
       MH_OBS_COUNT("engine.pool.chunks_inline", 1);
     }
-    MH_OBS_ONLY(const std::uint64_t chunk_begin =
-                    ::mh::obs::enabled() ? ::mh::obs::now_ns() : 0;)
+    const std::uint64_t chunk_begin = obs::enabled() ? obs::now_ns() : 0;
     try {
       (*body_)(chunk);
     } catch (...) {
       record_error();
     }
-    MH_OBS_ONLY(if (::mh::obs::enabled())
-                    MH_OBS_HIST("engine.pool.chunk_ns", ::mh::obs::now_ns() - chunk_begin);)
+    if (chunk_begin != 0) MH_OBS_HIST("engine.pool.chunk_ns", obs::now_ns() - chunk_begin);
   }
 }
 
@@ -112,13 +110,12 @@ void ThreadPool::worker_loop() {
   std::uint64_t seen_epoch = 0;
   for (;;) {
     std::unique_lock<std::mutex> lock(mutex_);
-    MH_OBS_ONLY(const std::uint64_t idle_begin =
-                    ::mh::obs::enabled() ? ::mh::obs::now_ns() : 0;)
+    const std::uint64_t idle_begin = obs::enabled() ? obs::now_ns() : 0;
     wake_.wait(lock, [&] { return stop_ || epoch_ != seen_epoch; });
-    MH_OBS_ONLY(if (::mh::obs::enabled()) {
+    if (idle_begin != 0) {
       MH_OBS_COUNT("engine.pool.wakeups", 1);
-      MH_OBS_HIST("engine.pool.idle_ns", ::mh::obs::now_ns() - idle_begin);
-    })
+      MH_OBS_HIST("engine.pool.idle_ns", obs::now_ns() - idle_begin);
+    }
     if (stop_) return;
     seen_epoch = epoch_;
     lock.unlock();

@@ -174,16 +174,6 @@ const char* build_git_rev() noexcept {
 #endif
 }
 
-namespace {
-constexpr bool obs_compiled() noexcept {
-#ifdef MH_OBS_ENABLED
-  return true;
-#else
-  return false;
-#endif
-}
-}  // namespace
-
 RunMeta RunMeta::current(std::string bench) {
   RunMeta meta;
   meta.bench = std::move(bench);
@@ -245,7 +235,6 @@ Json JsonExporter::document(const RunMeta& meta, const Snapshot& snapshot, Json 
   doc.set("meta", Json::object()
                       .set("git_rev", build_git_rev())
                       .set("threads", std::uint64_t{meta.threads})
-                      .set("obs_compiled", obs_compiled())
                       .set("obs_enabled", meta.obs_enabled)
                       .set("unix_time", static_cast<std::int64_t>(std::time(nullptr))));
   doc.set("results", std::move(results));
@@ -266,46 +255,6 @@ void JsonExporter::write_file(const std::string& path, const RunMeta& meta,
   const int rc = std::fclose(f);
   if (written != text.size() || rc != 0)
     throw std::runtime_error("obs::JsonExporter: short write to " + path);
-}
-
-std::string CsvExporter::render(const Snapshot& snapshot) {
-  Snapshot sorted = snapshot;
-  const auto by_name = [](const auto& a, const auto& b) { return a.name < b.name; };
-  std::sort(sorted.counters.begin(), sorted.counters.end(), by_name);
-  std::sort(sorted.gauges.begin(), sorted.gauges.end(), by_name);
-  std::sort(sorted.histograms.begin(), sorted.histograms.end(), by_name);
-
-  std::string out = "name,kind,field,value\n";
-  char buf[160];
-  for (const CounterSnapshot& c : sorted.counters) {
-    std::snprintf(buf, sizeof(buf), "%s,counter,value,%" PRIu64 "\n", c.name.c_str(), c.value);
-    out += buf;
-  }
-  for (const GaugeSnapshot& g : sorted.gauges) {
-    std::snprintf(buf, sizeof(buf), "%s,gauge,value,%" PRId64 "\n", g.name.c_str(),
-                  std::int64_t{g.value});
-    out += buf;
-  }
-  for (const HistogramSnapshot& h : sorted.histograms) {
-    const char* name = h.name.c_str();
-    std::snprintf(buf, sizeof(buf), "%s,histogram,count,%" PRIu64 "\n", name, h.count);
-    out += buf;
-    std::snprintf(buf, sizeof(buf), "%s,histogram,sum,%" PRIu64 "\n", name, h.sum);
-    out += buf;
-    std::snprintf(buf, sizeof(buf), "%s,histogram,min,%" PRIu64 "\n", name, h.min);
-    out += buf;
-    std::snprintf(buf, sizeof(buf), "%s,histogram,max,%" PRIu64 "\n", name, h.max);
-    out += buf;
-    std::snprintf(buf, sizeof(buf), "%s,histogram,mean,%.6g\n", name, h.mean());
-    out += buf;
-    for (std::size_t b = 0; b < Histogram::kBuckets; ++b)
-      if (h.buckets[b] != 0) {
-        std::snprintf(buf, sizeof(buf), "%s,histogram,bucket_%" PRIu64 ",%" PRIu64 "\n", name,
-                      Histogram::bucket_lo(b), h.buckets[b]);
-        out += buf;
-      }
-  }
-  return out;
 }
 
 std::string metrics_table(const Snapshot& snapshot) {

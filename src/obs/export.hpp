@@ -5,17 +5,15 @@
 //   {
 //     "schema":  "mh-bench-v1",
 //     "bench":   "<name>",
-//     "meta":    { "git_rev", "threads", "obs_compiled", "obs_enabled",
-//                  "unix_time" },
+//     "meta":    { "git_rev", "threads", "obs_enabled", "unix_time" },
 //     "results": { ...bench-specific rows... },
 //     "metrics": { "counters": [...], "gauges": [...], "histograms": [...] }
 //   }
 //
 // Metric arrays are sorted by name so artifacts diff cleanly run to run;
 // histogram buckets are emitted sparsely ({"lo": 2^(i-1), "count": n} for
-// non-empty buckets only). CsvExporter flattens the same snapshot to
-// name,kind,field,value rows; metrics_table renders it with support/table
-// for the --list-metrics / MH_OBS_DUMP paths.
+// non-empty buckets only). metrics_table renders the same snapshot with
+// support/table for the benches' --list-metrics flag.
 #pragma once
 
 #include <cstdint>
@@ -74,8 +72,8 @@ struct RunMeta {
   std::size_t threads = 0; ///< resolved engine parallelism
   bool obs_enabled = false;
 
-  /// Meta with git_rev / obs flags / threads resolved from the build and the
-  /// process environment (MH_THREADS).
+  /// Meta with git_rev / obs_enabled / threads resolved from the build and
+  /// the process environment (MH_THREADS).
   static RunMeta current(std::string bench);
 };
 
@@ -94,15 +92,8 @@ class JsonExporter {
                          const Snapshot& snapshot, Json results);
 };
 
-class CsvExporter {
- public:
-  /// "name,kind,field,value" rows: counters (value), gauges (value),
-  /// histograms (count/sum/min/max/mean + non-empty bucket_<lo> rows).
-  static std::string render(const Snapshot& snapshot);
-};
-
 /// The snapshot as an aligned text table (support/table), sorted by name —
-/// the --list-metrics / MH_OBS_DUMP rendering.
+/// the --list-metrics rendering.
 std::string metrics_table(const Snapshot& snapshot);
 
 }  // namespace mh::obs

@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <bit>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,16 +26,21 @@ bool env_truthy(const char* name) noexcept {
   }
 }
 
-std::atomic<bool>& enabled_flag() noexcept {
-  static std::atomic<bool> flag{env_truthy("MH_OBS")};
-  return flag;
-}
-
 }  // namespace
 
-bool enabled() noexcept { return enabled_flag().load(std::memory_order_relaxed); }
+bool detail::resolve_enabled() noexcept {
+  const int from_env = env_truthy("MH_OBS") ? 1 : 0;
+  // Only the unresolved state is replaced: a racing set_enabled() wins.
+  int state = -1;
+  if (enabled_state.compare_exchange_strong(state, from_env, std::memory_order_relaxed))
+    return from_env != 0;
+  return state != 0;
+}
 
-void set_enabled(bool on) noexcept { enabled_flag().store(on, std::memory_order_relaxed); }
+void set_enabled(bool on) noexcept {
+  (void)enabled();  // parse MH_OBS first: a malformed value aborts either way
+  detail::enabled_state.store(on ? 1 : 0, std::memory_order_relaxed);
+}
 
 std::size_t thread_shard_index() noexcept {
   static std::atomic<std::size_t> next{0};
@@ -247,6 +253,23 @@ void Registry::reset() {
 std::size_t Registry::size() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return by_name_.size();
+}
+
+std::uint64_t now_ns() noexcept {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+ScopedTimer::ScopedTimer(const char* name) {
+  if (!enabled()) return;
+  hist_ = &Registry::global().histogram(name);
+  begin_ns_ = now_ns();
+}
+
+ScopedTimer::~ScopedTimer() {
+  if (hist_ != nullptr) hist_->record(now_ns() - begin_ns_);
 }
 
 }  // namespace mh::obs

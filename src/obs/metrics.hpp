@@ -15,11 +15,9 @@
 //   * histograms are log-bucketed base 2: bucket 0 holds exact zeros, bucket
 //     i >= 1 holds values in [2^(i-1), 2^i).
 //
-// The instruments are always compiled (so the layer is testable in every
-// build); the *call sites* across engine / protocol / core / oracle are
-// compiled out entirely unless the MH_OBS CMake option defines
-// MH_OBS_ENABLED (see obs/obs.hpp), and even then record only while the
-// runtime switch obs::enabled() is on.
+// The call sites across engine / protocol / core / oracle (obs/obs.hpp) are
+// in every build and record only while the run-time switch obs::enabled()
+// is on.
 #pragma once
 
 #include <array>
@@ -35,9 +33,20 @@
 
 namespace mh::obs {
 
+namespace detail {
+/// The switch: -1 until the first read resolves it from MH_OBS, then 0 or 1.
+/// Constant-initialized, so it is safe to read during static initialization.
+inline std::atomic<int> enabled_state{-1};
+bool resolve_enabled() noexcept;
+}  // namespace detail
+
 /// Runtime switch; instruments record only while true. Initialized from the
-/// MH_OBS environment variable ("1"/"on"/"true"), default off.
-bool enabled() noexcept;
+/// MH_OBS environment variable ("1"/"on"/"true"), default off. Inline so a
+/// switched-off hook costs one relaxed load and a branch, not a call.
+inline bool enabled() noexcept {
+  const int state = detail::enabled_state.load(std::memory_order_relaxed);
+  return state < 0 ? detail::resolve_enabled() : state != 0;
+}
 void set_enabled(bool on) noexcept;
 
 /// Stable small index for the calling thread, used to pick a shard. Assigned
@@ -117,6 +126,27 @@ class Histogram {
     std::array<std::atomic<std::uint64_t>, kBuckets> buckets{};
   };
   std::array<Shard, kShards> shards_{};
+};
+
+/// Monotonic wall clock in nanoseconds (steady_clock).
+std::uint64_t now_ns() noexcept;
+
+/// Records the wall-clock duration (ns) of its scope into the histogram of
+/// the same name in Registry::global(). Inert — no clock read, no lookup —
+/// unless obs::enabled() was true at construction. Timing is
+/// nondeterministic: duration histograms feed dashboards and bench
+/// artifacts, never results.
+class ScopedTimer {
+ public:
+  explicit ScopedTimer(const char* name);
+  ~ScopedTimer();
+
+  ScopedTimer(const ScopedTimer&) = delete;
+  ScopedTimer& operator=(const ScopedTimer&) = delete;
+
+ private:
+  Histogram* hist_ = nullptr;  ///< null when inert
+  std::uint64_t begin_ns_ = 0;
 };
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,17 @@ namespace mh::oracle {
 
 namespace {
 
+// MC<->DP slack: how far the exact value sits from the nearer band edge, in
+// parts-per-million of the band width (0 = touching an edge; a persistently
+// tiny slack flags a band about to break).
+void record_band_slack(const CellVerdict& cell) {
+  const double width = cell.recurrence_mc.hi - cell.recurrence_mc.lo;
+  if (width <= 0.0) return;
+  const double exact = static_cast<double>(cell.exact_pk);
+  const double edge = std::min(exact - cell.recurrence_mc.lo, cell.recurrence_mc.hi - exact);
+  MH_OBS_HIST("oracle.mc_band_slack_ppm", static_cast<std::uint64_t>(1e6 * edge / width));
+}
+
 CellVerdict run_cell(const MatrixConfig& config, const NamedLaw& named, std::size_t tie_i,
                      std::size_t delta_i, std::size_t strategy_i, std::size_t law_i,
                      faults::FaultProfile profile, std::uint64_t cell_seed) {
@@ -107,17 +118,7 @@ CellVerdict run_cell(const MatrixConfig& config, const NamedLaw& named, std::siz
     out.mc_checked = true;
     out.mc_within_band = out.recurrence_mc.lo <= static_cast<double>(out.exact_pk) &&
                          static_cast<double>(out.exact_pk) <= out.recurrence_mc.hi;
-    // MC<->DP slack: how far the exact value sits from the nearer band edge,
-    // in parts-per-million of the band width (0 = touching an edge; a
-    // persistently tiny slack flags a band about to break).
-    MH_OBS_ONLY(if (::mh::obs::enabled() && out.mc_within_band) {
-      const double width = out.recurrence_mc.hi - out.recurrence_mc.lo;
-      if (width > 0.0) {
-        const double exact = static_cast<double>(out.exact_pk);
-        const double edge = std::min(exact - out.recurrence_mc.lo, out.recurrence_mc.hi - exact);
-        MH_OBS_HIST("oracle.mc_band_slack_ppm", static_cast<std::uint64_t>(1e6 * edge / width));
-      }
-    })
+    if (obs::enabled() && out.mc_within_band) record_band_slack(out);
   }
 
   const Proportion protocol =

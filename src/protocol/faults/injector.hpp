@@ -6,7 +6,7 @@
 //
 // The injector also owns the execution's fault accounting (FaultStats): the
 // transport and the driver report drops, wipes and re-ships here so the
-// oracle and the benches can audit recovery without the obs layer compiled in.
+// oracle and the benches can audit recovery with metric recording off.
 #pragma once
 
 #include <cstdint>

@@ -78,6 +78,16 @@ void Network::expire_watermarks(PartyId recipient, std::size_t slot) {
   }
 }
 
+std::size_t Network::checked_delay(const std::vector<std::size_t>& per_recipient_delay,
+                                   PartyId recipient, std::size_t slot) const {
+  const std::size_t delay = per_recipient_delay.empty() ? 0 : per_recipient_delay[recipient];
+  MH_REQUIRE_MSG(delay <= delta_, "adversary delay " + std::to_string(delay) + " for party " +
+                                      std::to_string(recipient) + " at slot " +
+                                      std::to_string(slot) +
+                                      " exceeds Delta = " + std::to_string(delta_));
+  return delay;
+}
+
 // A send during an active fault window may lose or skew individual links, so
 // it must never advance sent_all_ (the all-recipient bound would overclaim
 // coverage for a recipient whose ship was dropped); per-recipient watermarks
@@ -163,13 +173,9 @@ void Network::hetero_broadcast_chain(const BlockTree& tree, const Block& block,
   // a neighbor's later relay back to it deduplicates.
   queues_[sender].scheduled.insert(block.hash);
   const bool faulted = fault_window(sent_slot);
-  MH_OBS_ONLY(std::size_t shipped = 0;)
+  std::size_t shipped = 0;
   topology_.for_each_neighbor(sender, [&](PartyId r) {
-    const std::size_t delay = per_recipient_delay.empty() ? 0 : per_recipient_delay[r];
-    MH_REQUIRE_MSG(delay <= delta_, "adversary delay " + std::to_string(delay) +
-                                        " for party " + std::to_string(r) + " at slot " +
-                                        std::to_string(sent_slot) +
-                                        " exceeds Delta = " + std::to_string(delta_));
+    const std::size_t delay = checked_delay(per_recipient_delay, r, sent_slot);
     faults::LinkVerdict link{};
     // A lost ship schedules nothing: the recipient's scheduled-set keeps the
     // gap, so the next broadcast or relay on this chain re-walks past it.
@@ -181,7 +187,7 @@ void Network::hetero_broadcast_chain(const BlockTree& tree, const Block& block,
          h = tree.block(h).parent)
       lift_scratch_.push_back(h);
     MH_OBS_HIST("protocol.net.chain_sync_depth", lift_scratch_.size());
-    MH_OBS_ONLY(shipped += lift_scratch_.size() + 1;)
+    shipped += lift_scratch_.size() + 1;
     for (std::size_t i = lift_scratch_.size(); i-- > 0;)
       hetero_send(sender, r, tree.block(lift_scratch_[i]), sent_slot, delay,
                   faulted ? link.extra_delay : 0, false);
@@ -193,93 +199,20 @@ void Network::hetero_broadcast_chain(const BlockTree& tree, const Block& block,
 
 void Network::hetero_relay(PartyId relayer, const Block& block, std::size_t slot) {
   const bool faulted = fault_window(slot);
-  MH_OBS_ONLY(std::size_t relayed = 0;)
+  std::size_t relayed = 0;
   topology_.for_each_neighbor(relayer, [&](PartyId neighbor) {
     auto& scheduled = queues_[neighbor].scheduled;
     if (scheduled.find(block.hash) != scheduled.end()) return;
     faults::LinkVerdict link{};
     if (faulted && !faulted_link(relayer, neighbor, slot, &link)) return;
-    MH_OBS_ONLY(++relayed;)
+    ++relayed;
     hetero_send(relayer, neighbor, block, slot, 0, faulted ? link.extra_delay : 0,
                 faulted && link.duplicate);
   });
   MH_OBS_COUNT("protocol.net.blocks_relayed", relayed);
 }
 
-// --- broadcast entry points ------------------------------------------------
-
-void Network::broadcast(const Block& block, std::size_t sent_slot,
-                        const std::vector<std::size_t>& per_recipient_delay) {
-  MH_REQUIRE_MSG(per_recipient_delay.empty() || per_recipient_delay.size() == parties_,
-                 "delay vector covers " + std::to_string(per_recipient_delay.size()) +
-                     " parties, network has " + std::to_string(parties_));
-  MH_REQUIRE_MSG(block.slot <= sent_slot,
-                 "non-monotone broadcast: party " + std::to_string(block.issuer) +
-                     "'s slot-" + std::to_string(block.slot) +
-                     " block cannot be sent at slot " + std::to_string(sent_slot));
-  if (hetero_) {
-    MH_OBS_COUNT("protocol.net.blocks_shipped", 1);
-    const bool faulted = fault_window(sent_slot);
-    if (block.issuer >= parties_) {
-      // Adversarial source: direct channels to everyone (topology, latency,
-      // and bandwidth never bind the coalition); only the configured
-      // hold-back and a down endpoint apply.
-      for (PartyId r = 0; r < parties_; ++r) {
-        const std::size_t delay = per_recipient_delay.empty() ? 0 : per_recipient_delay[r];
-        MH_REQUIRE_MSG(delay <= delta_, "adversary delay " + std::to_string(delay) +
-                                            " for party " + std::to_string(r) +
-                                            " at slot " + std::to_string(sent_slot) +
-                                            " exceeds Delta = " + std::to_string(delta_));
-        if (faulted && faults_->is_down(r, sent_slot)) continue;
-        push(r, block, sent_slot + 1 + delay);
-        queues_[r].scheduled.insert(block.hash);
-      }
-      return;
-    }
-    queues_[block.issuer].scheduled.insert(block.hash);
-    topology_.for_each_neighbor(block.issuer, [&](PartyId r) {
-      const std::size_t delay = per_recipient_delay.empty() ? 0 : per_recipient_delay[r];
-      MH_REQUIRE_MSG(delay <= delta_, "adversary delay " + std::to_string(delay) +
-                                          " for party " + std::to_string(r) + " at slot " +
-                                          std::to_string(sent_slot) +
-                                          " exceeds Delta = " + std::to_string(delta_));
-      faults::LinkVerdict link{};
-      if (faulted && !faulted_link(block.issuer, r, sent_slot, &link)) return;
-      hetero_send(block.issuer, r, block, sent_slot, delay,
-                  faulted ? link.extra_delay : 0, faulted && link.duplicate);
-    });
-    return;
-  }
-  MH_OBS_COUNT("protocol.net.blocks_shipped", parties_);
-  const bool faulted = fault_window(sent_slot);
-  if (per_recipient_delay.empty() && !faulted) {
-    const std::size_t due = sent_slot + 1;
-    for (PartyId r = 0; r < parties_; ++r) push(r, block, due);
-    // The block carries no ancestry here; it is chain-complete for all
-    // recipients only if its parent already is by the same due.
-    if (covered_all(block.parent, due)) record(sent_all_, block.hash, due);
-    return;
-  }
-  std::size_t due_max = sent_slot + 1;
-  for (PartyId r = 0; r < parties_; ++r) {
-    const std::size_t delay = per_recipient_delay.empty() ? 0 : per_recipient_delay[r];
-    MH_REQUIRE_MSG(delay <= delta_, "adversary delay " + std::to_string(delay) +
-                                        " for party " + std::to_string(r) + " at slot " +
-                                        std::to_string(sent_slot) +
-                                        " exceeds Delta = " + std::to_string(delta_));
-    std::size_t due = sent_slot + 1 + delay;
-    faults::LinkVerdict link;
-    if (faulted) {
-      if (!faulted_link(block.issuer, r, sent_slot, &link)) continue;
-      due += link.extra_delay;
-    }
-    due_max = std::max(due_max, due);
-    push(r, block, due);
-    if (faulted && link.duplicate) push(r, block, due);
-    if (covered(r, block.parent, due)) record_recipient(r, block.hash, due);
-  }
-  if (!faulted && covered_all(block.parent, due_max)) record(sent_all_, block.hash, due_max);
-}
+// --- broadcast entry point -------------------------------------------------
 
 void Network::broadcast_chain(const BlockTree& tree, const Block& block, std::size_t sent_slot,
                               const std::vector<std::size_t>& per_recipient_delay) {
@@ -305,12 +238,8 @@ void Network::broadcast_chain(const BlockTree& tree, const Block& block, std::si
        std::all_of(per_recipient_delay.begin(), per_recipient_delay.end(),
                    [&](std::size_t d) { return d == per_recipient_delay.front(); }));
   if (uniform) {
-    const std::size_t delay = per_recipient_delay.empty() ? 0 : per_recipient_delay.front();
-    MH_REQUIRE_MSG(delay <= delta_, "adversary delay " + std::to_string(delay) +
-                                        " at slot " + std::to_string(sent_slot) +
-                                        " exceeds Delta = " + std::to_string(delta_));
-    // One watermark walk covers every recipient.
-    const std::size_t due = sent_slot + 1 + delay;
+    // One watermark walk covers every recipient (party 0's delay is everyone's).
+    const std::size_t due = sent_slot + 1 + checked_delay(per_recipient_delay, 0, sent_slot);
     lift_scratch_.clear();
     BlockHash h = block.parent;
     for (; !covered_all(h, due); h = tree.block(h).parent) lift_scratch_.push_back(h);
@@ -329,14 +258,9 @@ void Network::broadcast_chain(const BlockTree& tree, const Block& block, std::si
   }
 
   std::size_t due_max = sent_slot + 1;
-  MH_OBS_ONLY(std::size_t shipped = 0;)
+  std::size_t shipped = 0;
   for (PartyId r = 0; r < parties_; ++r) {
-    const std::size_t delay = per_recipient_delay.empty() ? 0 : per_recipient_delay[r];
-    MH_REQUIRE_MSG(delay <= delta_, "adversary delay " + std::to_string(delay) +
-                                        " for party " + std::to_string(r) + " at slot " +
-                                        std::to_string(sent_slot) +
-                                        " exceeds Delta = " + std::to_string(delta_));
-    std::size_t due = sent_slot + 1 + delay;
+    std::size_t due = sent_slot + 1 + checked_delay(per_recipient_delay, r, sent_slot);
     faults::LinkVerdict link;
     if (faulted) {
       // A lost ship records nothing: the next broadcast on this chain walks
@@ -350,7 +274,7 @@ void Network::broadcast_chain(const BlockTree& tree, const Block& block, std::si
     for (; h != genesis_block().hash && !covered(r, h, due); h = tree.block(h).parent)
       lift_scratch_.push_back(h);
     MH_OBS_HIST("protocol.net.chain_sync_depth", lift_scratch_.size());
-    MH_OBS_ONLY(shipped += lift_scratch_.size() + 1;)
+    shipped += lift_scratch_.size() + 1;
     if (h != genesis_block().hash) MH_OBS_COUNT("protocol.net.watermark_hits", 1);
     for (std::size_t i = lift_scratch_.size(); i-- > 0;) {
       push(r, tree.block(lift_scratch_[i]), due);
@@ -463,12 +387,6 @@ void Network::resync_ship(const Block& block, PartyId recipient, std::size_t slo
     record_recipient(recipient, block.hash, slot);
   if (faults_ != nullptr) ++faults_->stats().resync_blocks;
   MH_OBS_COUNT("protocol.faults.resync_blocks", 1);
-}
-
-std::vector<Block> Network::collect(PartyId recipient, std::size_t slot) {
-  std::vector<Block> due;
-  collect_into(recipient, slot, &due);
-  return due;
 }
 
 void Network::collect_into(PartyId recipient, std::size_t slot, std::vector<Block>* out) {

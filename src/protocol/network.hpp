@@ -85,19 +85,14 @@ class Network {
   void attach_faults(faults::FaultInjector* faults) noexcept { faults_ = faults; }
   [[nodiscard]] faults::FaultInjector* fault_injector() const noexcept { return faults_; }
 
-  /// Honest broadcast at slot `sent_slot`; `delay[r]` in [0, delta] is the
-  /// adversary's extra hold-back for recipient r (empty = no extra delay).
-  /// Ships the block alone (no ancestry). Heterogeneous mode ships to the
-  /// issuer's out-neighbors (an adversarial issuer keeps direct channels).
-  void broadcast(const Block& block, std::size_t sent_slot,
-                 const std::vector<std::size_t>& per_recipient_delay = {});
-
-  /// Chain-synced broadcast of a freshly forged block: ships `block` plus,
-  /// per reachable recipient, exactly the ancestors that recipient has not
-  /// already been scheduled to receive — ancestors first on every link, so a
-  /// single-hop bundle never arrives parentless (multi-hop races can still
-  /// reorder; the node's orphan buffer absorbs them). Amortized O(parties)
-  /// per call once the chain prefix has been synced.
+  /// Chain-synced honest broadcast of a freshly forged block at slot
+  /// `sent_slot`: ships `block` plus, per reachable recipient, exactly the
+  /// ancestors that recipient has not already been scheduled to receive —
+  /// ancestors first on every link, so a single-hop bundle never arrives
+  /// parentless (multi-hop races can still reorder; the node's orphan buffer
+  /// absorbs them). `delay[r]` in [0, delta] is the adversary's extra
+  /// hold-back for recipient r (empty = no extra delay). Amortized
+  /// O(parties) per call once the chain prefix has been synced.
   void broadcast_chain(const BlockTree& tree, const Block& block, std::size_t sent_slot,
                        const std::vector<std::size_t>& per_recipient_delay = {});
 
@@ -123,13 +118,10 @@ class Network {
   /// the chain-complete contract.
   void resync_ship(const Block& block, PartyId recipient, std::size_t slot);
 
-  /// Deliveries for `recipient` due at the onset of `slot`, in (due, seq)
-  /// event order. In heterogeneous mode each first-seen pop is relayed to
-  /// the recipient's out-neighbors that lack it (due >= slot + 1, so relay
-  /// cascades never loop within a slot).
-  [[nodiscard]] std::vector<Block> collect(PartyId recipient, std::size_t slot);
-
-  /// Allocation-free collect for the simulation hot loop.
+  /// Replace `*out` with the deliveries for `recipient` due at the onset of
+  /// `slot`, in (due, seq) event order. In heterogeneous mode each
+  /// first-seen pop is relayed to the recipient's out-neighbors that lack it
+  /// (due >= slot + 1, so relay cascades never loop within a slot).
   void collect_into(PartyId recipient, std::size_t slot, std::vector<Block>* out);
 
  private:
@@ -163,6 +155,10 @@ class Network {
   /// Drop per-recipient watermarks whose due lies delta + 1 slots behind.
   void expire_watermarks(PartyId recipient, std::size_t slot);
   void push(PartyId recipient, const Block& block, std::size_t due);
+  /// Recipient's adversary hold-back (0 for an empty vector); throws past
+  /// Delta, naming the party and slot.
+  [[nodiscard]] std::size_t checked_delay(const std::vector<std::size_t>& per_recipient_delay,
+                                          PartyId recipient, std::size_t slot) const;
   /// Is a fault able to touch sends at `slot`? (Forces the per-recipient path.)
   [[nodiscard]] bool fault_window(std::size_t slot) const noexcept;
   /// Resolve one honest link's fault verdict; false = the ship is lost.

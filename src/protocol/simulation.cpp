@@ -72,13 +72,13 @@ void Simulation::public_add(const Block& block) {
 void Simulation::deliver_due(std::size_t slot) {
   // Delivery counters aggregate over the whole node loop (one add per round):
   // per-(node, slot) hooks here run millions of times on the E14 scale cells.
-  MH_OBS_ONLY(std::size_t delivered = 0;)
+  std::size_t delivered = 0;
   for (HonestNode& node : nodes_) {
     // A crashed endpoint neither collects nor processes; its queue was wiped
     // at crash time and stays empty while it is down.
     if (fault_active_ && faults_->is_down(node.id(), slot)) continue;
     network_.collect_into(node.id(), slot, &delivery_scratch_);
-    MH_OBS_ONLY(delivered += delivery_scratch_.size();)
+    delivered += delivery_scratch_.size();
     for (const Block& b : delivery_scratch_) {
       accepted_scratch_.clear();
       node.receive(b, &accepted_scratch_);
@@ -108,10 +108,10 @@ void Simulation::deliver_due(std::size_t slot) {
       }
     }
   }
-  MH_OBS_ONLY(if (delivered != 0) {
+  if (delivered != 0) {
     MH_OBS_COUNT("protocol.net.blocks_delivered", delivered);
     MH_OBS_COUNT("protocol.node.blocks_received", delivered);
-  })
+  }
 }
 
 void Simulation::step() {

@@ -121,7 +121,10 @@ double regularized_incomplete_beta(double a, double b, double x) {
   MH_REQUIRE(a > 0.0 && b > 0.0);
   if (x <= 0.0) return 0.0;
   if (x >= 1.0) return 1.0;
-  const double ln_front = std::lgamma(a + b) - std::lgamma(a) - std::lgamma(b) +
+  // lgamma_r, not std::lgamma: the latter writes glibc's global signgam, a
+  // data race when Clopper-Pearson bands are computed on several threads.
+  int sign = 0;
+  const double ln_front = lgamma_r(a + b, &sign) - lgamma_r(a, &sign) - lgamma_r(b, &sign) +
                           a * std::log(x) + b * std::log1p(-x);
   const double front = std::exp(ln_front);
   // Use the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) where the fraction converges

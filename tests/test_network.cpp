@@ -7,8 +7,7 @@
 namespace mh {
 namespace {
 
-// Tests drain through the allocation-free entry point the simulation hot loop
-// uses; one dedicated test below covers the allocating convenience overload.
+// Tests drain through the same collect_into the simulation hot loop uses.
 std::vector<Block> drain(Network& net, PartyId recipient, std::size_t slot) {
   std::vector<Block> due;
   net.collect_into(recipient, slot, &due);
@@ -17,8 +16,10 @@ std::vector<Block> drain(Network& net, PartyId recipient, std::size_t slot) {
 
 TEST(Network, SynchronousBroadcastArrivesNextSlot) {
   Network net(3, 0);
+  BlockTree tree;
   const Block b = make_block(genesis_block().hash, 1, 0, 0);
-  net.broadcast(b, 1);
+  tree.add(b);
+  net.broadcast_chain(tree, b, 1);
   EXPECT_TRUE(drain(net, 0, 1).empty());
   const auto due = drain(net, 0, 2);
   ASSERT_EQ(due.size(), 1u);
@@ -29,16 +30,20 @@ TEST(Network, SynchronousBroadcastArrivesNextSlot) {
   EXPECT_EQ(drain(net, 2, 2).size(), 1u);
 }
 
-TEST(Network, AllocatingCollectDelegatesToCollectInto) {
+TEST(Network, CollectIntoClearsAStaleBuffer) {
+  // The buffer is cleared before filling: stale contents must not leak into
+  // a delivery round.
   Network net(2, 0);
+  BlockTree tree;
   const Block b = make_block(genesis_block().hash, 1, 0, 0);
-  net.broadcast(b, 1);
-  const auto allocated = net.collect(0, 2);  // convenience overload
-  ASSERT_EQ(allocated.size(), 1u);
-  EXPECT_EQ(allocated[0].hash, b.hash);
-  // Same transport state through collect_into, and the buffer is cleared
-  // before filling (stale contents must not leak into a delivery round).
+  tree.add(b);
+  net.broadcast_chain(tree, b, 1);
   std::vector<Block> buf(7, genesis_block());
+  net.collect_into(0, 2, &buf);
+  ASSERT_EQ(buf.size(), 1u);
+  EXPECT_EQ(buf[0].hash, b.hash);
+  net.collect_into(0, 3, &buf);  // nothing due: the old delivery is gone too
+  EXPECT_TRUE(buf.empty());
   net.collect_into(1, 2, &buf);
   ASSERT_EQ(buf.size(), 1u);
   EXPECT_EQ(buf[0].hash, b.hash);
@@ -46,8 +51,10 @@ TEST(Network, AllocatingCollectDelegatesToCollectInto) {
 
 TEST(Network, DelaysBoundedByDelta) {
   Network net(2, 3);
+  BlockTree tree;
   const Block b = make_block(genesis_block().hash, 1, 0, 0);
-  net.broadcast(b, 1, {0, 3});
+  tree.add(b);
+  net.broadcast_chain(tree, b, 1, {0, 3});
   EXPECT_EQ(drain(net, 0, 2).size(), 1u);
   EXPECT_TRUE(drain(net, 1, 2).empty());
   EXPECT_TRUE(drain(net, 1, 4).empty());
@@ -59,9 +66,12 @@ TEST(Network, RejectsDelaysPastDelta) {
   BlockTree tree;
   const Block b = make_block(genesis_block().hash, 1, 0, 0);
   tree.add(b);
-  EXPECT_THROW(net.broadcast(b, 1, {0, 2}), std::invalid_argument);
-  EXPECT_THROW(net.broadcast(b, 1, {0}), std::invalid_argument);  // wrong size
+  // Past Delta on the per-recipient path (either party) and on the uniform
+  // path, then delay vectors of the wrong size.
+  EXPECT_THROW(net.broadcast_chain(tree, b, 1, {0, 2}), std::invalid_argument);
   EXPECT_THROW(net.broadcast_chain(tree, b, 1, {2, 0}), std::invalid_argument);
+  EXPECT_THROW(net.broadcast_chain(tree, b, 1, {2, 2}), std::invalid_argument);
+  EXPECT_THROW(net.broadcast_chain(tree, b, 1, {0}), std::invalid_argument);
   EXPECT_THROW(net.broadcast_chain(tree, b, 1, {0, 0, 0}), std::invalid_argument);
 }
 
@@ -81,12 +91,11 @@ TEST(Network, RejectsNonMonotoneSlots) {
   BlockTree tree;
   const Block b = make_block(genesis_block().hash, 3, 0, 0);
   tree.add(b);
-  EXPECT_THROW(net.broadcast(b, 2), std::invalid_argument);
   EXPECT_THROW(net.broadcast_chain(tree, b, 2), std::invalid_argument);
   EXPECT_THROW(net.inject(b, 0, 2), std::invalid_argument);
   EXPECT_THROW(net.inject_all(b, 2), std::invalid_argument);
   // Sending at exactly the block's slot is the boundary and is legal.
-  net.broadcast(b, 3);
+  net.broadcast_chain(tree, b, 3);
   EXPECT_EQ(drain(net, 0, 4).size(), 1u);
 }
 
@@ -108,10 +117,13 @@ TEST(Network, InjectAllReachesEveryone) {
 
 TEST(Network, LateCollectionDeliversBacklog) {
   Network net(1, 0);
+  BlockTree tree;
   const Block b1 = make_block(genesis_block().hash, 1, 0, 0);
   const Block b2 = make_block(b1.hash, 2, 0, 0);
-  net.broadcast(b1, 1);
-  net.broadcast(b2, 2);
+  tree.add(b1);
+  tree.add(b2);
+  net.broadcast_chain(tree, b1, 1);
+  net.broadcast_chain(tree, b2, 2);
   const auto due = drain(net, 0, 5);  // collected late: both blocks due
   EXPECT_EQ(due.size(), 2u);
 }

@@ -5,14 +5,13 @@
 //     merged values;
 //   * histogram buckets are log base-2 with exact boundaries (bucket 0 = {0},
 //     bucket i >= 1 = [2^(i-1), 2^i)) and exact count/sum/min/max;
-//   * spans nest per thread and drain oldest-first from the ring sink, with
-//     children closing (and therefore appearing) before their parent;
+//   * the hooks and ScopedTimer record only while obs::enabled() is on, and
+//     the library's hooks are in every build;
 //   * the registry rejects a name registered under two different kinds and
 //     deduplicates same-kind re-registration to one instrument;
 //   * the golden pin: enabling metric recording changes NO result bit — the
 //     pinned transport digests and the settlement-DP series are identical
-//     with recording on and off (in every build; in -DMH_OBS=ON builds this
-//     additionally exercises every compiled-in hook).
+//     with recording on and off.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -117,70 +116,56 @@ TEST(ObsMetrics, HistogramBucketBoundaries) {
   }
 }
 
-TEST(ObsTrace, SpansNestAndDrainOldestFirstChildrenBeforeParent) {
+TEST(ObsTimer, ScopedTimerFeedsRegistryHistogramOnlyWhileEnabled) {
   EnabledGuard guard;
-  mh::obs::set_enabled(true);
-  mh::obs::TraceSink& sink = mh::obs::TraceSink::global();
-  sink.clear();
-
-  EXPECT_EQ(mh::obs::Span::current_depth(), 0u);
-  {
-    mh::obs::Span outer("test.obs.outer");
-    EXPECT_EQ(mh::obs::Span::current_depth(), 1u);
-    {
-      mh::obs::Span inner("test.obs.inner");
-      EXPECT_EQ(mh::obs::Span::current_depth(), 2u);
-    }
-    EXPECT_EQ(mh::obs::Span::current_depth(), 1u);
-  }
-  EXPECT_EQ(mh::obs::Span::current_depth(), 0u);
-
-  const std::vector<mh::obs::TraceEvent> events = sink.events();
-  ASSERT_EQ(events.size(), 2u);
-  // Events push on close: the inner span lands first, at depth 1.
-  EXPECT_STREQ(events[0].name, "test.obs.inner");
-  EXPECT_EQ(events[0].depth, 1u);
-  EXPECT_STREQ(events[1].name, "test.obs.outer");
-  EXPECT_EQ(events[1].depth, 0u);
-  EXPECT_LE(events[1].begin_ns, events[0].begin_ns);  // parent opened first
-  EXPECT_GE(events[1].end_ns, events[0].end_ns);      // parent closed last
-}
-
-TEST(ObsTrace, DisabledSpansRecordNothing) {
-  EnabledGuard guard;
-  mh::obs::set_enabled(false);
-  mh::obs::TraceSink& sink = mh::obs::TraceSink::global();
-  sink.clear();
-  {
-    mh::obs::Span span("test.obs.disabled");
-    EXPECT_EQ(mh::obs::Span::current_depth(), 0u);  // inert: no depth taken
-  }
-  EXPECT_EQ(sink.events().size(), 0u);
-}
-
-TEST(ObsTrace, RingSinkWrapsOldestFirst) {
-  mh::obs::TraceSink sink(4);
-  for (std::uint64_t i = 0; i < 6; ++i) {
-    mh::obs::TraceEvent e;
-    e.name = "test.obs.wrap";
-    e.begin_ns = i;
-    e.end_ns = i + 1;
-    sink.record(e);
-  }
-  EXPECT_EQ(sink.recorded(), 6u);
-  EXPECT_EQ(sink.dropped(), 2u);
-  const std::vector<mh::obs::TraceEvent> events = sink.events();
-  ASSERT_EQ(events.size(), 4u);
-  for (std::uint64_t i = 0; i < 4; ++i) EXPECT_EQ(events[i].begin_ns, i + 2);
-}
-
-TEST(ObsTrace, ScopedTimerFeedsRegistryHistogram) {
-  EnabledGuard guard;
-  mh::obs::set_enabled(true);
   mh::obs::Histogram& hist = mh::obs::Registry::global().histogram("test.obs.timer_ns");
   hist.reset();
+  mh::obs::set_enabled(false);
+  { mh::obs::ScopedTimer timer("test.obs.timer_ns"); }
+  EXPECT_EQ(hist.count(), 0u);
+  mh::obs::set_enabled(true);
   { mh::obs::ScopedTimer timer("test.obs.timer_ns"); }
   EXPECT_EQ(hist.count(), 1u);
+}
+
+TEST(ObsHooks, RecordOnlyWhileEnabledAndSkipArgumentsWhenOff) {
+  EnabledGuard guard;
+  mh::obs::Counter& counter = mh::obs::Registry::global().counter("test.obs.hook_count");
+  counter.reset();
+  int evaluated = 0;
+  const auto hook = [&] { MH_OBS_COUNT("test.obs.hook_count", ++evaluated); };
+  mh::obs::set_enabled(false);
+  hook();
+  EXPECT_EQ(counter.value(), 0u);
+  EXPECT_EQ(evaluated, 0);  // a disabled hook never evaluates its argument
+  mh::obs::set_enabled(true);
+  hook();
+  EXPECT_EQ(counter.value(), 1u);
+  EXPECT_EQ(evaluated, 1);
+}
+
+// The library's own hooks are compiled into every build: switching recording
+// on is enough to see the protocol and DP layers report.
+TEST(ObsHooks, LibraryLayersRecordWhenSwitchedOn) {
+  EnabledGuard guard;
+  mh::obs::Registry& registry = mh::obs::Registry::global();
+  mh::obs::Counter& slots = registry.counter("protocol.sim.slots");
+  mh::obs::Counter& cells = registry.counter("dp.cells_touched");
+  const mh::SymbolLaw law = mh::bernoulli_condition(0.3, 0.3);
+
+  mh::obs::set_enabled(false);
+  slots.reset();
+  cells.reset();
+  (void)mh::balance_transport_probe(4, 32, 7);
+  (void)mh::exact_settlement_series(law, 10);
+  EXPECT_EQ(slots.value(), 0u);
+  EXPECT_EQ(cells.value(), 0u);
+
+  mh::obs::set_enabled(true);
+  (void)mh::balance_transport_probe(4, 32, 7);
+  (void)mh::exact_settlement_series(law, 10);
+  EXPECT_EQ(slots.value(), 32u);
+  EXPECT_GT(cells.value(), 0u);
 }
 
 TEST(ObsRegistry, SameNameSameKindIsOneInstrument) {
