@@ -1,12 +1,12 @@
 // E14/E17 — the protocol transport at scale: deep-horizon executions with up
 // to 1024 honest parties, a 10^5-party committee cell, and (behind
 // MH_BENCH_DEEP=1) a 10^6-party smoke cell plus a 10^7-slot horizon cell —
-// exercising the slot-bucketed chain-synced Network and the SoA
-// lifted-ancestor BlockTree. Per-slot transport cost is proportional to the
-// slot's NEW blocks, so wall-clock grows ~linearly in the horizon where the
-// seed transport (full ancestor-chain rebroadcast + queue scans) grew
-// quadratically — the "simulate long enough to see the linear-consistency
-// regime" requirement.
+// exercising the slot-bucketed chain-synced Network, the SoA
+// lifted-ancestor BlockTree and the nodes' membership views over it.
+// Per-slot transport cost is proportional to the slot's NEW blocks, so
+// wall-clock grows ~linearly in the horizon where the seed transport (full
+// ancestor-chain rebroadcast + queue scans) grew quadratically — the
+// "simulate long enough to see the linear-consistency regime" requirement.
 //
 // The report fans the (parties x horizon) sweep across engine::for_each_index
 // (MH_THREADS) and prints blocks, wall-clock, and slots/s per cell. Before
@@ -48,8 +48,8 @@ struct ScaleCell {
 
 // The quick sweep: every party-count axis value at horizons the seed
 // transport could not reach interactively, plus the 10^5-party committee
-// cell (~2 s on one core — cheap enough for the CI bench-smoke job, wide
-// enough that index growth and arena recycling are on the hot path). The
+// cell (~0.5 s on one core — cheap enough for the CI bench-smoke job, wide
+// enough that per-party set-up and the node loop are on the hot path). The
 // registered benchmarks carry the mid-size deep cells (horizon up to 1e5).
 constexpr ScaleCell kSweepCells[] = {
     {16, 10000, 0},
@@ -59,9 +59,9 @@ constexpr ScaleCell kSweepCells[] = {
     {100000, 25, 4, 0xae56b39a9e692465ULL},
 };
 
-// The deep tier (MH_BENCH_DEEP=1): a 10^6-party smoke cell (~4 GB peak,
-// ~15 s) and a 10^7-slot horizon cell (~23 GB peak, ~4 min, 1.25e7 blocks
-// in every view) — the scale points E17 quotes. Run serially: two of these
+// The deep tier (MH_BENCH_DEEP=1): a 10^6-party smoke cell (~1.1 GB peak,
+// ~3 s) and a 10^7-slot horizon cell (~5 GB peak, ~1 min, 1.25e7 blocks in
+// every view) — the scale points E17 quotes. Run serially: two of these
 // side by side would double the peak footprint for no timing benefit.
 constexpr ScaleCell kDeepCells[] = {
     {1000000, 16, 5, 0x3a321fa47de34b4dULL},
@@ -146,8 +146,8 @@ bool deep_report() {
   }
   // Serial on purpose (memory, not time, is the binding constraint); each
   // cell returns its arena storage before the next begins, and the trim
-  // drops the ~GB of donated free-list buffers the next cell cannot reuse
-  // at a different party count anyway.
+  // drops the donated free-list buffers (GBs after the horizon cell's two
+  // trees) before anything else runs.
   std::vector<CellRecord> records;
   for (const ScaleCell& cell : kDeepCells) {
     records.push_back(run_cell(cell));
@@ -189,8 +189,9 @@ mh::obs::Json scale_results() {
 
 // range(0) = parties, range(1) = horizon. The (256, 10000) cell is the
 // acceptance point of the transport rewrite (seed transport: ~20 min; now
-// ~1.5 s after the SoA/lazy-lift tree); (16, 100000) is the deep-horizon
-// regime the registered benchmarks can reach without the MH_BENCH_DEEP gate.
+// ~0.25 s with node views over one block store); (16, 100000) is the
+// deep-horizon regime the registered benchmarks can reach without the
+// MH_BENCH_DEEP gate.
 void BM_ProtocolScale(benchmark::State& state) {
   const auto parties = static_cast<std::size_t>(state.range(0));
   const auto horizon = static_cast<std::size_t>(state.range(1));

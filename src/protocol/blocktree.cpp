@@ -11,9 +11,10 @@ namespace mh {
 
 namespace {
 
-/// Fresh index tables start tiny: a 10^6-party run holds one tree per node,
-/// so the per-tree floor must stay in the hundreds of bytes; tables grow
-/// geometrically and the grown capacity is what the arena recycles.
+/// Fresh index tables start tiny: standalone nodes (tests, replay tools)
+/// each own a store, so the per-tree floor stays in the hundreds of bytes;
+/// tables grow geometrically and the grown capacity is what the arena
+/// recycles for the next run's global and public trees.
 constexpr std::size_t kIndexInitialCap = 16;
 
 /// Block hashes are already FNV digests; one multiplicative round decorrelates
@@ -21,6 +22,38 @@ constexpr std::size_t kIndexInitialCap = 16;
 constexpr std::uint64_t index_mix(BlockHash key) noexcept {
   key *= 0x9e3779b97f4a7c15ULL;
   return key ^ (key >> 32);
+}
+
+/// OrphanBuffer::flush against a tree or a view: retry every buffered block
+/// until a pass makes no progress. Added blocks go to `*accepted` in
+/// acceptance order and Orphan ones keep waiting; Duplicate and Invalid ones
+/// are dropped — a buffered block whose parent arrived but whose labels are
+/// bad is permanently invalid, so it is not retried forever.
+template <class Target>
+void retry_orphans(std::vector<Block>& orphans, Target& target, std::vector<Block>* accepted) {
+  bool progress = true;
+  while (progress && !orphans.empty()) {
+    progress = false;
+    std::vector<Block> still;
+    still.reserve(orphans.size());
+    for (const Block& b : orphans) {
+      switch (target.try_add(b)) {
+        case BlockTree::AddResult::Added:
+          if (accepted) accepted->push_back(b);
+          progress = true;
+          MH_OBS_COUNT("protocol.node.orphans_flushed", 1);
+          break;
+        case BlockTree::AddResult::Orphan:
+          still.push_back(b);
+          break;
+        case BlockTree::AddResult::Duplicate:
+        case BlockTree::AddResult::Invalid:
+          MH_OBS_COUNT("protocol.node.orphans_dropped", 1);
+          break;
+      }
+    }
+    orphans.swap(still);
+  }
 }
 
 /// Per-thread free list of tree storages. A destroyed tree donates its
@@ -48,7 +81,6 @@ void reset_storage(BlockTree::Storage& s) {
   s.lift_off.clear();
   s.lift.clear();
   s.lift_built = 0;
-  s.head_idx.clear();
   if (s.index_vals.empty()) {
     s.index_keys.assign(kIndexInitialCap, 0);
     s.index_vals.assign(kIndexInitialCap, 0xffffffffu);
@@ -100,9 +132,6 @@ void BlockTree::seed_genesis() {
   s_.parents.push_back(0);  // genesis is its own parent slot (never walked)
   s_.arrival.push_back(genesis.hash);
   index_insert(genesis.hash, 0);
-  s_.head_idx.push_back(0);
-  best_length_ = 0;
-  min_hash_head_ = genesis.hash;
 }
 
 std::uint32_t BlockTree::find(BlockHash hash) const noexcept {
@@ -157,7 +186,11 @@ BlockTree::AddResult BlockTree::try_add(const Block& block) {
   const std::uint32_t parent_idx = find(block.parent);
   if (parent_idx == kEmptySlot) return AddResult::Orphan;
   if (block.slot <= s_.slots[parent_idx]) return AddResult::Invalid;
+  append(block, parent_idx);
+  return AddResult::Added;
+}
 
+std::uint32_t BlockTree::append(const Block& block, std::uint32_t parent_idx) {
   // Index and length both live in 32 bits (kEmptySlot is the index
   // sentinel); the 10^6-party / 10^7-slot tiers make these limits
   // reachable, so overflow must throw, never truncate.
@@ -166,25 +199,14 @@ BlockTree::AddResult BlockTree::try_add(const Block& block) {
   MH_REQUIRE_MSG(s_.lengths[parent_idx] < 0xffffffffu, "chain length overflows 32 bits");
   const std::uint32_t length = s_.lengths[parent_idx] + 1;
 
-  // Incremental head-set maintenance: a strictly longer chain resets the tie
-  // set; an equal-length one joins it (arrival order is insertion order).
-  if (length > best_length_) {
-    best_length_ = length;
-    s_.head_idx.clear();
-    s_.head_idx.push_back(idx);
-    min_hash_head_ = block.hash;
-  } else if (length == best_length_) {
-    s_.head_idx.push_back(idx);
-    min_hash_head_ = std::min(min_hash_head_, block.hash);
-  }
-
+  heads_.offer(idx, length, block.hash);
   s_.blocks.push_back(block);
   s_.lengths.push_back(length);
   s_.slots.push_back(block.slot);
   s_.parents.push_back(parent_idx);
   s_.arrival.push_back(block.hash);
   index_insert(block.hash, idx);
-  return AddResult::Added;
+  return idx;
 }
 
 void BlockTree::ensure_lift() const {
@@ -225,19 +247,16 @@ std::uint32_t BlockTree::lift(std::uint32_t idx, std::size_t steps) const {
   return idx;
 }
 
-BlockHash BlockTree::best_head(TieBreak rule) const {
-  // AdversarialOrder intentionally means FIRST arrival among the tied
-  // maximum-length heads: the adversary, ordering deliveries per recipient,
-  // decides which tied head arrives first.
-  return rule == TieBreak::AdversarialOrder ? s_.arrival[s_.head_idx.front()] : min_hash_head_;
-}
-
-std::vector<BlockHash> BlockTree::max_length_heads() const {
+std::vector<BlockHash> HeadSet::heads(const std::vector<BlockHash>& hashes) const {
   std::vector<BlockHash> out;
-  out.reserve(s_.head_idx.size());
-  for (const std::uint32_t idx : s_.head_idx) out.push_back(s_.arrival[idx]);
+  out.reserve(entries_.size());
+  for (const std::uint32_t entry : entries_) out.push_back(hashes[entry]);
   return out;
 }
+
+BlockHash BlockTree::best_head(TieBreak rule) const { return heads_.best(rule, s_.arrival); }
+
+std::vector<BlockHash> BlockTree::max_length_heads() const { return heads_.heads(s_.arrival); }
 
 std::vector<BlockHash> BlockTree::chain(BlockHash head) const {
   std::uint32_t idx = index_of(head);
@@ -295,37 +314,70 @@ BlockHash BlockTree::ancestor_at_length(BlockHash head, std::size_t len) const {
 }
 
 void OrphanBuffer::buffer(const Block& block) {
-  if (hashes_.insert(block.hash).second) orphans_.push_back(block);
+  for (const Block& o : orphans_)
+    if (o.hash == block.hash) return;
+  orphans_.push_back(block);
 }
 
 void OrphanBuffer::flush(BlockTree& tree, std::vector<Block>* accepted) {
-  bool progress = true;
-  while (progress && !orphans_.empty()) {
-    progress = false;
-    std::vector<Block> still;
-    still.reserve(orphans_.size());
-    for (const Block& b : orphans_) {
-      switch (tree.try_add(b)) {
-        case BlockTree::AddResult::Added:
-          if (accepted) accepted->push_back(b);
-          hashes_.erase(b.hash);
-          progress = true;
-          MH_OBS_COUNT("protocol.node.orphans_flushed", 1);
-          break;
-        case BlockTree::AddResult::Orphan:
-          still.push_back(b);
-          break;
-        case BlockTree::AddResult::Duplicate:
-        case BlockTree::AddResult::Invalid:
-          // A buffered block whose parent arrived but whose labels are bad is
-          // permanently invalid — drop it instead of retrying forever.
-          hashes_.erase(b.hash);
-          MH_OBS_COUNT("protocol.node.orphans_dropped", 1);
-          break;
-      }
-    }
-    orphans_.swap(still);
+  retry_orphans(orphans_, tree, accepted);
+}
+
+void OrphanBuffer::flush(TreeView& view, std::vector<Block>* accepted) {
+  retry_orphans(orphans_, view, accepted);
+}
+
+TreeView::TreeView(BlockTree* store) : store_(store), bits_(1, 1) {  // genesis
+  MH_REQUIRE(store != nullptr);
+}
+
+TreeView::Lookup TreeView::lookup(const Block& block) const {
+  const std::uint32_t entry = store_->find(block.hash);
+  const bool stored = entry != kNone && store_->s_.blocks[entry] == block;
+  return Lookup{entry, stored, stored || verify_block_integrity(block)};
+}
+
+BlockTree::AddResult TreeView::try_add(const Block& block, const Lookup& found) {
+  using AddResult = BlockTree::AddResult;
+  if (found.entry != kNone && holds(found.entry)) return AddResult::Duplicate;
+  if (!found.intact) return AddResult::Invalid;
+  const BlockTree::Storage& s = store_->s_;
+  if (found.stored) {
+    // The store checked the slot against the parent when the entry arrived.
+    if (!holds(s.parents[found.entry])) return AddResult::Orphan;
+    hold(found.entry);
+    return AddResult::Added;
   }
+  const std::uint32_t parent = store_->find(block.parent);
+  if (parent == kNone || !holds(parent)) return AddResult::Orphan;
+  if (block.slot <= s.slots[parent]) return AddResult::Invalid;
+  // First admission of a block the store never recorded: intern it. A stored
+  // entry under the same hash with other content would be a hash collision.
+  MH_REQUIRE_MSG(found.entry == kNone, "block hash collision in the store");
+  hold(store_->append(block, parent));
+  return AddResult::Added;
+}
+
+void TreeView::hold(std::uint32_t entry) {
+  const std::size_t word = entry >> 6;
+  if (word >= bits_.size()) bits_.resize(word + 1, 0);
+  bits_[word] |= std::uint64_t{1} << (entry & 63);
+  ++count_;
+  heads_.offer(entry, store_->s_.lengths[entry], store_->s_.arrival[entry]);
+}
+
+bool TreeView::contains(BlockHash hash) const {
+  const std::uint32_t entry = store_->find(hash);
+  return entry != kNone && holds(entry);
+}
+
+std::vector<BlockHash> TreeView::members() const {
+  std::vector<BlockHash> out;
+  out.reserve(count_);
+  for (std::size_t word = 0; word < bits_.size(); ++word)
+    for (std::uint64_t bits = bits_[word]; bits != 0; bits &= bits - 1)
+      out.push_back(store_->s_.arrival[word * 64 + std::countr_zero(bits)]);
+  return out;
 }
 
 }  // namespace mh

@@ -22,26 +22,34 @@
 // fixed-stride columns; the first lifted query after a batch of insertions
 // extends the pool for the new entries in one contiguous pass (each entry is
 // built exactly once — ancestors always precede descendants in the pool).
-// In a protocol sweep only the global/public observer trees are ever
-// queried, so the per-node trees — which absorb the broadcast volume —
-// never pay for lift tables at all; trees that are queried pay the same
-// total build cost as an eager scheme, batched while the pool is cache-hot.
-// Lazy materialization is why the query methods are const but not
-// internally synchronized: a tree must not be queried from two threads
-// concurrently (no simulation shares one).
+// Ancestry queries come in bursts (settlement watches, adversary planning,
+// end-of-run measurements) between long runs of insertions, so a queried
+// tree pays the same total build cost as an eager scheme, batched while the
+// pool is cache-hot, and a tree that is never queried (a standalone node's
+// private store) never pays for lift tables at all. Lazy materialization is
+// why the query methods are const but not internally synchronized: a tree
+// must not be queried from two threads concurrently (no simulation shares
+// one).
+//
+// A tree is also a BLOCK STORE: an honest node holds a TreeView (below), a
+// membership set over the entries of a tree it shares with other nodes (in a
+// simulation, the global tree). Entries are append-only and their indices
+// stable, so a view can name a block by its 32-bit entry and read its
+// length, slot and parent from the shared columns.
 //
 // The whole Storage block is recycled through a thread-local arena: a
 // destroyed tree donates its buffers, the next tree constructed on the same
 // thread reuses them, so a sweep cell that runs executions back to back
-// performs zero per-block allocations after its first run reached the
-// high-water mark. Recycling is invisible to semantics (storage is fully
-// reset on reuse; only capacities survive).
+// (each builds a global and a public tree) performs zero per-block
+// allocations after its first run reached the high-water mark. Recycling is
+// invisible to semantics (storage is fully reset on reuse; only capacities
+// survive).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "protocol/block.hpp"
@@ -49,6 +57,43 @@
 namespace mh {
 
 enum class TieBreak { AdversarialOrder, ConsistentHash };
+
+/// The longest-chain head set, kept incrementally by trees and views alike:
+/// a strictly longer entry resets the tie set, an equal-length one joins it
+/// (arrival order is offer order), and the minimal head hash is tracked.
+/// Starts as {genesis}, entry 0.
+class HeadSet {
+ public:
+  HeadSet() : entries_{0}, min_hash_(genesis_block().hash) {}
+
+  void offer(std::uint32_t entry, std::size_t length, BlockHash hash) {
+    if (length > best_length_) {
+      best_length_ = length;
+      entries_.clear();
+      entries_.push_back(entry);
+      min_hash_ = hash;
+    } else if (length == best_length_) {
+      entries_.push_back(entry);
+      min_hash_ = std::min(min_hash_, hash);
+    }
+  }
+
+  [[nodiscard]] std::size_t best_length() const noexcept { return best_length_; }
+  /// The selected head; `hashes` maps entries to block hashes.
+  /// AdversarialOrder intentionally means FIRST arrival among the tied
+  /// heads: the adversary, ordering deliveries per recipient, decides which
+  /// tied head arrives first.
+  [[nodiscard]] BlockHash best(TieBreak rule, const std::vector<BlockHash>& hashes) const {
+    return rule == TieBreak::AdversarialOrder ? hashes[entries_.front()] : min_hash_;
+  }
+  /// The tied heads' hashes, in arrival order.
+  [[nodiscard]] std::vector<BlockHash> heads(const std::vector<BlockHash>& hashes) const;
+
+ private:
+  std::vector<std::uint32_t> entries_;  ///< max-length entries, arrival order
+  std::size_t best_length_ = 0;
+  BlockHash min_hash_;  ///< min hash among entries_
+};
 
 class BlockTree {
  public:
@@ -103,7 +148,7 @@ class BlockTree {
   /// adversary may order under axiom A0). O(|heads|) copy.
   [[nodiscard]] std::vector<BlockHash> max_length_heads() const;
   /// Length of the currently best chain.
-  [[nodiscard]] std::size_t best_length() const noexcept { return best_length_; }
+  [[nodiscard]] std::size_t best_length() const noexcept { return heads_.best_length(); }
 
   /// Genesis-to-head block sequence (genesis included). O(chain).
   [[nodiscard]] std::vector<BlockHash> chain(BlockHash head) const;
@@ -147,7 +192,6 @@ class BlockTree {
     std::vector<BlockHash> index_keys;
     std::vector<std::uint32_t> index_vals;
     std::size_t index_size = 0;
-    std::vector<std::uint32_t> head_idx;  ///< max-length blocks, arrival order
   };
 
   /// Cumulative counters of the calling thread's storage arena (diagnostics
@@ -162,9 +206,12 @@ class BlockTree {
   static void arena_trim() noexcept;
 
  private:
+  friend class TreeView;
   static constexpr std::uint32_t kEmptySlot = 0xffffffffu;
 
   void seed_genesis();
+  /// Insert a validated block under its parent's entry; returns its entry.
+  std::uint32_t append(const Block& block, std::uint32_t parent_idx);
   [[nodiscard]] std::uint32_t find(BlockHash hash) const noexcept;
   [[nodiscard]] std::uint32_t index_of(BlockHash hash) const;
   void index_insert(BlockHash hash, std::uint32_t idx);
@@ -177,34 +224,95 @@ class BlockTree {
 
   Storage s_;
   std::size_t max_blocks_ = kMaxBlocks;
-  std::size_t best_length_ = 0;
-  BlockHash min_hash_head_ = 0;  ///< min hash among head_idx
+  HeadSet heads_;
 };
 
-/// The parent-unknown buffer shared by honest nodes and the simulation's
-/// public view: deduplicated (re-delivery cannot grow it), retried against a
-/// tree until no progress, and permanently invalid blocks are dropped instead
-/// of retried forever.
+class TreeView;
+
+/// The parent-unknown buffer shared by honest nodes' views and the
+/// simulation's public tree: deduplicated (re-delivery cannot grow it),
+/// retried against a tree or view until no progress, and permanently invalid
+/// blocks are dropped instead of retried forever.
 class OrphanBuffer {
  public:
-  /// Buffers the block unless an identical hash is already waiting.
+  /// Buffers the block unless an identical hash is already waiting. The
+  /// dedupe is a scan: buffers stay short (transport ships ancestors first)
+  /// and every honest node holds one, so no per-buffer hash set.
   void buffer(const Block& block);
   /// Retries every buffered block against `tree` until no further progress;
   /// newly admitted blocks are appended to `*accepted` (when non-null) in
   /// acceptance order. Duplicate and Invalid outcomes drop the block.
   void flush(BlockTree& tree, std::vector<Block>* accepted);
+  void flush(TreeView& view, std::vector<Block>* accepted);
   [[nodiscard]] std::size_t size() const noexcept { return orphans_.size(); }
-  /// Is a block of this hash waiting for its ancestry?
-  [[nodiscard]] bool contains(BlockHash hash) const { return hashes_.count(hash) != 0; }
   /// Drop every buffered orphan (crash: the buffer is volatile state).
-  void clear() noexcept {
-    orphans_.clear();
-    hashes_.clear();
-  }
+  void clear() noexcept { orphans_.clear(); }
 
  private:
-  std::vector<Block> orphans_;
-  std::unordered_set<BlockHash> hashes_;  ///< dedupe of orphans_
+  std::vector<Block> orphans_;  ///< arrival order
+};
+
+/// One party's view of a shared block store: the set of the store's entries
+/// it holds (a bitset over entry indices), its maximum-length heads in its
+/// own arrival order, the min-hash head, the best length, a block count and
+/// its parent-unknown blocks. Admission and head selection follow
+/// BlockTree::try_add exactly, so a view answers every query the party's own
+/// tree would; chain length, slot and ancestry are properties of the block
+/// and are read from the store. A block whose content is identical to a
+/// stored one was header-checked when it entered the store, so only a
+/// lookup and a bit test remain; any other block gets the full check and,
+/// on its first admission, is interned in the store (its parent is held,
+/// hence stored). The store must outlive the view.
+class TreeView {
+ public:
+  explicit TreeView(BlockTree* store);
+
+  /// A block resolved against the store with one index probe: the entry
+  /// holding its hash (or kNone), whether that entry is this very block,
+  /// and the header check (true for a stored block; computed otherwise).
+  struct Lookup {
+    std::uint32_t entry;
+    bool stored;
+    bool intact;
+  };
+  static constexpr std::uint32_t kNone = BlockTree::kEmptySlot;
+  [[nodiscard]] Lookup lookup(const Block& block) const;
+
+  /// BlockTree::try_add on the view: Duplicate if held, Invalid if the header
+  /// is bad, Orphan if the parent is not held, Invalid unless the slot rises
+  /// above the parent's, else Added.
+  BlockTree::AddResult try_add(const Block& block, const Lookup& found);
+  BlockTree::AddResult try_add(const Block& block) { return try_add(block, lookup(block)); }
+
+  /// The party's parent-unknown blocks, flushed against this view.
+  [[nodiscard]] OrphanBuffer& orphans() noexcept { return orphans_; }
+  [[nodiscard]] const OrphanBuffer& orphans() const noexcept { return orphans_; }
+
+  [[nodiscard]] bool contains(BlockHash hash) const;
+  [[nodiscard]] std::size_t block_count() const noexcept { return count_; }
+  [[nodiscard]] std::size_t best_length() const noexcept { return heads_.best_length(); }
+  /// As BlockTree::best_head / max_length_heads, in this view's arrival order.
+  [[nodiscard]] BlockHash best_head(TieBreak rule) const {
+    return heads_.best(rule, store_->s_.arrival);
+  }
+  [[nodiscard]] std::vector<BlockHash> max_length_heads() const {
+    return heads_.heads(store_->s_.arrival);
+  }
+  /// The held blocks in store order: a set, not this view's arrival order.
+  [[nodiscard]] std::vector<BlockHash> members() const;
+
+ private:
+  [[nodiscard]] bool holds(std::uint32_t entry) const noexcept {
+    const std::size_t word = entry >> 6;
+    return word < bits_.size() && ((bits_[word] >> (entry & 63)) & 1u) != 0;
+  }
+  void hold(std::uint32_t entry);
+
+  BlockTree* store_;
+  std::vector<std::uint64_t> bits_;  ///< membership over store entries
+  std::size_t count_ = 1;            ///< genesis is always held
+  HeadSet heads_;
+  OrphanBuffer orphans_;
 };
 
 }  // namespace mh

@@ -33,7 +33,7 @@ Simulation::Simulation(const ScheduleSource& schedule, SimulationConfig config,
   }
   nodes_.reserve(schedule.honest_parties());
   for (PartyId p = 0; p < schedule.honest_parties(); ++p)
-    nodes_.emplace_back(p, config.tie_break, &schedule_);
+    nodes_.emplace_back(p, config.tie_break, &schedule_, &global_tree_);
   all_blocks_.push_back(genesis_block());
   if (adversary_) adversary_->begin(*this);
 }

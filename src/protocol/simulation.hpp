@@ -12,7 +12,10 @@
 //      in [0, Delta] and observes the new blocks immediately.
 //
 // Per-slot cost is proportional to the slot's NEW blocks (chain-synced
-// bucketed transport + incremental BlockTree), not to chain history.
+// bucketed transport + incremental membership views), not to chain history.
+// There is one block store, the global tree: every honest node's view is a
+// membership set over its entries, so a block is stored and header-checked
+// once, however many nodes receive it.
 #pragma once
 
 #include <memory>
@@ -100,6 +103,12 @@ class Simulation {
              Adversary* adversary, faults::FaultInjector* faults = nullptr,
              net::NetConfig net = {});
 
+  // The nodes' views point into global_tree_: neither copyable nor movable.
+  Simulation(const Simulation&) = delete;
+  Simulation& operator=(const Simulation&) = delete;
+  Simulation(Simulation&&) = delete;
+  Simulation& operator=(Simulation&&) = delete;
+
   void run();                          ///< all slots 1..horizon
   void run_until(std::size_t slot);    ///< slots up to and including `slot`
 
@@ -114,7 +123,10 @@ class Simulation {
   /// blocks per adversarial leadership, on any parent it has seen.
   Block mint_adversarial(BlockHash parent, std::size_t slot, std::uint64_t payload);
 
-  /// The omniscient view: every block ever forged or minted.
+  /// The omniscient view and the execution's one block store: every block
+  /// ever forged or minted, plus any block the simulation never recorded
+  /// (a raw injection) once an honest node first admitted it. Every honest
+  /// node's view is a membership set over this tree's entries.
   [[nodiscard]] const BlockTree& global_tree() const noexcept { return global_tree_; }
   [[nodiscard]] const std::vector<Block>& all_blocks() const noexcept { return all_blocks_; }
 
@@ -186,11 +198,11 @@ class Simulation {
   faults::FaultInjector* faults_;      // may be null (the common case)
   bool fault_active_ = false;          ///< faults_ set AND its plan non-empty
   bool hetero_ = false;                ///< non-degenerate NetConfig attached
+  BlockTree global_tree_;              ///< the block store the node views share
   std::vector<HonestNode> nodes_;
   std::size_t observed_delta_ = 0;     ///< max counted honest acceptance delay
   std::size_t leaderships_skipped_ = 0;
   std::vector<PartyId> fault_scratch_;  ///< crash/restart event list reuse
-  BlockTree global_tree_;
   BlockTree public_tree_;  ///< blocks accepted by at least one honest node
   OrphanBuffer public_orphans_;
   std::vector<Block> all_blocks_;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "fork_fixtures.hpp"
+#include "protocol/node.hpp"
 
 namespace mh {
 namespace {
@@ -373,6 +374,126 @@ TEST(BlockTree, DifferentialFuzzAgainstReferenceTree) {
       ASSERT_EQ(tree.length(h), ref.length(h));
       ASSERT_EQ(tree.chain(h), ref.chain(h));
     }
+  }
+}
+
+/// The reference honest node: header and eligibility checks in front of a
+/// ReferenceTree, with the reference flush (retry until no progress, drop
+/// every non-orphan outcome) and a deduplicated orphan list.
+class ReferenceNode {
+ public:
+  explicit ReferenceNode(const ScheduleSource& schedule) : schedule_(schedule) {}
+
+  std::vector<Block> receive(const Block& b) {
+    std::vector<Block> accepted;
+    if (!verify_block_integrity(b) || !schedule_.eligible(b.issuer, b.slot)) return accepted;
+    const BlockTree::AddResult r = tree.try_add(b);
+    if (r == BlockTree::AddResult::Added) {
+      accepted.push_back(b);
+      bool progress = true;
+      while (progress) {
+        progress = false;
+        std::vector<Block> still;
+        for (const Block& o : orphans) {
+          const BlockTree::AddResult retry = tree.try_add(o);
+          if (retry == BlockTree::AddResult::Added) {
+            accepted.push_back(o);
+            progress = true;
+          }
+          if (retry == BlockTree::AddResult::Orphan) still.push_back(o);
+        }
+        orphans.swap(still);
+      }
+    } else if (r == BlockTree::AddResult::Orphan) {
+      bool dup = false;
+      for (const Block& o : orphans) dup = dup || o.hash == b.hash;
+      if (!dup) orphans.push_back(b);
+    }
+    return accepted;
+  }
+
+  ReferenceTree tree;
+  std::vector<Block> orphans;
+
+ private:
+  const ScheduleSource& schedule_;
+};
+
+TEST(TreeView, DifferentialFuzzAgainstReferenceTree) {
+  // Honest nodes keep membership views over a block store. Three share one
+  // store (pre-seeded with part of the universe, as a Simulation records
+  // blocks before delivering them), one owns a private store; each takes the
+  // same universe in its own order. After every receive, each node must
+  // agree with its own reference node on the accepted list, the membership,
+  // the head set and both tie-break rules, and the orphan count.
+  constexpr std::size_t kBlocks = 160;
+  constexpr std::size_t kHorizon = 2 * kBlocks + 2;
+  // Party 0 leads every slot, the adversary every third; party 1 never leads.
+  std::vector<SlotLeaders> slots(kHorizon);
+  for (std::size_t t = 1; t <= kHorizon; ++t) {
+    slots[t - 1].honest = {0};
+    slots[t - 1].adversarial = t % 3 == 0;
+  }
+  const LeaderSchedule schedule(std::move(slots), 2);
+
+  Rng rng(0x71e3);
+  for (int round = 0; round < 8; ++round) {
+    std::vector<Block> universe;
+    std::vector<Block> valid{genesis_block()};  // parents to grow from
+    for (std::uint64_t i = 0; i < kBlocks; ++i) {
+      const std::size_t pick = rng.bernoulli(0.6) ? valid.size() - 1 : rng.below(valid.size());
+      const Block parent = valid[pick];
+      const std::uint64_t slot = parent.slot + 1 + rng.below(2);
+      PartyId issuer = 0;
+      if (slot % 3 == 0 && rng.bernoulli(0.3)) issuer = kAdversary;
+      if (rng.bernoulli(0.05)) issuer = 1;  // ineligible: never admitted
+      Block b = make_block(parent.hash, slot, issuer, i);
+      if (rng.bernoulli(0.05)) b = make_block(parent.hash, parent.slot, 0, i);  // stale slot
+      universe.push_back(b);
+      if (rng.bernoulli(0.05)) {  // tampered header (a fresh hash, or a copy's)
+        Block t = b;
+        t.payload ^= 0xbad;
+        universe.push_back(t);
+      }
+      if (rng.bernoulli(0.1)) universe.push_back(b);  // duplicate delivery
+      valid.push_back(b);
+    }
+
+    BlockTree store;
+    for (const Block& b : universe)
+      if (rng.bernoulli(0.5)) store.add(b);
+    std::vector<HonestNode> nodes;
+    for (PartyId p = 0; p < 3; ++p) nodes.emplace_back(p, TieBreak::AdversarialOrder, &schedule, &store);
+    nodes.emplace_back(3, TieBreak::ConsistentHash, &schedule);  // private store
+    std::vector<ReferenceNode> refs(nodes.size(), ReferenceNode(schedule));
+    std::vector<std::vector<Block>> orders(nodes.size(), universe);
+    for (std::vector<Block>& order : orders)
+      for (std::size_t i = order.size() - 1; i > 0; --i) std::swap(order[i], order[rng.below(i + 1)]);
+    // One node takes the universe child-first: every chain arrives orphan-first.
+    std::reverse(orders[1].begin(), orders[1].end());
+
+    for (std::size_t step = 0; step < universe.size(); ++step)
+      for (std::size_t n = 0; n < nodes.size(); ++n) {
+        const Block& b = orders[n][step];
+        std::vector<Block> accepted;
+        nodes[n].receive(b, &accepted);
+        ASSERT_EQ(accepted, refs[n].receive(b)) << "round " << round << ", node " << n;
+        const TreeView& view = nodes[n].tree();
+        const ReferenceTree& ref = refs[n].tree;
+        ASSERT_EQ(view.block_count(), ref.block_count());
+        ASSERT_EQ(view.best_length(), ref.best_length());
+        ASSERT_EQ(view.max_length_heads(), ref.max_length_heads());
+        ASSERT_EQ(view.best_head(TieBreak::AdversarialOrder),
+                  ref.best_head(TieBreak::AdversarialOrder));
+        ASSERT_EQ(view.best_head(TieBreak::ConsistentHash), ref.best_head(TieBreak::ConsistentHash));
+        ASSERT_EQ(nodes[n].buffered_orphans(), refs[n].orphans.size());
+        for (const Block& u : universe) ASSERT_EQ(view.contains(u.hash), ref.contains(u.hash));
+        std::vector<BlockHash> members = view.members();
+        std::vector<BlockHash> want = ref.arrival_order();
+        std::sort(members.begin(), members.end());
+        std::sort(want.begin(), want.end());
+        ASSERT_EQ(members, want);
+      }
   }
 }
 

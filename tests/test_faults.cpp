@@ -330,7 +330,7 @@ TEST(FaultSimulation, FuzzedPlansKeepPublicTreeTheUnionOfViews) {
       const auto check_union = [&](std::size_t slot) {
         std::vector<BlockHash> seen;
         for (const HonestNode& node : sim.nodes())
-          for (const BlockHash h : node.tree().arrival_order()) {
+          for (const BlockHash h : node.tree().members()) {
             EXPECT_TRUE(sim.public_tree().contains(h))
                 << "lost node-accepted block at slot " << slot << ", seed " << seed
                 << ", profile " << faults::fault_profile_name(profile);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <type_traits>
 
 #include "chars/bernoulli.hpp"
 #include "oracle/characteristic.hpp"
@@ -10,6 +11,12 @@
 
 namespace mh {
 namespace {
+
+// Honest nodes' views point into the simulation's block store.
+static_assert(!std::is_copy_constructible_v<Simulation>);
+static_assert(!std::is_move_constructible_v<Simulation>);
+static_assert(!std::is_copy_assignable_v<Simulation>);
+static_assert(!std::is_move_assignable_v<Simulation>);
 
 TEST(Simulation, HonestOnlyGrowsOneBlockPerActiveSlot) {
   // With no adversary and instant delivery, every slot with honest leaders
@@ -194,7 +201,7 @@ TEST(Simulation, PublicTreeIsExactlyTheUnionOfNodeViews) {
     std::size_t union_count = 0;
     std::vector<BlockHash> seen;
     for (const HonestNode& node : sim.nodes())
-      for (const BlockHash h : node.tree().arrival_order()) {
+      for (const BlockHash h : node.tree().members()) {
         EXPECT_TRUE(sim.public_tree().contains(h)) << "lost node-accepted block, seed " << seed;
         if (std::find(seen.begin(), seen.end(), h) == seen.end()) {
           seen.push_back(h);
