@@ -10,10 +10,12 @@
 //
 // The report also runs the zero-overhead gate: the E14 acceptance cell
 // (256 parties x 10^4 slots, balance attack) with an attached empty-plan
-// injector must produce the exact bare-probe digest and stay within 2%
-// median wall-clock. Env knobs: MH_FAULTS_QUICK shrinks both the band and
-// the overhead cell for smoke runs; MH_FAULTS_OVERHEAD_REPS sets the timing
-// repetitions (0 skips the gate — sanitizer builds time nothing useful).
+// injector must produce the exact bare-probe digest, and the median over
+// alternating bare/faulted pairs of the per-pair wall-clock ratio must stay
+// within 2%. Env knobs: MH_FAULTS_QUICK shrinks both the band and the
+// overhead cell for smoke runs; MH_FAULTS_OVERHEAD_REPS sets the number of
+// timed pairs (default 25; 0 skips the gate — sanitizer builds time nothing
+// useful).
 #include <benchmark/benchmark.h>
 
 #include "bench_harness.hpp"
@@ -123,8 +125,8 @@ bool chaos_band_report() {
 }
 
 bool overhead_gate_report() {
-  const std::size_t reps = mh::env::size("MH_FAULTS_OVERHEAD_REPS", 3, 1);
-  if (reps == 0) {
+  const std::size_t pairs = mh::env::size("MH_FAULTS_OVERHEAD_REPS", 25);
+  if (pairs == 0) {
     std::printf("overhead gate: skipped (MH_FAULTS_OVERHEAD_REPS=0)\n\n");
     return true;
   }
@@ -141,39 +143,40 @@ bool overhead_gate_report() {
       mh::faulted_balance_transport_probe(parties, horizon, seed, empty);
   const bool digests_match = bare.digest == faulted.digest;
 
-  // Interleaved A/B pairs, not two sequential blocks: the cell runs for
-  // seconds and machine drift (frequency decay, co-tenants) between blocks
-  // dwarfs the effect being measured. Pairing puts both variants under the
-  // same drift; the medians then compare like with like.
-  const auto time_one = [](auto&& fn) {
+  // Alternating A/B pairs, not two sequential blocks: machine drift
+  // (frequency decay, co-tenants) between blocks dwarfs the effect being
+  // measured. Pairing puts both variants under the same drift, and the
+  // median of the per-pair ratios compares like with like.
+  const auto time_ns = [](auto&& fn) {
     const std::uint64_t begin = mh::obs::now_ns();
     fn();
     return static_cast<double>(mh::obs::now_ns() - begin);
   };
-  const auto run_bare = [&] {
-    benchmark::DoNotOptimize(mh::balance_transport_probe(parties, horizon, seed));
-  };
-  const auto run_faulted = [&] {
-    benchmark::DoNotOptimize(mh::faulted_balance_transport_probe(parties, horizon, seed, empty));
-  };
-  run_bare();  // shared warmup (allocator + cache state)
-  std::vector<double> bare_samples, faulted_samples;
-  for (std::size_t i = 0; i < reps; ++i) {
-    bare_samples.push_back(time_one(run_bare));
-    faulted_samples.push_back(time_one(run_faulted));
-  }
-  const double bare_ns = mh::bench::median(std::move(bare_samples));
-  const double faulted_ns = mh::bench::median(std::move(faulted_samples));
-  const double ratio = faulted_ns / bare_ns;
+  const mh::bench::PairTiming timing = mh::bench::time_pairs(
+      [&] {
+        return time_ns([&] {
+          benchmark::DoNotOptimize(mh::balance_transport_probe(parties, horizon, seed));
+        });
+      },
+      [&] {
+        return time_ns([&] {
+          benchmark::DoNotOptimize(
+              mh::faulted_balance_transport_probe(parties, horizon, seed, empty));
+        });
+      },
+      pairs);
+  const double ratio = timing.ratio;
 
-  std::printf("overhead gate (%zu parties x %zu slots, empty FaultPlan, median of %zu):\n",
-              parties, horizon, reps);
+  std::printf("overhead gate (%zu parties x %zu slots, empty FaultPlan, %zu alternating "
+              "pairs):\n",
+              parties, horizon, pairs);
   std::printf("  digests     : 0x%016llx vs 0x%016llx -> %s\n",
               static_cast<unsigned long long>(bare.digest),
               static_cast<unsigned long long>(faulted.digest),
               digests_match ? "identical" : "DRIFT");
-  std::printf("  wall-clock  : %.1f ms bare, %.1f ms faulted -> ratio %.4f (gate <= 1.02)\n\n",
-              bare_ns / 1e6, faulted_ns / 1e6, ratio);
+  std::printf("  wall-clock  : %.1f ms bare, %.1f ms faulted (medians) -> median pair ratio "
+              "%.4f (gate <= 1.02)\n\n",
+              timing.a / 1e6, timing.b / 1e6, ratio);
 
   g_outcome.overhead_ran = true;
   g_outcome.digests_match = digests_match;

@@ -8,8 +8,9 @@
 //     snapshot as an aligned table after the run;
 //   * MH_BENCH_JSON=<path>: write the unified "mh-bench-v1" artifact (run
 //     metadata + metrics snapshot) — the BENCH_*.json files CI archives;
-//   * median-of-N timing helpers (warmup + repetitions) for benches that
-//     measure outside google-benchmark (e.g. bench_obs_overhead).
+//   * timing helpers (a median, and alternating A/B pairs) for benches that
+//     measure outside google-benchmark: the bench_obs_overhead and
+//     bench_faults overhead gates.
 //
 // The report callback returns false to fail the process (seed-pin drift,
 // dirty oracle matrices); post_run_clean re-checks after the timed
@@ -44,20 +45,33 @@ inline double median(std::vector<double> samples) {
   return 0.5 * (samples[mid - 1] + samples[mid]);
 }
 
-/// Wall-clock median-of-reps of fn() in nanoseconds, after `warmup` untimed
-/// calls.
-template <class F>
-inline double time_median_ns(F&& fn, std::size_t warmup, std::size_t reps) {
-  MH_REQUIRE(reps >= 1);
-  for (std::size_t i = 0; i < warmup; ++i) fn();
-  std::vector<double> samples;
-  samples.reserve(reps);
-  for (std::size_t i = 0; i < reps; ++i) {
-    const std::uint64_t begin = obs::now_ns();
-    fn();
-    samples.push_back(static_cast<double>(obs::now_ns() - begin));
+/// Medians of an A/B timing taken in alternating pairs.
+struct PairTiming {
+  double a = 0.0;      ///< median time of side A
+  double b = 0.0;      ///< median time of side B
+  double ratio = 0.0;  ///< median over pairs of B / A
+};
+
+/// Times `pairs` A/B pairs after one untimed warmup pair; run_a() and
+/// run_b() each run one side once and return its time (any unit, the same
+/// for both). Which side runs first alternates, so drift within a pair
+/// favours neither side, and the median of the per-pair ratios absorbs the
+/// pairs a burst of host noise hit.
+template <class A, class B>
+PairTiming time_pairs(A&& run_a, B&& run_b, std::size_t pairs) {
+  MH_REQUIRE(pairs >= 1);
+  run_a();
+  run_b();
+  std::vector<double> a, b, ratio;
+  for (std::size_t i = 0; i < pairs; ++i) {
+    const bool b_first = i % 2 == 1;
+    const double first = b_first ? run_b() : run_a();
+    const double second = b_first ? run_a() : run_b();
+    a.push_back(b_first ? second : first);
+    b.push_back(b_first ? first : second);
+    ratio.push_back(b.back() / a.back());
   }
-  return median(std::move(samples));
+  return PairTiming{median(std::move(a)), median(std::move(b)), median(std::move(ratio))};
 }
 
 struct MainOptions {

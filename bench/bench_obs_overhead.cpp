@@ -75,21 +75,9 @@ PairMedians time_pairs(std::size_t parties, std::size_t horizon, std::size_t rep
     return out.seconds * 1e3;
   };
 
-  // One warmup pair, then the timed pairs, alternating which side runs
-  // first.
-  probe(false);
-  probe(true);
-  std::vector<double> off_ms, on_ms, overhead_pct;
-  for (std::size_t r = 0; r < reps; ++r) {
-    const bool on_first = r % 2 == 1;
-    const double first = probe(on_first);
-    const double second = probe(!on_first);
-    off_ms.push_back(on_first ? second : first);
-    on_ms.push_back(on_first ? first : second);
-    overhead_pct.push_back(100.0 * (on_ms.back() - off_ms.back()) / off_ms.back());
-  }
-  return PairMedians{mh::bench::median(off_ms), mh::bench::median(on_ms),
-                     mh::bench::median(overhead_pct), digests_match ? expect_digest : 0};
+  const mh::bench::PairTiming t = mh::bench::time_pairs([&] { return probe(false); },
+                                                        [&] { return probe(true); }, reps);
+  return PairMedians{t.a, t.b, 100.0 * (t.ratio - 1.0), digests_match ? expect_digest : 0};
 }
 
 /// time_pairs in a fresh process: this binary again, with one process and no

@@ -13,7 +13,7 @@
 // lock, no lookup. Metric names are dot-scoped by layer:
 //
 //   engine.pool.*     chunk scheduling, task latency, idle/steal counts
-//   protocol.net.*    blocks shipped/delivered, watermarks, chain sync
+//   protocol.net.*    blocks shipped/relayed/delivered, coverage hits, chain sync
 //   protocol.node.*   deliveries, orphan buffering/flushing
 //   protocol.tree.*   lifted-ancestor query depths
 //   protocol.sim.*    slot loop progress

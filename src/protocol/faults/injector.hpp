@@ -35,8 +35,8 @@ struct FaultStats {
   std::size_t restarts = 0;           ///< restart events applied
   std::size_t partitions_healed = 0;  ///< heal events applied
   std::size_t resync_blocks = 0;      ///< blocks re-shipped by heal/restart re-sync
-  std::size_t watermarks_invalidated = 0;  ///< watermark entries wiped by crashes
-  std::size_t leaderships_skipped = 0;     ///< honest leaderships lost to down-time
+  std::size_t coverage_invalidated = 0;  ///< transport coverage entries wiped by crashes
+  std::size_t leaderships_skipped = 0;   ///< honest leaderships lost to down-time
 
   /// Total perturbations actually applied to the execution.
   [[nodiscard]] std::size_t injected() const noexcept {
@@ -55,9 +55,10 @@ class FaultInjector {
   [[nodiscard]] std::size_t parties() const noexcept { return parties_; }
   [[nodiscard]] std::size_t horizon() const noexcept { return horizon_; }
 
-  /// Is any fault able to touch slot `slot`? While true the transport must
-  /// take the per-recipient watermark path (the all-recipient bound cannot be
-  /// advanced by a round whose ships may be dropped or delayed per-link).
+  /// Is any fault able to touch slot `slot`? While true the transport sends
+  /// link by link and never advances its all-recipient coverage bound (a
+  /// round whose ships may be dropped or delayed per link covers no one for
+  /// sure).
   [[nodiscard]] bool window_active(std::size_t slot) const noexcept;
 
   /// Is `party` crashed at `slot` (some down-window [crash, restart) covers it)?
@@ -81,9 +82,10 @@ class FaultInjector {
   [[nodiscard]] bool severed(PartyId sender, PartyId recipient, std::size_t slot) const noexcept;
 
   /// The loss/dup/extra-delay draw for one honest chain-ship. Pure in
-  /// (plan.seed, slot, sender, recipient).
+  /// (plan.seed, slot, sender, recipient); throws where the link's stream
+  /// key would not fit in 64 bits (net::link_stream_key).
   [[nodiscard]] LinkVerdict link_verdict(PartyId sender, PartyId recipient,
-                                         std::size_t slot) const noexcept;
+                                         std::size_t slot) const;
 
   /// Parties whose crash window begins exactly at `slot`.
   void crashes_at(std::size_t slot, std::vector<PartyId>* out) const;

@@ -14,7 +14,7 @@
 //                  from the public view. Stresses A4_Delta: a partition of
 //                  length L realizes honest delivery delays of up to L.
 //   * Churn      — a party crashes at `crash` (volatile state lost: delivery
-//                  queue, chain-sync watermarks, orphan buffer) and restarts
+//                  queue, chain-sync coverage, orphan buffer) and restarts
 //                  at `restart` from its persisted tree, re-synced on arrival.
 //                  Crashed leaders skip their leaderships (the characteristic
 //                  string loses those symbols — the "effective schedule").

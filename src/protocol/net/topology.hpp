@@ -39,7 +39,6 @@ class Topology {
   static Topology build(TopologyKind kind, std::size_t parties, std::size_t k,
                         std::uint64_t seed);
 
-  [[nodiscard]] TopologyKind kind() const noexcept { return kind_; }
   [[nodiscard]] std::size_t parties() const noexcept { return parties_; }
 
   /// Out-degree of `p` (parties - 1 for the implicit full mesh).

@@ -105,6 +105,9 @@ void Simulation::deliver_due(std::size_t slot) {
           if (raw > down + observed_delta_) observed_delta_ = raw - down;
         }
         public_add(a);
+        // Gossip: a node sends every block it admits on to its neighbors
+        // (lockstep needs no relays: every party is a direct recipient).
+        if (hetero_) network_.relay(global_tree_, a, node.id(), slot);
       }
     }
   }
@@ -173,8 +176,8 @@ void Simulation::step() {
   //    participants broadcast *chains* (the model's messages are blockchains),
   //    so the ancestry ships along: the adversary cannot orphan an honest
   //    block at a recipient by having disclosed the parent only selectively.
-  //    The chain-synced transport ships each recipient only what it has not
-  //    already been scheduled to receive by the block's due slot.
+  //    The transport ships each recipient only the suffix it is not already
+  //    covered for by the block's due slot.
   for (const Block& block : forged) {
     global_tree_.add(block);
     all_blocks_.push_back(block);
@@ -206,7 +209,7 @@ void Simulation::apply_fault_events(std::size_t slot) {
     faults_->stats().partitions_healed += heals;
     MH_OBS_COUNT("protocol.faults.partitions_healed", heals);
     // On heal every up party re-syncs: cross-group ships were dropped while
-    // the partition stood, and no watermark claims they were scheduled, so
+    // the partition stood, and no coverage entry claims they will land, so
     // the diff against the public view is exactly what each side missed.
     for (const HonestNode& node : nodes_)
       if (!faults_->is_down(node.id(), slot)) resync_node(node.id(), slot);

@@ -1,10 +1,10 @@
 // The deterministic fault-injection layer, bottom-up: plan validation and
 // serialization, the counter-based injector, the transport's drop/crash/
 // re-sync behavior, full-execution recovery (heal convergence, crash ->
-// restart -> re-sync), and the observed-Delta oracle contract — within-bound
-// faulted runs satisfy every domination invariant, out-of-bound runs are
-// flagged and graded at their observed Delta, and the whole fault band is
-// bit-identical across thread counts.
+// restart -> re-sync, gossip relays on a ring), and the observed-Delta
+// oracle contract — within-bound faulted runs satisfy every domination
+// invariant, out-of-bound runs are flagged and graded at their observed
+// Delta, and the whole fault band is bit-identical across thread counts.
 #include "protocol/faults/injector.hpp"
 #include "protocol/faults/plan.hpp"
 
@@ -198,7 +198,7 @@ TEST(FaultNetwork, PartitionSeversHonestLinksButNotAdversarialOnes) {
   const Block b = make_block(genesis_block().hash, 2, 0, 0);
   tree.add(b);
   net.broadcast_chain(tree, b, 2);
-  EXPECT_EQ(drain(net, 0, 3).size(), 1u);   // sender's own copy
+  EXPECT_TRUE(drain(net, 0, 3).empty());    // the sender holds its own block
   EXPECT_EQ(drain(net, 1, 3).size(), 1u);   // same side of the split
   EXPECT_TRUE(drain(net, 2, 10).empty());   // severed: never arrives
   EXPECT_TRUE(drain(net, 3, 10).empty());   // down: never arrives
@@ -214,7 +214,7 @@ TEST(FaultNetwork, PartitionSeversHonestLinksButNotAdversarialOnes) {
   EXPECT_EQ(inj.stats().ships_dropped, 3u);
 }
 
-TEST(FaultNetwork, CrashWipesQueuedDeliveriesAndWatermarks) {
+TEST(FaultNetwork, CrashWipesQueuedDeliveriesAndCoverage) {
   faults::FaultPlan plan;
   plan.churn.push_back({1, 8, 10});
   faults::FaultInjector inj(plan, 2, 20);
@@ -227,8 +227,8 @@ TEST(FaultNetwork, CrashWipesQueuedDeliveriesAndWatermarks) {
   net.broadcast_chain(tree, a, 1);  // due 2, both recipients
   net.crash_recipient(1);
   EXPECT_TRUE(drain(net, 1, 10).empty());  // in-flight copy lost with the queue
-  EXPECT_GE(inj.stats().watermarks_invalidated, 1u);
-  // The wiped watermarks force a full re-ship on the next chain broadcast.
+  EXPECT_GE(inj.stats().coverage_invalidated, 1u);
+  // The wiped coverage forces a full re-ship on the next chain broadcast.
   const Block b = make_block(a.hash, 2, 0, 0);
   tree.add(b);
   net.broadcast_chain(tree, b, 9);  // window active: per-recipient path
@@ -301,6 +301,81 @@ TEST(FaultSimulation, CrashRestartResyncRestoresViewWithinDeltaPlusOne) {
   EXPECT_EQ(report.stats.crashes, 1u);
   EXPECT_EQ(report.stats.restarts, 1u);
   EXPECT_FALSE(report.delivery_unbounded);
+}
+
+// --- gossip relays under faults ----------------------------------------------
+
+// A 6-party bidirectional ring (0-1-2-3-4-5-0) with no extra latency: one hop
+// per slot, and a node relays what it admits.
+net::NetConfig ring_config() {
+  net::NetConfig cfg;
+  cfg.topology = net::TopologyKind::Ring;
+  return cfg;
+}
+
+// One honest leader at each listed (slot, party), no adversarial slots.
+LeaderSchedule hand_schedule(std::size_t horizon, std::size_t parties,
+                             const std::vector<std::pair<std::size_t, PartyId>>& leaders) {
+  std::vector<SlotLeaders> slots(horizon);
+  for (const auto& [slot, party] : leaders) slots[slot - 1].honest.push_back(party);
+  return LeaderSchedule(std::move(slots), parties);
+}
+
+TEST(FaultGossip, CrashedNodeNeitherCollectsNorRelaysAndResyncsOnRestart) {
+  // Party 1 is down for [3, 12). Party 0 forges at slot 4: its ship to party
+  // 1 is dropped, and the block reaches party 2 the other way round
+  // (0 -> 5 -> 4 -> 3 -> 2) at the onset of slot 8, two slots later than
+  // through party 1.
+  const LeaderSchedule schedule = hand_schedule(16, 6, {{4, 0}});
+  faults::FaultPlan plan;
+  plan.churn.push_back({1, 3, 12});
+  faults::FaultInjector inj(plan, 6, 16);
+  Simulation sim(schedule, SimulationConfig{TieBreak::ConsistentHash, 5}, 0, nullptr, &inj,
+                 ring_config());
+  sim.run_until(4);
+  const BlockHash forged = sim.all_blocks().back().hash;
+  sim.run_until(6);  // deliveries flushed through the onset of slot 7
+  EXPECT_FALSE(sim.nodes()[2].tree().contains(forged));
+  sim.run_until(7);
+  EXPECT_TRUE(sim.nodes()[2].tree().contains(forged));
+  sim.run_until(11);
+  EXPECT_FALSE(sim.nodes()[1].tree().contains(forged));
+  // Both links into party 1 (party 0's first hop, party 2's relay) were lost.
+  EXPECT_EQ(inj.stats().ships_dropped, 2u);
+
+  // The restart re-sync at slot 12 levels party 1 with the public view.
+  sim.run_until(12);
+  EXPECT_TRUE(sim.nodes()[1].tree().contains(forged));
+  EXPECT_EQ(sim.nodes()[1].tree().block_count(), sim.public_tree().block_count());
+  EXPECT_EQ(inj.stats().restarts, 1u);
+  EXPECT_GT(inj.stats().resync_blocks, 0u);
+}
+
+TEST(FaultGossip, RelayIntoADropWindowIsLostLikeAFirstHopShip) {
+  // Party 0 forges at slot 4; parties 1 and 5 admit it at slot 5 and relay
+  // it inside a drop-everything window [5, 6): both relays are lost, counted,
+  // and record no coverage, so party 1's block at slot 8 re-ships the
+  // missing ancestor to party 2 and the gap heals.
+  const LeaderSchedule schedule = hand_schedule(16, 6, {{4, 0}, {8, 1}});
+  faults::FaultPlan plan;
+  plan.links.push_back({5, 6, 1.0, 0.0, 0.0, 0});
+  faults::FaultInjector inj(plan, 6, 16);
+  Simulation sim(schedule, SimulationConfig{TieBreak::ConsistentHash, 6}, 0, nullptr, &inj,
+                 ring_config());
+  sim.run_until(4);
+  const BlockHash forged = sim.all_blocks().back().hash;
+  sim.run_until(7);
+  EXPECT_EQ(inj.stats().ships_dropped, 2u);
+  for (const PartyId p : {0u, 1u, 5u}) EXPECT_TRUE(sim.nodes()[p].tree().contains(forged));
+  for (const PartyId p : {2u, 3u, 4u}) EXPECT_FALSE(sim.nodes()[p].tree().contains(forged));
+
+  sim.run();
+  EXPECT_EQ(sim.public_tree().block_count(), 3u);  // genesis + both forged blocks
+  for (const HonestNode& node : sim.nodes()) {
+    EXPECT_EQ(node.tree().block_count(), 3u) << "party " << node.id();
+    EXPECT_EQ(node.buffered_orphans(), 0u) << "party " << node.id();
+  }
+  EXPECT_EQ(inj.stats().ships_dropped, 2u);
 }
 
 TEST(FaultSimulation, FuzzedPlansKeepPublicTreeTheUnionOfViews) {

@@ -14,9 +14,11 @@
 #include "delta/semi_sync.hpp"
 #include "engine/seed_sequence.hpp"
 #include "engine/thread_pool.hpp"
+#include "obs/obs.hpp"
 #include "oracle/oracle.hpp"
 #include "protocol/net/event_core.hpp"
 #include "protocol/net/latency.hpp"
+#include "protocol/net/link_key.hpp"
 #include "protocol/net/topology.hpp"
 #include "protocol/network.hpp"
 #include "protocol/simulation.hpp"
@@ -236,6 +238,30 @@ TEST(NetConfig, ValidateNamesTheOffendingKnob) {
   }
 }
 
+TEST(LinkStreamKey, PacksSlotSenderRecipientAndRefusesToWrap) {
+  EXPECT_EQ(net::link_stream_key(0, 0, 0, 1), 0u);
+  EXPECT_EQ(net::link_stream_key(7, 2, 5, 10), 725u);
+  // For 10^6 parties the keys of slot 18446744 start at 18446744 * 10^12 and
+  // run past 2^64: the link (73709, 551615) lands exactly on 2^64 - 1, and
+  // every later link, and every later slot, would wrap.
+  constexpr std::uint64_t kParties = 1000000;
+  constexpr std::uint64_t kSlot = 18446744;
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  EXPECT_EQ(net::link_stream_key(kSlot - 1, 999999, 999999, kParties), kSlot * 1000000000000 - 1);
+  EXPECT_EQ(net::link_stream_key(kSlot, 73709, 551615, kParties), kMax);
+  EXPECT_THROW((void)net::link_stream_key(kSlot, 73709, 551616, kParties), std::invalid_argument);
+  EXPECT_THROW((void)net::link_stream_key(kSlot, 73710, 0, kParties), std::invalid_argument);
+  EXPECT_THROW((void)net::link_stream_key(kSlot + 1, 0, 0, kParties), std::invalid_argument);
+  try {
+    (void)net::link_stream_key(kSlot + 1, 3, 4, kParties);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("slot 18446745"), std::string::npos) << what;
+    EXPECT_NE(what.find("1000000 parties"), std::string::npos) << what;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Heterogeneous transport behavior
 // ---------------------------------------------------------------------------
@@ -261,9 +287,9 @@ TEST(HeteroNetwork, RingGossipRelaysAcrossHopsWithoutDuplicates) {
   const Block b = test_block(1, 1, 0);
   tree.add(b);
   net.broadcast_chain(tree, b, 1);
-  // Hop 1: the ring neighbors of party 0 hold it at slot 2; relaying there
-  // puts it at distance-2 parties by slot 3. Collect in a slot loop the way
-  // the simulation does (collection triggers the relay).
+  // Hop 1: the ring neighbors of party 0 hold it at slot 2; their relays put
+  // it at distance-2 parties by slot 3. Each party relays what it collects,
+  // in a slot loop, the way the simulation relays what a node admits.
   std::vector<std::size_t> arrival(5, 0);
   for (std::size_t slot = 1; slot <= 6; ++slot)
     for (PartyId p = 0; p < 5; ++p)
@@ -271,12 +297,60 @@ TEST(HeteroNetwork, RingGossipRelaysAcrossHopsWithoutDuplicates) {
         EXPECT_EQ(got.hash, b.hash);
         EXPECT_EQ(arrival[p], 0u) << "duplicate delivery to party " << p;
         arrival[p] = slot;
+        net.relay(tree, got, p, slot);
       }
   EXPECT_EQ(arrival[1], 2u);
   EXPECT_EQ(arrival[4], 2u);  // ring is bidirectional
   EXPECT_EQ(arrival[2], 3u);  // two hops
   EXPECT_EQ(arrival[3], 3u);
   EXPECT_EQ(arrival[0], 0u);  // the forger never receives its own block
+}
+
+TEST(HeteroNetwork, RelayShipsTheChainItsNeighborLacks) {
+  // Party 1 has admitted a -> b; party 2 was shown a alone (an injection).
+  // Relaying b ships party 2 just b, and party 0, which never saw a, a then
+  // b at one due.
+  NetConfig cfg;
+  cfg.topology = TopologyKind::Ring;
+  Network net(4, 0, cfg);
+  BlockTree tree;
+  const Block a = test_block(1, 1, 3);
+  const Block b = make_block(a.hash, 2, kAdversary, 2);
+  tree.add(a);
+  tree.add(b);
+  net.inject(a, 2, 2);
+  (void)drain(net, 2, 2);
+  net.relay(tree, b, 1, 3);
+  const auto to0 = drain(net, 0, 4);
+  ASSERT_EQ(to0.size(), 2u);
+  EXPECT_EQ(to0[0].hash, a.hash);
+  EXPECT_EQ(to0[1].hash, b.hash);
+  const auto to2 = drain(net, 2, 4);
+  ASSERT_EQ(to2.size(), 1u);
+  EXPECT_EQ(to2[0].hash, b.hash);
+}
+
+TEST(HeteroNetwork, AncestorInFlightPastTheChildsDueIsReShipped) {
+  // Coverage is bounded by due, not "scheduled at all": a is on its way to
+  // party 1 with a 2-slot hold-back (due 4) when b, forged on a, leaves at
+  // slot 2 with none (due 3). b's bundle must carry a again, or party 1
+  // would hold b before its parent.
+  NetConfig cfg;
+  cfg.latency = {LatencyKind::Degenerate, 0, 0, 0.5};
+  cfg.bandwidth = 8;  // heterogeneous, but no spill at this size
+  Network net(3, 2, cfg);
+  BlockTree tree;
+  const Block a = test_block(1, 1, 0);
+  const Block b = make_block(a.hash, 2, 0, 2);
+  tree.add(a);
+  tree.add(b);
+  net.broadcast_chain(tree, a, 1, {0, 2, 0});
+  net.broadcast_chain(tree, b, 2);
+  const auto due = drain(net, 1, 3);
+  ASSERT_EQ(due.size(), 2u);
+  EXPECT_EQ(due[0].hash, a.hash);
+  EXPECT_EQ(due[1].hash, b.hash);
+  EXPECT_EQ(drain(net, 1, 4).size(), 1u);  // a's delayed copy, now a duplicate
 }
 
 TEST(HeteroNetwork, BandwidthCapSpillsEgressIntoLaterSlots) {
@@ -292,6 +366,29 @@ TEST(HeteroNetwork, BandwidthCapSpillsEgressIntoLaterSlots) {
   EXPECT_EQ(drain(net, 1, 2).size(), 1u);
   EXPECT_TRUE(drain(net, 2, 2).empty());
   EXPECT_EQ(drain(net, 2, 3).size(), 1u);
+}
+
+TEST(HeteroNetwork, BandwidthSpilledBundleLandsAtOneDue) {
+  // One block may leave a party per slot: party 0's bundle [a, b, c] to
+  // party 1 departs over slots 3, 4 and 5, and all of it lands at the last
+  // departure's due (6) — ancestors first, none after the child.
+  NetConfig cfg;
+  cfg.bandwidth = 1;
+  Network net(2, 0, cfg);
+  BlockTree tree;
+  const Block a = test_block(1, 1, 0);
+  const Block b = make_block(a.hash, 2, 0, 2);
+  const Block c = make_block(b.hash, 3, 0, 3);
+  tree.add(a);
+  tree.add(b);
+  tree.add(c);
+  net.broadcast_chain(tree, c, 3);
+  EXPECT_TRUE(drain(net, 1, 5).empty());
+  const auto due = drain(net, 1, 6);
+  ASSERT_EQ(due.size(), 3u);
+  EXPECT_EQ(due[0].hash, a.hash);
+  EXPECT_EQ(due[1].hash, b.hash);
+  EXPECT_EQ(due[2].hash, c.hash);
 }
 
 TEST(HeteroNetwork, AdversarialInjectionBypassesTopologyAndLatency) {
@@ -332,6 +429,52 @@ TEST(HeteroNetwork, DegenerateReportIsTrivial) {
   EXPECT_FALSE(report.heterogeneous);
   EXPECT_EQ(report.observed_delta, 0u);
   EXPECT_EQ(report.pending_inflations, 0u);
+}
+
+TEST(HeteroNetwork, NoHonestOrphansWithoutAnAdversary) {
+  // The ten shapes of bench_net's pinned E18 matrix, run with no adversary:
+  // every block is honest, and every honest send (first hop or relay) ships
+  // the chain suffix its recipient is not covered for by that send's due, so
+  // no node ever receives a block before its parent.
+  struct Shape {
+    TopologyKind topology;
+    LatencyLaw latency;
+    std::size_t bandwidth;
+  };
+  const Shape shapes[] = {
+      {TopologyKind::Ring, {LatencyKind::Degenerate, 0, 0, 0.5}, 0},
+      {TopologyKind::Ring, {LatencyKind::Uniform, 0, 2, 0.5}, 0},
+      {TopologyKind::Ring, {LatencyKind::Geometric, 0, 2, 0.5}, 1},
+      {TopologyKind::RandomK, {LatencyKind::Degenerate, 0, 0, 0.5}, 0},
+      {TopologyKind::RandomK, {LatencyKind::Geometric, 0, 3, 0.3}, 0},
+      {TopologyKind::TwoClusterBridge, {LatencyKind::Degenerate, 0, 0, 0.5}, 0},
+      {TopologyKind::TwoClusterBridge, {LatencyKind::Uniform, 0, 2, 0.5}, 2},
+      {TopologyKind::FullMesh, {LatencyKind::Degenerate, 1, 0, 0.5}, 0},
+      {TopologyKind::FullMesh, {LatencyKind::Uniform, 0, 2, 0.5}, 0},
+      {TopologyKind::FullMesh, {LatencyKind::Degenerate, 0, 0, 0.5}, 1},
+  };
+  // Orphans are counted where a node buffers one; recording is switched on
+  // for the sweep and restored after.
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::Counter& buffered = obs::Registry::global().counter("protocol.node.orphans_buffered");
+  for (const Shape& shape : shapes) {
+    NetConfig cfg;
+    cfg.topology = shape.topology;
+    cfg.latency = shape.latency;
+    cfg.bandwidth = shape.bandwidth;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      Rng rng(seed);
+      const LeaderSchedule schedule =
+          LeaderSchedule::from_symbol_law(kTransportProbeLaw, 128, 16, rng);
+      Simulation sim(schedule, SimulationConfig{TieBreak::AdversarialOrder, rng()}, 2, nullptr,
+                     nullptr, cfg);
+      const std::uint64_t before = buffered.value();
+      sim.run();
+      EXPECT_EQ(buffered.value() - before, 0u) << cfg.describe() << ", seed " << seed;
+    }
+  }
+  obs::set_enabled(was_enabled);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "protocol/faults/injector.hpp"
+#include "protocol/net/link_key.hpp"
+#include "protocol/node.hpp"
 
 namespace mh {
 namespace {
@@ -17,7 +22,7 @@ std::vector<Block> drain(Network& net, PartyId recipient, std::size_t slot) {
 TEST(Network, SynchronousBroadcastArrivesNextSlot) {
   Network net(3, 0);
   BlockTree tree;
-  const Block b = make_block(genesis_block().hash, 1, 0, 0);
+  const Block b = make_block(genesis_block().hash, 1, 2, 0);
   tree.add(b);
   net.broadcast_chain(tree, b, 1);
   EXPECT_TRUE(drain(net, 0, 1).empty());
@@ -25,17 +30,17 @@ TEST(Network, SynchronousBroadcastArrivesNextSlot) {
   ASSERT_EQ(due.size(), 1u);
   EXPECT_EQ(due[0].hash, b.hash);
   EXPECT_TRUE(drain(net, 0, 3).empty());  // consumed
-  // Other recipients get their own copies.
+  // Other recipients get their own copies; the forger already holds it.
   EXPECT_EQ(drain(net, 1, 2).size(), 1u);
-  EXPECT_EQ(drain(net, 2, 2).size(), 1u);
+  EXPECT_TRUE(drain(net, 2, 2).empty());
 }
 
 TEST(Network, CollectIntoClearsAStaleBuffer) {
   // The buffer is cleared before filling: stale contents must not leak into
   // a delivery round.
-  Network net(2, 0);
+  Network net(3, 0);
   BlockTree tree;
-  const Block b = make_block(genesis_block().hash, 1, 0, 0);
+  const Block b = make_block(genesis_block().hash, 1, 2, 0);
   tree.add(b);
   net.broadcast_chain(tree, b, 1);
   std::vector<Block> buf(7, genesis_block());
@@ -50,11 +55,11 @@ TEST(Network, CollectIntoClearsAStaleBuffer) {
 }
 
 TEST(Network, DelaysBoundedByDelta) {
-  Network net(2, 3);
+  Network net(3, 3);
   BlockTree tree;
-  const Block b = make_block(genesis_block().hash, 1, 0, 0);
+  const Block b = make_block(genesis_block().hash, 1, 2, 0);
   tree.add(b);
-  net.broadcast_chain(tree, b, 1, {0, 3});
+  net.broadcast_chain(tree, b, 1, {0, 3, 0});
   EXPECT_EQ(drain(net, 0, 2).size(), 1u);
   EXPECT_TRUE(drain(net, 1, 2).empty());
   EXPECT_TRUE(drain(net, 1, 4).empty());
@@ -66,8 +71,9 @@ TEST(Network, RejectsDelaysPastDelta) {
   BlockTree tree;
   const Block b = make_block(genesis_block().hash, 1, 0, 0);
   tree.add(b);
-  // Past Delta on the per-recipient path (either party) and on the uniform
-  // path, then delay vectors of the wrong size.
+  // Past Delta on the per-recipient path (either party, the forger's own
+  // entry included) and on the uniform path, then delay vectors of the
+  // wrong size.
   EXPECT_THROW(net.broadcast_chain(tree, b, 1, {0, 2}), std::invalid_argument);
   EXPECT_THROW(net.broadcast_chain(tree, b, 1, {2, 0}), std::invalid_argument);
   EXPECT_THROW(net.broadcast_chain(tree, b, 1, {2, 2}), std::invalid_argument);
@@ -96,7 +102,15 @@ TEST(Network, RejectsNonMonotoneSlots) {
   EXPECT_THROW(net.inject_all(b, 2), std::invalid_argument);
   // Sending at exactly the block's slot is the boundary and is legal.
   net.broadcast_chain(tree, b, 3);
-  EXPECT_EQ(drain(net, 0, 4).size(), 1u);
+  EXPECT_EQ(drain(net, 1, 4).size(), 1u);
+}
+
+TEST(Network, BroadcastNeedsAnHonestIssuer) {
+  Network net(2, 0);
+  BlockTree tree;
+  const Block b = make_block(genesis_block().hash, 1, kAdversary, 0);
+  tree.add(b);
+  EXPECT_THROW(net.broadcast_chain(tree, b, 1), std::invalid_argument);
 }
 
 TEST(Network, InjectionTargetsOneRecipient) {
@@ -116,7 +130,7 @@ TEST(Network, InjectAllReachesEveryone) {
 }
 
 TEST(Network, LateCollectionDeliversBacklog) {
-  Network net(1, 0);
+  Network net(2, 0);
   BlockTree tree;
   const Block b1 = make_block(genesis_block().hash, 1, 0, 0);
   const Block b2 = make_block(b1.hash, 2, 0, 0);
@@ -124,7 +138,7 @@ TEST(Network, LateCollectionDeliversBacklog) {
   tree.add(b2);
   net.broadcast_chain(tree, b1, 1);
   net.broadcast_chain(tree, b2, 2);
-  const auto due = drain(net, 0, 5);  // collected late: both blocks due
+  const auto due = drain(net, 1, 5);  // collected late: both blocks due
   EXPECT_EQ(due.size(), 2u);
 }
 
@@ -146,10 +160,10 @@ TEST(Network, BucketedDeliveryOrdersBySlotThenScheduling) {
 }
 
 TEST(Network, BroadcastChainShipsMissingAncestorsThenOnlyNews) {
-  Network net(2, 0);
+  Network net(3, 0);
   BlockTree tree;
-  const Block a = make_block(genesis_block().hash, 1, 0, 0);
-  const Block b = make_block(a.hash, 2, 0, 0);
+  const Block a = make_block(genesis_block().hash, 1, 2, 0);
+  const Block b = make_block(a.hash, 2, 2, 0);
   tree.add(a);
   tree.add(b);
   // The forger never shipped a: the chain sync ships [a, b] ancestors-first.
@@ -159,7 +173,7 @@ TEST(Network, BroadcastChainShipsMissingAncestorsThenOnlyNews) {
   EXPECT_EQ(due[0].hash, a.hash);
   EXPECT_EQ(due[1].hash, b.hash);
   // The next forge ships ONLY the new block — the prefix is synced.
-  const Block c = make_block(b.hash, 3, 0, 0);
+  const Block c = make_block(b.hash, 3, 2, 0);
   tree.add(c);
   net.broadcast_chain(tree, c, 3);
   due = drain(net, 0, 4);
@@ -176,14 +190,14 @@ TEST(Network, BroadcastChainShipsMissingAncestorsThenOnlyNews) {
 TEST(Network, BroadcastChainReShipsAncestorsPastDelayedCopies) {
   // a is in flight to recipient 1 with a Delta-delay; a faster later block
   // must re-ship it so no recipient ever sees an orphan honest block.
-  Network net(2, 2);
+  Network net(3, 2);
   BlockTree tree;
-  const Block a = make_block(genesis_block().hash, 1, 0, 0);
-  const Block b = make_block(a.hash, 2, 0, 0);
+  const Block a = make_block(genesis_block().hash, 1, 2, 0);
+  const Block b = make_block(a.hash, 2, 2, 0);
   tree.add(a);
-  net.broadcast_chain(tree, a, 1, {0, 2});  // recipient 1: due slot 4
+  net.broadcast_chain(tree, a, 1, {0, 2, 0});  // recipient 1: due slot 4
   tree.add(b);
-  net.broadcast_chain(tree, b, 2, {0, 0});  // due slot 3 — overtakes a
+  net.broadcast_chain(tree, b, 2, {0, 0, 0});  // due slot 3 — overtakes a
   EXPECT_EQ(drain(net, 0, 2).size(), 1u);  // recipient 0 already has a
   const auto due = drain(net, 1, 3);
   ASSERT_EQ(due.size(), 2u);  // a re-shipped ahead of b
@@ -193,19 +207,19 @@ TEST(Network, BroadcastChainReShipsAncestorsPastDelayedCopies) {
   EXPECT_EQ(drain(net, 1, 4).size(), 1u);
 }
 
-TEST(Network, InjectionAdvancesWatermarkOnlyWhenChainComplete) {
-  Network net(1, 0);
+TEST(Network, InjectionCoversOnlyWhenChainComplete) {
+  Network net(2, 0);
   BlockTree tree;
-  const Block a = make_block(genesis_block().hash, 1, 0, 0);
-  const Block b = make_block(a.hash, 2, 0, 0);
-  const Block c = make_block(b.hash, 3, 0, 0);
+  const Block a = make_block(genesis_block().hash, 1, 1, 0);
+  const Block b = make_block(a.hash, 2, 1, 0);
+  const Block c = make_block(b.hash, 3, 1, 0);
   tree.add(a);
   tree.add(b);
   tree.add(c);
 
-  // Partial adversarial disclosure: c alone, parent never shipped. The
-  // watermark must NOT count it, or honest rebroadcasts would skip the
-  // prefix and orphan c forever.
+  // Partial adversarial disclosure: c alone, parent never shipped. Coverage
+  // must NOT count it, or honest rebroadcasts would skip the prefix and
+  // orphan c forever.
   net.inject(c, 0, 3);
   EXPECT_EQ(drain(net, 0, 3).size(), 1u);
   net.broadcast_chain(tree, c, 3);
@@ -215,9 +229,9 @@ TEST(Network, InjectionAdvancesWatermarkOnlyWhenChainComplete) {
   EXPECT_EQ(due[1].hash, b.hash);
   EXPECT_EQ(due[2].hash, c.hash);
 
-  // Chain-complete injections DO advance the watermark: after the adversary
-  // publishes a -> b in order, forging on b ships only the new block.
-  Network net2(1, 0);
+  // Chain-complete injections DO cover: after the adversary publishes
+  // a -> b in order, forging on b ships only the new block.
+  Network net2(2, 0);
   net2.inject_all(a, 1);
   net2.inject_all(b, 2);
   net2.broadcast_chain(tree, c, 3);
@@ -246,39 +260,42 @@ TEST(Network, PerRecipientOrderIsDueThenSeqWhenEventsLandOutOfInsertionOrder) {
   EXPECT_EQ(due[2].payload, 3u);
 }
 
-TEST(Network, WatermarkExpiresAtExactlyDuePlusDeltaPlusOne) {
-  // A benign link-fault window (every probability zero) perturbs nothing but
-  // keeps rounds non-uniform, so coverage lives ONLY in the per-recipient
-  // watermarks — making their expiry boundary observable: once the slot-2
-  // entry for b1 expires, a later broadcast of its child re-ships b1.
-  faults::FaultPlan plan;
-  plan.links.push_back({1, 32, 0.0, 0.0, 0.0, 0});
-  const std::size_t delta = 2;
-  const auto deliveries_after = [&](std::size_t collect_slot) {
-    faults::FaultInjector injector(plan, 2, 32);
-    Network net(2, delta);
-    net.attach_faults(&injector);
-    BlockTree tree;
-    const Block b1 = make_block(genesis_block().hash, 1, 0, 1);
-    const Block b2 = make_block(b1.hash, 2, 1, 2);
-    tree.add(b1);
-    tree.add(b2);
-    net.broadcast_chain(tree, b1, 1);       // due 2: expiry lands at 2 + delta + 1
-    (void)drain(net, 1, collect_slot);      // consumes b1; runs the expiry sweep
-    net.broadcast_chain(tree, b2, collect_slot);
-    return drain(net, 1, collect_slot + 1);
+TEST(Network, FoldCoversEveryoneAtTheRoundsLatestDueAndDropsEntries) {
+  // A lockstep round with per-recipient dues (2 for party 0, 4 for party 1)
+  // outside a fault window covers every party by its latest due, slot 4: b1
+  // folds into the all-recipient bound there, and party 0's tighter entry
+  // (due 2) is dropped.
+  BlockTree tree;
+  const Block b1 = make_block(genesis_block().hash, 1, 2, 1);
+  const Block b2 = make_block(b1.hash, 2, 2, 2);
+  tree.add(b1);
+  tree.add(b2);
+  const auto payloads = [](const std::vector<Block>& due) {
+    std::vector<std::uint64_t> out;
+    for (const Block& b : due) out.push_back(b.payload);
+    return out;
   };
-  // Collecting at due + delta (slot 4): the watermark still answers, so the
-  // child ships alone.
-  const auto covered = deliveries_after(4);
-  ASSERT_EQ(covered.size(), 1u);
-  EXPECT_EQ(covered[0].payload, 2u);
-  // One slot later — exactly due + delta + 1 — the entry is gone and the
-  // chain sync re-ships the ancestor, ancestors-first.
-  const auto expired = deliveries_after(5);
-  ASSERT_EQ(expired.size(), 2u);
-  EXPECT_EQ(expired[0].payload, 1u);
-  EXPECT_EQ(expired[1].payload, 2u);
+  using Payloads = std::vector<std::uint64_t>;
+  {
+    // A uniform round due at 4 finds b1 covered for everyone: b2 ships alone.
+    Network net(3, 2);
+    net.broadcast_chain(tree, b1, 1, {0, 2, 0});
+    EXPECT_EQ(payloads(drain(net, 0, 2)), Payloads{1});
+    net.broadcast_chain(tree, b2, 3);
+    EXPECT_EQ(payloads(drain(net, 0, 4)), Payloads{2});
+    EXPECT_EQ(payloads(drain(net, 1, 4)), Payloads({1, 2}));  // b1's own copy, then b2
+  }
+  {
+    // Due 3 for party 0: the bound (4) does not answer and party 0's entry is
+    // gone, so b1 ships again ahead of b2 — a duplicate, never an orphan.
+    // Party 1's due is 4, where the bound answers.
+    Network net(3, 2);
+    net.broadcast_chain(tree, b1, 1, {0, 2, 0});
+    EXPECT_EQ(payloads(drain(net, 0, 2)), Payloads{1});
+    net.broadcast_chain(tree, b2, 2, {0, 1, 0});
+    EXPECT_EQ(payloads(drain(net, 0, 3)), Payloads({1, 2}));
+    EXPECT_EQ(payloads(drain(net, 1, 4)), Payloads({1, 2}));
+  }
 }
 
 TEST(Network, PreservesSchedulingOrder) {
@@ -291,6 +308,293 @@ TEST(Network, PreservesSchedulingOrder) {
   ASSERT_EQ(due.size(), 2u);
   EXPECT_EQ(due[0].hash, b1.hash);
   EXPECT_EQ(due[1].hash, b2.hash);
+}
+
+// --- the no-coverage reference transport --------------------------------------
+
+/// The transport with no coverage state: every honest link send ships the
+/// sender's whole chain, ancestors first, at one due, through the same event
+/// core, topology, latency draws and fault verdicts as Network, and an
+/// injection ships exactly the block. Bandwidth caps are left out: there a
+/// duplicate costs egress, so the two transports need not agree.
+class ReferenceNetwork {
+ public:
+  ReferenceNetwork(std::size_t parties, std::size_t /*delta*/, net::NetConfig config)
+      : config_(config),
+        topology_(net::Topology::build(config.topology, parties, config.k, config.seed)),
+        link_seeds_(config.seed),
+        events_(parties) {}
+
+  void attach_faults(faults::FaultInjector* faults) { faults_ = faults; }
+
+  void broadcast_chain(const BlockTree& tree, const Block& block, std::size_t slot,
+                       const std::vector<std::size_t>& delay) {
+    send_round(tree, block, block.issuer, slot, delay);
+  }
+  void relay(const BlockTree& tree, const Block& block, PartyId relayer, std::size_t slot) {
+    send_round(tree, block, relayer, slot, {});
+  }
+  void inject(const Block& block, PartyId recipient, std::size_t visible_slot) {
+    if (faults_ != nullptr && faults_->is_down(recipient, visible_slot)) return;
+    events_.schedule(recipient, visible_slot, block);
+  }
+  void inject_all(const Block& block, std::size_t visible_slot) {
+    for (PartyId r = 0; r < topology_.parties(); ++r) inject(block, r, visible_slot);
+  }
+  void crash_recipient(PartyId recipient) { events_.wipe(recipient); }
+  void resync_ship(const Block& block, PartyId recipient, std::size_t slot) {
+    events_.schedule(recipient, slot, block);
+  }
+  void collect_into(PartyId recipient, std::size_t slot, std::vector<Block>* out) {
+    out->clear();
+    events_.collect_due(recipient, slot, out);
+  }
+
+ private:
+  void send_round(const BlockTree& tree, const Block& block, PartyId sender, std::size_t slot,
+                  const std::vector<std::size_t>& delay) {
+    const bool faulted = faults_ != nullptr && faults_->window_active(slot);
+    const std::vector<BlockHash> chain = tree.chain(block.hash);  // genesis first
+    topology_.for_each_neighbor(sender, [&](PartyId r) {
+      std::size_t due = slot + 1 + (delay.empty() ? 0 : delay[r]) + extra(slot, sender, r);
+      faults::LinkVerdict link;
+      if (faulted) {
+        if (faults_->is_down(r, slot) || faults_->severed(sender, r, slot)) return;
+        link = faults_->link_verdict(sender, r, slot);
+        if (link.drop) return;
+        due += link.extra_delay;
+      }
+      for (std::size_t i = 1; i < chain.size(); ++i) events_.schedule(r, due, tree.block(chain[i]));
+      if (link.duplicate) events_.schedule(r, due, block);
+    });
+  }
+  [[nodiscard]] std::size_t extra(std::size_t slot, PartyId sender, PartyId recipient) const {
+    if (config_.latency.kind == net::LatencyKind::Degenerate) return config_.latency.fixed;
+    Rng rng = link_seeds_.stream(net::link_stream_key(slot, sender, recipient, topology_.parties()));
+    return config_.latency.draw(rng);
+  }
+
+  net::NetConfig config_;
+  net::Topology topology_;
+  engine::SeedSequence link_seeds_;
+  faults::FaultInjector* faults_ = nullptr;
+  net::EventCore events_;
+};
+
+/// One transport with its own block store, honest nodes and public view,
+/// driven the way Simulation drives its network: fault events at the slot
+/// onset, deliveries (each admitted block relayed on a heterogeneous
+/// network), forging, chain broadcast. Records every node's acceptance order.
+template <class Transport>
+class Side {
+ public:
+  Side(const LeaderSchedule& schedule, std::size_t delta, const net::NetConfig& net,
+       const faults::FaultPlan& plan, TieBreak rule)
+      : faults_(plan, schedule.honest_parties(), schedule.horizon()),
+        transport_(schedule.honest_parties(), delta, net),
+        hetero_(net.heterogeneous()),
+        faulted_(!plan.empty()),
+        accepted_(schedule.honest_parties()) {
+    if (faulted_) transport_.attach_faults(&faults_);
+    for (PartyId p = 0; p < schedule.honest_parties(); ++p)
+      nodes_.emplace_back(p, rule, &schedule, &store_);
+  }
+  Side(const Side&) = delete;
+  Side& operator=(const Side&) = delete;
+
+  [[nodiscard]] bool down(PartyId p, std::size_t slot) const {
+    return faulted_ && faults_.is_down(p, slot);
+  }
+  [[nodiscard]] const std::vector<BlockHash>& accepted(PartyId p) const { return accepted_[p]; }
+  [[nodiscard]] std::size_t orphans(PartyId p) const { return nodes_[p].buffered_orphans(); }
+  [[nodiscard]] const BlockTree& store() const { return store_; }
+  [[nodiscard]] const BlockTree& public_view() const { return public_; }
+  Transport& transport() { return transport_; }
+
+  void fault_events(std::size_t slot) {
+    if (!faulted_) return;
+    std::vector<PartyId> parties;
+    faults_.crashes_at(slot, &parties);
+    for (const PartyId p : parties) {
+      transport_.crash_recipient(p);
+      nodes_[p].crash();
+    }
+    faults_.restarts_at(slot, &parties);
+    for (const PartyId p : parties) resync(p, slot);
+    if (faults_.heals_at(slot) != 0)
+      for (const HonestNode& node : nodes_)
+        if (!down(node.id(), slot)) resync(node.id(), slot);
+  }
+
+  void deliver(std::size_t slot) {
+    std::vector<Block> due, admitted;
+    for (HonestNode& node : nodes_) {
+      if (down(node.id(), slot)) continue;
+      transport_.collect_into(node.id(), slot, &due);
+      for (const Block& b : due) {
+        admitted.clear();
+        node.receive(b, &admitted);
+        for (const Block& a : admitted) {
+          record(node.id(), a);
+          if (hetero_) transport_.relay(store_, a, node.id(), slot);
+        }
+      }
+    }
+  }
+
+  void mint(const Block& block) { store_.add(block); }
+
+  Block forge(PartyId leader, std::size_t slot, std::uint64_t payload) {
+    const Block block = nodes_[leader].forge(slot, payload);
+    store_.add(block);
+    std::vector<Block> admitted;
+    nodes_[leader].receive(block, &admitted);
+    for (const Block& a : admitted) record(leader, a);
+    return block;
+  }
+
+ private:
+  void record(PartyId p, const Block& block) {
+    accepted_[p].push_back(block.hash);
+    (void)public_.try_add(block);
+  }
+  void resync(PartyId p, std::size_t slot) {
+    for (const BlockHash h : public_.arrival_order())
+      if (h != genesis_block().hash && !nodes_[p].tree().contains(h))
+        transport_.resync_ship(public_.block(h), p, slot);
+  }
+
+  faults::FaultInjector faults_;
+  Transport transport_;
+  bool hetero_;
+  bool faulted_;
+  BlockTree store_;
+  BlockTree public_;
+  std::vector<HonestNode> nodes_;
+  std::vector<std::vector<BlockHash>> accepted_;
+};
+
+net::NetConfig random_shape(std::size_t parties, Rng& rng) {
+  net::NetConfig net;
+  net.topology = static_cast<net::TopologyKind>(rng.below(4));
+  net.k = 1 + rng.below(parties - 1);
+  switch (rng.below(4)) {
+    case 0: net.latency = {net::LatencyKind::Degenerate, 0, 0, 0.5}; break;
+    case 1: net.latency = {net::LatencyKind::Degenerate, 1, 0, 0.5}; break;
+    case 2: net.latency = {net::LatencyKind::Uniform, 0, 2, 0.5}; break;
+    default: net.latency = {net::LatencyKind::Geometric, 0, 3, 0.5}; break;
+  }
+  net.seed = rng();
+  return net;
+}
+
+TEST(Network, DifferentialFuzzAgainstReferenceTransport) {
+  // Network and the no-coverage reference, fed the same random operations:
+  // honest broadcasts with per-recipient hold-backs within Delta, adversarial
+  // mints released privately, as a bare tip or as a whole chain to one party
+  // or to all, crashes with public-view re-sync, partitions, lossy links, and
+  // relays of admitted blocks. Coverage never claims a block will be held
+  // when it will not, so every node must accept the same blocks in the same
+  // order on both sides, and buffer the same orphans, after every slot.
+  Rng rng(0x7e57ab1e);
+  for (int trial = 0; trial < 240; ++trial) {
+    const std::size_t parties = 4 + rng.below(5);
+    const std::size_t horizon = 24 + rng.below(24);
+    const std::size_t delta = rng.below(3);
+    const net::NetConfig net = random_shape(parties, rng);
+    faults::FaultPlan plan;
+    if (rng.bernoulli(0.5))
+      plan = faults::sample_fault_plan(static_cast<faults::FaultProfile>(1 + rng.below(5)),
+                                       parties, horizon, delta, rng);
+    // A one-slot crash, shorter than a Delta hold-back: copies in flight
+    // across it are lost although they land after the restart.
+    const PartyId blip = static_cast<PartyId>(rng.below(parties));
+    if (rng.bernoulli(0.5) && std::none_of(plan.churn.begin(), plan.churn.end(),
+                                           [&](const auto& c) { return c.party == blip; })) {
+      const std::size_t crash = 2 + rng.below(horizon - 2);
+      plan.churn.push_back({blip, crash, crash + 1});
+    }
+    const TieBreak rule = rng.bernoulli(0.5) ? TieBreak::AdversarialOrder
+                                             : TieBreak::ConsistentHash;
+    const LeaderSchedule schedule =
+        LeaderSchedule::from_symbol_law(SymbolLaw{0.4, 0.25, 0.35}, horizon, parties, rng);
+    Side<Network> fast(schedule, delta, net, plan, rule);
+    Side<ReferenceNetwork> ref(schedule, delta, net, plan, rule);
+    const auto both = [&](const auto& op) {
+      op(fast);
+      op(ref);
+    };
+    const std::string shape = "trial " + std::to_string(trial) + ": " + net.describe() +
+                              ", Delta " + std::to_string(delta) + ", plan " + plan.serialize();
+    const auto agree = [&](std::size_t slot) {
+      for (PartyId p = 0; p < parties; ++p) {
+        ASSERT_EQ(fast.accepted(p), ref.accepted(p)) << shape << ", party " << p << " at slot "
+                                                     << slot;
+        ASSERT_EQ(fast.orphans(p), ref.orphans(p)) << shape << ", party " << p << " at slot "
+                                                   << slot;
+      }
+    };
+    std::vector<Block> minted{genesis_block()};
+    for (std::size_t t = 1; t <= horizon; ++t) {
+      both([&](auto& side) {
+        side.fault_events(t);
+        side.deliver(t);
+      });
+      if (schedule.leaders(t).adversarial) {
+        // Mint on a public max-length head or any earlier block, then release.
+        const std::vector<BlockHash> heads = fast.public_view().max_length_heads();
+        const BlockHash parent = rng.bernoulli(0.5)
+                                     ? heads[rng.below(heads.size())]
+                                     : minted[rng.below(minted.size())].hash;
+        if (fast.store().block(parent).slot < t) {
+          const Block m = make_block(parent, t, kAdversary, rng());
+          minted.push_back(m);
+          both([&](auto& side) { side.mint(m); });
+          const std::size_t visible = t + rng.below(delta + 1);
+          const std::vector<BlockHash> chain = fast.store().chain(m.hash);
+          const PartyId victim = static_cast<PartyId>(rng.below(parties));
+          const std::uint64_t release = rng.below(4);
+          const std::uint64_t subset = rng();
+          both([&](auto& side) {
+            switch (release) {
+              case 0: break;  // private for now
+              case 1:         // the bare tip to a subset: chain-incomplete
+                for (PartyId p = 0; p < parties; ++p)
+                  if ((subset >> p) & 1u) side.transport().inject(m, p, visible);
+                break;
+              case 2:  // the whole chain to one party
+                for (std::size_t i = 1; i < chain.size(); ++i)
+                  side.transport().inject(side.store().block(chain[i]), victim, visible);
+                break;
+              default:  // the whole chain to everyone
+                for (std::size_t i = 1; i < chain.size(); ++i)
+                  side.transport().inject_all(side.store().block(chain[i]), visible);
+            }
+          });
+        }
+        both([&](auto& side) { side.deliver(t); });
+      }
+      for (const PartyId leader : schedule.leaders(t).honest) {
+        if (fast.down(leader, t)) continue;
+        const std::uint64_t payload = rng();
+        const Block block = fast.forge(leader, t, payload);
+        ASSERT_EQ(ref.forge(leader, t, payload), block) << shape;
+        minted.push_back(block);
+        std::vector<std::size_t> hold;
+        if (rng.bernoulli(0.5)) {
+          hold.assign(parties, rng.below(delta + 1));
+          if (rng.bernoulli(0.5))
+            for (std::size_t& d : hold) d = rng.below(delta + 1);
+        }
+        both([&](auto& side) { side.transport().broadcast_chain(side.store(), block, t, hold); });
+      }
+      agree(t);
+      if (HasFatalFailure()) return;
+    }
+    both([&](auto& side) { side.deliver(horizon + 1); });
+    agree(horizon + 1);
+    if (HasFatalFailure()) return;
+  }
 }
 
 }  // namespace
