@@ -7,11 +7,12 @@
 //   ./settlement_calculator [adversarial_stake [f [parties]]]
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "analysis/baselines.hpp"
 #include "core/exact_dp.hpp"
 #include "delta/reduction.hpp"
-#include "protocol/leader.hpp"
+#include "protocol/consensus/schedule.hpp"
 #include "support/table.hpp"
 
 int main(int argc, char** argv) {
@@ -22,7 +23,9 @@ int main(int argc, char** argv) {
   std::printf("deployment: adversarial stake %.2f, active-slot coefficient f = %.2f, %zu honest parties\n",
               stake, f, parties);
 
-  const mh::TetraLaw induced = mh::LeaderSchedule::praos_induced_law(f, stake, parties);
+  // Equal stakes: every honest party holds (1 - stake) / parties.
+  const std::vector<double> shares(parties, (1.0 - stake) / static_cast<double>(parties));
+  const mh::TetraLaw induced = mh::consensus::induced_law(f, shares, stake);
   std::printf("induced slot law: empty %.4f, h %.4f, H %.4f, A %.4f\n", induced.pBot,
               induced.ph, induced.pH, induced.pA);
 

@@ -2,20 +2,19 @@
 // execution (stake registry + epoch nonces + per-slot VRF lottery, possibly
 // with mid-run stake shifts) and grade it twice —
 //
-//   * globally, through the SAME analytic tail as check_execution: the
+//   * globally, through the SAME run-and-grade recipe as check_execution: the
 //     realized schedule (the lottery's actual draws) is projected through the
 //     Definition-22 reduction and the execution fork must refine it under the
-//     margin-domination invariants (detail::grade_projection, shared code,
-//     bit-identical);
+//     margin-domination invariants (shared code, bit-identical);
 //   * per epoch: each epoch's stake snapshot induces an i.i.d. TetraLaw
 //     (consensus::induced_law); the epoch's realized characteristic symbols
 //     must sit inside exact Clopper-Pearson bands around that law, and the
 //     law is pushed through reduced_law (Proposition 4) so every cell also
 //     carries the Delta-reduced law the analytic stack would assign it.
 //
-// A cell is GRADED when its epoch materialized and its band was evaluated;
-// `all_graded` demands every epoch intersecting the horizon graded — an
-// epoch-driven run with ungraded cells is an oracle gap, not a pass.
+// Every materialized epoch is graded into one cell; `all_graded` demands that
+// every epoch intersecting the horizon materialized — an epoch-driven run
+// with ungraded epochs is an oracle gap, not a pass.
 #pragma once
 
 #include <vector>
@@ -25,21 +24,16 @@
 
 namespace mh::oracle {
 
-/// One epoch-managed scenario cell: stake profile, shift plan, and the usual
-/// settlement-attack recipe. Empty `honest_stakes` means uniform over
+/// One epoch-managed scenario cell: stake profile, shift plan, and the shared
+/// attack geometry. Empty `honest_stakes` means uniform over
 /// `honest_parties`; otherwise the vector IS the profile (its size wins).
-struct EpochRunConfig {
+struct EpochRunConfig : RunRecipe {
+  EpochRunConfig() { horizon = 96; }  // three epochs of the default R = 32
+
   consensus::ConsensusConfig consensus{};
   std::vector<double> honest_stakes{};
-  std::size_t honest_parties = 6;
   double adversarial_stake = 0.25;
   std::vector<consensus::StakeShiftSpec> shifts{};
-  TieBreak tie_break = TieBreak::AdversarialOrder;
-  Strategy strategy = Strategy::PrivateChain;
-  std::size_t delta = 0;
-  std::size_t target_slot = 2;
-  std::size_t k = 6;
-  std::size_t horizon = 96;
   /// Confidence of the per-epoch Clopper-Pearson frequency bands. Epochs are
   /// short (R slots), so the band is an exactness check on the induced law's
   /// location, not a power test; keep it wide enough that a clean lottery
@@ -56,7 +50,6 @@ struct EpochCell {
   TetraLaw induced{};         ///< law induced by the epoch's stake snapshot
   SymbolLaw reduced{};        ///< Proposition-4 image of `induced` at Delta
   bool law_within_band = false;
-  bool graded = false;
 
   [[nodiscard]] double frequency(std::size_t symbol) const noexcept {
     return slots == 0 ? 0.0 : static_cast<double>(counts[symbol]) / static_cast<double>(slots);
@@ -68,7 +61,7 @@ struct EpochCell {
 struct EpochVerdict {
   RunVerdict run{};
   std::vector<EpochCell> cells{};
-  bool all_graded = false;      ///< every epoch covering the horizon graded
+  bool all_graded = false;      ///< every epoch covering the horizon has a cell
   bool laws_within_band = true; ///< every cell's frequencies inside its band
 
   [[nodiscard]] bool clean() const noexcept {

@@ -19,10 +19,14 @@
 // single counterexample is a genuine bug in either the simulator or the
 // analytic stack - which is precisely what a differential oracle is for.
 //
-// Faulted executions (check_execution with a FaultPlan) are projected with
-// the execution's OBSERVED Delta — the max realized honest first-delivery
-// delay outside crash shadows — against the EFFECTIVE schedule (down leaders
-// forge nothing, so their leaderships leave the characteristic string):
+// Faulted and heterogeneous executions (a FaultPlan, or a non-degenerate
+// RunConfig.net: gossip topology, per-link latency, bandwidth caps) grade
+// through the Simulation's DeliveryAudit. The projection runs at the
+// execution's OBSERVED Delta (the max realized honest adoption delay outside
+// crash shadows; on gossip shapes inflated for honest blocks still undelivered
+// when the run ends, so the projection window stays open) against the
+// EFFECTIVE schedule (down leaders forge nothing, so their leaderships leave
+// the characteristic string):
 //
 //   * observed Delta <= configured Delta: the run is a legitimate
 //     Delta-execution and every invariant above must hold unchanged;
@@ -30,16 +34,15 @@
 //     silent pass) and re-projected at the observed Delta — the reduction is
 //     defined for every finite Delta, so graceful degradation is itself an
 //     invariant (code 'd' when it holds, '!' when it does not);
-//   * some honest block never delivered at all (unhealed partition): no
-//     finite Delta describes the run; it is flagged unchecked (code 'u').
+//   * some honest block never delivered at all (an unhealed lockstep
+//     partition): no finite Delta describes the run; it is flagged unchecked
+//     (code 'u'). Gossip shapes are strongly connected by construction, so
+//     there non-delivery is lateness, not partition, and never 'u'.
 //
-// Heterogeneous executions (a non-degenerate RunConfig.net: gossip topology,
-// per-link latency, bandwidth caps) grade through the same machinery: the
-// Simulation's NetReport supplies the observed Delta — inflated for honest
-// blocks still undelivered when the run ends, so the projection window stays
-// open — and a run beyond the configured bound re-projects at that Delta
-// (code 'd'). The topology set is strongly connected by construction, so a
-// heterogeneous run is never unbounded ('u'): lateness, not partition.
+// Both oracle faces (this one and the epoch face in oracle/epoch) run one
+// recipe: the caller draws the schedule, then the strategy seed and the
+// simulation seed follow from the same stream, and the audit and the
+// projection above grade the run.
 #pragma once
 
 #include <cstdint>
@@ -57,9 +60,8 @@ enum class Strategy : std::uint8_t { PrivateChain = 0, Balance = 1, Randomized =
 
 const char* strategy_name(Strategy s) noexcept;
 
-/// One scenario-cell execution recipe; `law` draws the leader schedule.
-struct RunConfig {
-  TetraLaw law;
+/// The attack geometry both oracle faces share.
+struct RunRecipe {
   TieBreak tie_break = TieBreak::AdversarialOrder;
   Strategy strategy = Strategy::PrivateChain;
   std::size_t delta = 0;
@@ -67,6 +69,11 @@ struct RunConfig {
   std::size_t k = 6;            ///< confirmation depth of the settlement watch
   std::size_t horizon = 48;
   std::size_t honest_parties = 6;
+};
+
+/// One scenario-cell execution; `law` draws the leader schedule.
+struct RunConfig : RunRecipe {
+  TetraLaw law;
   net::NetConfig net{};  ///< network shape; default = degenerate lockstep
 };
 
@@ -109,7 +116,7 @@ struct RunVerdict {
 };
 
 /// Instantiates the simulated strategy for a cell (seed feeds Randomized).
-std::unique_ptr<Adversary> make_strategy(Strategy strategy, const RunConfig& config,
+std::unique_ptr<Adversary> make_strategy(Strategy strategy, const RunRecipe& recipe,
                                          std::uint64_t seed);
 
 /// Runs one seeded execution of `config` and both sides of the oracle. With a
@@ -117,18 +124,5 @@ std::unique_ptr<Adversary> make_strategy(Strategy strategy, const RunConfig& con
 /// null plan leaves every code path (and every rng draw) exactly as before.
 RunVerdict check_execution(const RunConfig& config, Rng& rng,
                            const faults::FaultPlan* plan = nullptr);
-
-namespace detail {
-/// The analytic tail shared by every oracle entry point: project `schedule`
-/// at `delta` against the target decomposition, run the Theorem-5 recurrence,
-/// relabel the execution's block set through the reduction bijection, and
-/// fill the verdict's analytic_allows / string_margin / fork_valid /
-/// fork_margin / margin_dominated fields. Factored so the epoch-driven oracle
-/// (oracle/epoch) grades its realized schedules through EXACTLY the code path
-/// the pre-drawn oracle uses — bit-identical, not merely equivalent.
-void grade_projection(const LeaderSchedule& schedule, std::size_t delta,
-                      std::size_t target_slot, std::size_t k,
-                      const std::vector<Block>& blocks, RunVerdict& verdict);
-}  // namespace detail
 
 }  // namespace mh::oracle

@@ -23,8 +23,8 @@
 //
 // Grading surface: every materialized epoch records its nonce and stake
 // snapshot; epoch_induced_law projects the snapshot to the i.i.d. TetraLaw
-// the oracle cross-validates (per-party generalization of
-// LeaderSchedule::praos_induced_law), and realized() snapshots the
+// the oracle cross-validates (induced_law, the repo's one analytic law of the
+// party-level lottery), and realized() snapshots the
 // materialized prefix as a plain LeaderSchedule for the Definition-22
 // projection and the fault layer.
 #pragma once

@@ -37,7 +37,7 @@ class StakeRegistry {
   StakeRegistry(std::vector<double> honest_stakes, double adversarial_stake);
 
   /// Equal weights: every honest party at (1 - adversarial_stake) / n, the
-  /// coalition at adversarial_stake — the praos_lottery parameterization.
+  /// coalition at adversarial_stake.
   static StakeRegistry uniform(std::size_t honest_parties, double adversarial_stake);
 
   /// Register a redistribution; specs may arrive in any order and several may

@@ -25,8 +25,9 @@ struct LinkVerdict {
   std::size_t extra_delay = 0;  ///< slots beyond the adversarial hold-back
 };
 
-/// Execution-wide fault accounting (plain counters: always available, unlike
-/// the compile-gated obs registry).
+/// Execution-wide fault accounting (plain counters, kept whether or not obs
+/// recording is switched on). One injector serves one execution, so these
+/// are that execution's totals.
 struct FaultStats {
   std::size_t ships_dropped = 0;      ///< chain-ships lost to partitions/links/down
   std::size_t ships_duplicated = 0;   ///< duplicated tip deliveries

@@ -1,12 +1,16 @@
 #include "protocol/leader.hpp"
 
-#include <cmath>
 #include <cstdio>
 
-#include "protocol/consensus/leader_select.hpp"
 #include "support/check.hpp"
 
 namespace mh {
+
+TetraSymbol slot_symbol(const SlotLeaders& leaders) noexcept {
+  if (leaders.adversarial) return TetraSymbol::A;
+  if (leaders.honest.empty()) return TetraSymbol::Bot;
+  return leaders.honest.size() == 1 ? TetraSymbol::h : TetraSymbol::H;
+}
 
 const SlotLeaders& genesis_slot_leaders() noexcept {
   static const SlotLeaders kGenesis{};
@@ -93,57 +97,6 @@ LeaderSchedule LeaderSchedule::from_tetra_law(const TetraLaw& law, std::size_t h
   return LeaderSchedule(std::move(slots), honest_parties);
 }
 
-LeaderSchedule LeaderSchedule::praos_lottery(double f, double adversarial_stake,
-                                             std::size_t honest_parties, std::size_t horizon,
-                                             Rng& rng) {
-  MH_REQUIRE(f > 0.0 && f < 1.0);
-  MH_REQUIRE(adversarial_stake >= 0.0 && adversarial_stake < 1.0);
-  MH_REQUIRE(honest_parties >= 2);
-  const double honest_share = (1.0 - adversarial_stake) / static_cast<double>(honest_parties);
-  // phi(share) = 1 - (1-f)^share via expm1/log1p: the naive 1 - pow(...) form
-  // cancels to ~half the significant digits once share ~ 1/n is small (the
-  // 10^5-party committee regime pinned in CI).
-  const double p_honest = consensus::phi(f, honest_share);
-  const double p_adv = consensus::phi(f, adversarial_stake);
-
-  std::vector<SlotLeaders> slots;
-  slots.reserve(horizon);
-  for (std::size_t t = 0; t < horizon; ++t) {
-    SlotLeaders leaders;
-    for (PartyId p = 0; p < honest_parties; ++p)
-      if (rng.bernoulli(p_honest)) leaders.honest.push_back(p);
-    leaders.adversarial = rng.bernoulli(p_adv);
-    slots.push_back(std::move(leaders));
-  }
-  return LeaderSchedule(std::move(slots), honest_parties);
-}
-
-TetraLaw LeaderSchedule::praos_induced_law(double f, double adversarial_stake,
-                                           std::size_t honest_parties) {
-  MH_REQUIRE(f > 0.0 && f < 1.0);
-  MH_REQUIRE(adversarial_stake >= 0.0 && adversarial_stake < 1.0);
-  MH_REQUIRE(honest_parties >= 1);
-  const double honest_share = (1.0 - adversarial_stake) / static_cast<double>(honest_parties);
-  const double n = static_cast<double>(honest_parties);
-  // Work in log space: log(1 - p_honest) = share * log1p(-f) exactly, so the
-  // no-winner and one-winner masses never pass through the cancellation-prone
-  // p_honest representation.
-  const double log_q = honest_share * std::log1p(-f);
-  const double p_honest = -std::expm1(log_q);
-  const double p_adv = consensus::phi(f, adversarial_stake);
-
-  const double no_honest = std::exp(n * log_q);
-  const double one_honest = n * p_honest * std::exp((n - 1.0) * log_q);
-
-  TetraLaw law;
-  law.pA = p_adv;  // at least one adversarial leader, regardless of honest ones
-  law.pBot = (1.0 - p_adv) * no_honest;
-  law.ph = (1.0 - p_adv) * one_honest;
-  law.pH = (1.0 - p_adv) * (1.0 - no_honest - one_honest);
-  law.validate();
-  return law;
-}
-
 const SlotLeaders& LeaderSchedule::leaders(std::size_t slot) const {
   if (slot == 0) return genesis_slot_leaders();  // genesis is not issued
   MH_REQUIRE_MSG(slot <= slots_.size(), "slot " + std::to_string(slot) +
@@ -164,16 +117,7 @@ bool LeaderSchedule::eligible(PartyId party, std::size_t slot) const {
 
 TetraString LeaderSchedule::characteristic() const {
   TetraString out;
-  for (const SlotLeaders& l : slots_) {
-    if (l.adversarial)
-      out.push_back(TetraSymbol::A);
-    else if (l.honest.empty())
-      out.push_back(TetraSymbol::Bot);
-    else if (l.honest.size() == 1)
-      out.push_back(TetraSymbol::h);
-    else
-      out.push_back(TetraSymbol::H);
-  }
+  for (const SlotLeaders& l : slots_) out.push_back(slot_symbol(l));
   return out;
 }
 

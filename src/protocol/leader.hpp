@@ -1,19 +1,17 @@
-// Leader schedules. Two generation modes:
+// Leader schedules. A LeaderSchedule is drawn at the symbol level: one
+// characteristic symbol per slot from a SymbolLaw / TetraLaw, materialized as
+// leaders (h -> one honest party, H -> several, A -> the adversarial
+// coalition). It is a fully pre-drawn, public (full-information) schedule the
+// adversary reads in its entirety.
 //
-//   * symbol-level: draw a characteristic symbol per slot from a SymbolLaw /
-//     TetraLaw and materialize leaders (h -> one honest party, H -> several,
-//     A -> the adversarial coalition);
-//   * party-level: every party independently wins slot leadership with
-//     probability phi(stake) = 1 - (1 - f)^stake, the Praos VRF lottery. The
-//     induced (pBot, ph, pH, pA) law is computed analytically so experiments
-//     can compare the simulated protocol against the abstract analysis.
-//
-// Both produce a LeaderSchedule: a fully pre-drawn, public (full-information)
-// schedule the adversary reads in its entirety. The epoch-managed consensus
-// layer (protocol/consensus) provides the third mode — a ScheduleSource whose
-// slots are revealed per epoch, with the epoch nonce folded from the chain
-// itself — behind the interface below, so the execution driver is agnostic to
-// where leaderships come from.
+// The party-level Praos lottery, in which every party independently wins a
+// slot with probability phi(stake) = 1 - (1 - f)^stake, lives in the
+// epoch-managed consensus layer (protocol/consensus): SlotLeaderSelection
+// draws it and consensus::induced_law gives its analytic (pBot, ph, pH, pA)
+// law. Its EpochSchedule is a ScheduleSource whose slots are revealed per
+// epoch, with the epoch nonce folded from the chain itself, behind the
+// interface below, so the execution driver is agnostic to where leaderships
+// come from.
 #pragma once
 
 #include <vector>
@@ -31,6 +29,10 @@ struct SlotLeaders {
   std::vector<PartyId> honest;  ///< honest leaders of the slot (possibly several)
   bool adversarial = false;     ///< the coalition holds at least one leadership
 };
+
+/// The slot's Definition-20 symbol: A when the coalition leads, else Bot, h
+/// or H by the number of honest leaders.
+[[nodiscard]] TetraSymbol slot_symbol(const SlotLeaders& leaders) noexcept;
 
 /// Slot 0 is genesis: it is never issued, so it has no leaders. Shared by
 /// every schedule implementation so leaders(0) and eligible(party, 0) agree.
@@ -76,20 +78,6 @@ class LeaderSchedule : public ScheduleSource {
                                         std::size_t honest_parties, Rng& rng);
   static LeaderSchedule from_tetra_law(const TetraLaw& law, std::size_t horizon,
                                        std::size_t honest_parties, Rng& rng);
-
-  /// Party-level Praos lottery: `honest_parties` parties of equal relative
-  /// stake (1 - adversarial_stake) / honest_parties, plus one coalition with
-  /// `adversarial_stake`; per-slot win probability phi(s) = 1 - (1-f)^s.
-  static LeaderSchedule praos_lottery(double f, double adversarial_stake,
-                                      std::size_t honest_parties, std::size_t horizon,
-                                      Rng& rng);
-
-  /// The induced i.i.d. law of the Praos lottery above (analytic). Evaluated
-  /// through expm1/log1p so the small-share regime (share ~ 1/n at committee
-  /// scale) keeps full double precision — 1 - pow(1-f, share) loses half the
-  /// significant digits there.
-  static TetraLaw praos_induced_law(double f, double adversarial_stake,
-                                    std::size_t honest_parties);
 
   [[nodiscard]] std::size_t horizon() const noexcept override { return slots_.size(); }
   [[nodiscard]] std::size_t honest_parties() const noexcept override { return honest_parties_; }

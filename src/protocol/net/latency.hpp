@@ -10,7 +10,7 @@
 // Every law is CAPPED: max_extra() bounds every draw, so a heterogeneous
 // execution realizes a finite per-hop delay and Delta-synchrony is always
 // recoverable as the observed maximum over the run (which is exactly the
-// Delta the oracle grades the execution at; see Simulation::net_report).
+// Delta the oracle grades the execution at; see Simulation::delivery_audit).
 #pragma once
 
 #include <cstddef>

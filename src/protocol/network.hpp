@@ -40,7 +40,7 @@
 //     (the simulation calls relay()). The synchrony bound is no longer
 //     configured — it is RECOVERED as the observed maximum adoption delay,
 //     which is the Delta the oracle grades the run at (see
-//     Simulation::net_report).
+//     Simulation::delivery_audit).
 //
 // Fault layer: with a faults::FaultInjector attached, every honest link send
 // consults it with the same (slot, sender, recipient) keying. A fault window

@@ -25,6 +25,11 @@ Simulation::Simulation(const ScheduleSource& schedule, SimulationConfig config,
                        " slots, execution has " +
                        std::to_string(schedule.honest_parties()) + " x " +
                        std::to_string(schedule.horizon()));
+    // The audit reads the skip count from the injector's stats, so an
+    // injector carries the accounting of one execution only.
+    MH_REQUIRE_MSG(faults_->stats() == faults::FaultStats{},
+                   "fault injector already carries another execution's stats; attach a "
+                   "fresh injector per Simulation");
     // An empty plan is the null hypothesis: no query can ever fire, so skip
     // the per-delivery and per-slot injector consultations entirely (the E16
     // overhead gate holds the empty-plan run within 2% of the bare one).
@@ -150,7 +155,6 @@ void Simulation::step() {
     // A crashed leader forges nothing: the slot loses this leadership (the
     // oracle projects the matching "effective" characteristic string).
     if (fault_active_ && faults_->is_down(leader, t)) {
-      ++leaderships_skipped_;
       ++faults_->stats().leaderships_skipped;
       MH_OBS_COUNT("protocol.faults.leaderships_skipped", 1);
       continue;
@@ -232,71 +236,44 @@ void Simulation::resync_node(PartyId party, std::size_t slot) {
   }
 }
 
-FaultReport Simulation::fault_report() const {
-  FaultReport report;
-  if (!faults_) return report;
-  report.faulted = true;
-  report.observed_delta = observed_delta_;
-  report.leaderships_skipped = leaderships_skipped_;
-  report.stats = faults_->stats();
-  // Non-delivery sweep: an honest block whose delivery window closed within
-  // the run must have reached every node it could reach — one that never
-  // crossed an unhealed partition (or fell to a link drop on a branch no one
-  // extended) makes the realized delay infinite, not merely large. Blocks
-  // delivered before a later crash persist in the tree, so only windows
-  // intersecting down-time are excused.
+DeliveryAudit Simulation::delivery_audit() const {
+  DeliveryAudit audit;
+  audit.faulted = faults_ != nullptr;
+  audit.heterogeneous = hetero_;
+  audit.observed_delta = observed_delta_;
+  if (faults_) audit.stats = faults_->stats();
+  audit.leaderships_skipped = audit.stats.leaderships_skipped;
+  // An unfaulted lockstep run delivers every honest chain by its due slot.
+  if (!faults_ && !hetero_) return audit;
   const std::size_t last_onset = next_slot_;  // deliveries are flushed up to here
-  // Heterogeneous shapes are strongly connected: non-delivery there is
-  // lateness (net_report() inflates the observed Delta for it), never an
-  // unbounded partition, and the configured-Delta window test below would
-  // misfire on legitimate multi-hop delays.
-  if (hetero_) return report;
   for (const Block& b : all_blocks_) {
     if (b.issuer == kAdversary || b.hash == genesis_block().hash) continue;
-    if (b.slot + 1 + network_.delta() > last_onset) continue;  // window still open
+    // Lockstep claims only the blocks whose Delta window closed within the
+    // run; on gossip shapes every block is audited (the window test would
+    // misfire on legitimate multi-hop delays).
+    if (!hetero_ && b.slot + 1 + network_.delta() > last_onset) continue;
     for (const HonestNode& node : nodes_) {
-      if (node.id() == b.issuer) continue;
-      if (faults_->is_down(node.id(), last_onset)) continue;  // down at end: no claim
-      if (faults_->down_in_window(node.id(), b.slot + 1, last_onset)) continue;
-      // Adoptability, not arrival: a block parked forever in the orphan
-      // buffer (ancestry lost to a drop) was "delivered" but extends nothing.
-      if (!node.tree().contains(b.hash)) {
-        report.delivery_unbounded = true;
-        return report;
+      // Adoptability, not arrival: a block parked in the orphan buffer
+      // (ancestry lost to a drop) was "delivered" but extends nothing.
+      if (node.id() == b.issuer || node.tree().contains(b.hash)) continue;
+      if (fault_active_ && faults_->is_down(node.id(), last_onset)) continue;  // no claim
+      if (!hetero_) {
+        // Blocks delivered before a later crash persist in the tree, so only
+        // windows intersecting down-time are excused.
+        if (faults_->down_in_window(node.id(), b.slot + 1, last_onset)) continue;
+        audit.delivery_unbounded = true;
+        return audit;
       }
-    }
-  }
-  return report;
-}
-
-NetReport Simulation::net_report() const {
-  NetReport report;
-  report.heterogeneous = hetero_;
-  report.observed_delta = observed_delta_;
-  if (!hetero_) return report;
-  // Pending-delivery inflation: a block some up node has not adopted by the
-  // flushed last onset would, if adopted at the very next opportunity,
-  // realize a delay of at least `last_onset - forge slot` (minus the slots
-  // the node spent crashed). Raising the observed Delta to that floor keeps
-  // the delivery window open under the observed-Delta projection, so the
-  // grade is sound without ever being unbounded — gossip on a strongly
-  // connected topology delivers eventually; the run merely ended first.
-  const std::size_t last_onset = next_slot_;
-  for (const Block& b : all_blocks_) {
-    if (b.issuer == kAdversary || b.hash == genesis_block().hash) continue;
-    for (const HonestNode& node : nodes_) {
-      if (node.id() == b.issuer) continue;
-      if (fault_active_ && faults_->is_down(node.id(), last_onset)) continue;
-      if (node.tree().contains(b.hash)) continue;
+      // Pending-delivery inflation: adopted at the very next opportunity, the
+      // block would realize at least this delay.
       const std::size_t down =
           fault_active_ ? faults_->down_slots_in(node.id(), b.slot + 1, last_onset) : 0;
       if (last_onset <= b.slot + down) continue;  // window effectively unopened
-      ++report.pending_inflations;
-      const std::size_t floor_delay = last_onset - b.slot - down;
-      report.observed_delta = std::max(report.observed_delta, floor_delay);
+      ++audit.pending_inflations;
+      audit.observed_delta = std::max(audit.observed_delta, last_onset - b.slot - down);
     }
   }
-  return report;
+  return audit;
 }
 
 Block Simulation::mint_adversarial(BlockHash parent, std::size_t slot, std::uint64_t payload) {

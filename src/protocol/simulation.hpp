@@ -55,50 +55,49 @@ struct SimulationConfig {
   std::uint64_t seed = 42;
 };
 
-/// What the fault layer observed over one faulted execution: the realized
-/// synchrony bound plus the recovery accounting. `observed_delta` is the max
-/// delay until a node could first ADOPT an honest block (chain-complete
-/// acceptance — raw arrival undercounts: a partially-leaked block sits in the
-/// orphan buffer extending nothing, and the observed-Delta fork projection
-/// would then claim a synchrony the execution never had). Slots the recipient
-/// spent crashed are discounted from the delay — a down endpoint cannot
-/// receive and the restart re-sync delivers promptly — but only those slots:
-/// a crash late in the window must not excuse the up slots during which the
-/// network simply failed to deliver. `delivery_unbounded` flags
-/// an honest block some up node could never adopt at all (an unhealed
-/// partition or a link drop on a dead branch): observed Delta is infinite.
-struct FaultReport {
-  bool faulted = false;
+/// What one execution realized as its synchrony bound, from one end-of-run
+/// sweep over blocks x nodes. `observed_delta` is the max delay until a node
+/// could first ADOPT an honest block (chain-complete acceptance: raw arrival
+/// undercounts, since a partially-leaked block sits in the orphan buffer
+/// extending nothing). Slots the recipient spent crashed are discounted, but
+/// only those: a crash late in the window must not excuse the up slots during
+/// which the network simply failed to deliver.
+///
+/// The sweep then reads the blocks some up node has not adopted, by shape:
+///   * lockstep (faulted runs only): an honest block whose Delta window
+///     closed and that some node up through the window never adopted (an
+///     unhealed partition, or a link drop on a branch no one extended) sets
+///     `delivery_unbounded`: observed Delta is infinite;
+///   * gossip (a non-degenerate NetConfig): every such (block, node) pair
+///     counts in `pending_inflations` and raises `observed_delta` to `last
+///     onset - forge slot - down slots`, the smallest delay a future adoption
+///     could realize, so the projection window stays open. Every shape there
+///     is strongly connected, so non-delivery is lateness, never unbounded.
+struct DeliveryAudit {
+  bool faulted = false;        ///< a FaultInjector was attached
+  bool heterogeneous = false;  ///< a non-degenerate NetConfig shaped the transport
   std::size_t observed_delta = 0;
   bool delivery_unbounded = false;
-  std::size_t leaderships_skipped = 0;
-  faults::FaultStats stats;
-};
-
-/// What a heterogeneous (non-degenerate NetConfig) execution realized as its
-/// synchrony bound. `observed_delta` starts from the same chain-complete
-/// adoption maximum the fault layer counts; honest blocks some up node has
-/// STILL not adopted when the run ends inflate it to `last onset - forge
-/// slot - down slots` — the smallest delay a future adoption could realize —
-/// so the projection window stays open and the oracle never grades a gossip
-/// run at a synchrony it has already beaten. Multi-hop topologies therefore
-/// always grade ('d' at worst), never unbounded ('u'): every shape here is
-/// strongly connected, so non-delivery is lateness, not partition.
-struct NetReport {
-  bool heterogeneous = false;
-  std::size_t observed_delta = 0;
   std::size_t pending_inflations = 0;  ///< (block, node) pairs still undelivered
+  faults::FaultStats stats;            ///< the injector's accounting, or all zero
+  /// stats.leaderships_skipped, under the name the FaultReport alias carries.
+  std::size_t leaderships_skipped = 0;
 };
+/// The audit's former names, kept while perfbench's phase-split oracle
+/// compiles against them.
+using FaultReport = DeliveryAudit;
+using NetReport = DeliveryAudit;
 
 class Simulation {
  public:
   /// `delta` is the network delay bound (0 = synchronous). `faults`, when
   /// non-null, perturbs the execution per its FaultPlan (the injector must
-  /// outlive the Simulation); fault events apply at slot onsets, before
-  /// deliveries and forging. `net` selects the network shape; the default is
-  /// the degenerate lockstep configuration (bit-identical to the pre-event-
-  /// core transport), anything else runs the gossip paths and tracks the
-  /// observed Delta for net_report().
+  /// outlive the Simulation and serve this execution alone: its stats must
+  /// still be zero); fault events apply at slot onsets, before deliveries and
+  /// forging. `net` selects the network shape; the default is the degenerate
+  /// lockstep configuration (bit-identical to the pre-event-core transport),
+  /// anything else runs the gossip paths and tracks the observed Delta for
+  /// delivery_audit().
   Simulation(const ScheduleSource& schedule, SimulationConfig config, std::size_t delta,
              Adversary* adversary, faults::FaultInjector* faults = nullptr,
              net::NetConfig net = {});
@@ -156,14 +155,11 @@ class Simulation {
   /// Max over pairs of honest chains of l(t1) - l(common ancestor).
   [[nodiscard]] std::size_t observed_slot_divergence() const;
 
-  /// The fault layer's end-of-run audit (trivial when no injector attached):
-  /// runs the non-delivery sweep lazily, so call it after the run completes.
-  [[nodiscard]] FaultReport fault_report() const;
-
-  /// The heterogeneous network's end-of-run audit: the observed Delta with
-  /// pending-delivery inflation (see NetReport). Trivial for degenerate
-  /// configurations; call it after the run completes.
-  [[nodiscard]] NetReport net_report() const;
+  /// The end-of-run delivery audit (see DeliveryAudit); call it after the
+  /// run completes.
+  [[nodiscard]] DeliveryAudit delivery_audit() const;
+  [[nodiscard]] FaultReport fault_report() const { return delivery_audit(); }
+  [[nodiscard]] NetReport net_report() const { return delivery_audit(); }
 
  private:
   void step();
@@ -201,7 +197,6 @@ class Simulation {
   BlockTree global_tree_;              ///< the block store the node views share
   std::vector<HonestNode> nodes_;
   std::size_t observed_delta_ = 0;     ///< max counted honest acceptance delay
-  std::size_t leaderships_skipped_ = 0;
   std::vector<PartyId> fault_scratch_;  ///< crash/restart event list reuse
   BlockTree public_tree_;  ///< blocks accepted by at least one honest node
   OrphanBuffer public_orphans_;

@@ -42,7 +42,7 @@ TransportProbeOutcome run_probe(std::size_t parties, std::size_t horizon, std::u
   if (net.heterogeneous()) {
     // Fold the recovered synchrony bound too — the golden pins of the
     // degenerate probes must NOT move, so only heterogeneous shapes add it.
-    out.observed_delta = sim.net_report().observed_delta;
+    out.observed_delta = sim.delivery_audit().observed_delta;
     out.digest = fnv1a_accumulate(out.digest, out.observed_delta);
   }
   return out;

@@ -41,7 +41,7 @@ struct TransportProbeOutcome {
   std::size_t horizon = 0;
   std::size_t blocks = 0;
   std::size_t divergence = 0;
-  std::size_t observed_delta = 0;  ///< NetReport bound (heterogeneous probes only)
+  std::size_t observed_delta = 0;  ///< audited bound (heterogeneous probes only)
   double seconds = 0.0;            ///< wall-clock of sim.run() alone
   std::uint64_t digest = 0;
 };
@@ -64,7 +64,7 @@ TransportProbeOutcome randomized_transport_probe(std::size_t parties, std::size_
 
 /// The balance probe on a heterogeneous network shape: the execution runs
 /// the event-core gossip paths (topology, per-link latency, bandwidth
-/// spillover) and the digest additionally folds the NetReport's observed
+/// spillover) and the digest additionally folds the delivery audit's observed
 /// Delta, so a change to relay order, latency draws, or the inflation rule
 /// moves the pin. A DEGENERATE `net` must reproduce balance_transport_probe
 /// bit-identically (the façade equivalence test pins this).

@@ -150,6 +150,21 @@ Proportion clopper_pearson_interval(std::size_t successes, std::size_t trials,
   return out;
 }
 
+bool clopper_pearson_covers(std::size_t successes, std::size_t trials, double p,
+                            double confidence) {
+  MH_REQUIRE(trials > 0);
+  MH_REQUIRE(successes <= trials);
+  MH_REQUIRE(confidence > 0.0 && confidence < 1.0);
+  MH_REQUIRE(p >= 0.0 && p <= 1.0);
+  const double alpha = 1.0 - confidence;
+  const double n = static_cast<double>(trials);
+  const double x = static_cast<double>(successes);
+  if (successes > 0 && regularized_incomplete_beta(x, n - x + 1.0, p) < alpha / 2.0)
+    return false;
+  return successes == trials ||
+         regularized_incomplete_beta(x + 1.0, n - x, p) <= 1.0 - alpha / 2.0;
+}
+
 double chi_square_statistic(std::span<const std::size_t> observed,
                             std::span<const double> expected_probs) {
   MH_REQUIRE(observed.size() == expected_probs.size());

@@ -59,6 +59,14 @@ Proportion wilson_interval(std::size_t successes, std::size_t trials, double z =
 Proportion clopper_pearson_interval(std::size_t successes, std::size_t trials,
                                     double confidence = 0.99);
 
+/// Does the Clopper-Pearson band of (successes, trials) at `confidence` cover
+/// `p` in [0, 1]? Decided by duality instead of inverting the tails: for
+/// x > 0, p >= lo exactly when I_p(x, n-x+1) >= alpha/2, and for x < n,
+/// p <= hi exactly when I_p(x+1, n-x) <= 1-alpha/2. At most two incomplete-
+/// beta evaluations, where the interval bisects both endpoints.
+bool clopper_pearson_covers(std::size_t successes, std::size_t trials, double p,
+                            double confidence = 0.99);
+
 /// Regularized incomplete beta function I_x(a, b) (continued fraction), the
 /// primitive behind the Clopper-Pearson endpoints; exposed for tests.
 double regularized_incomplete_beta(double a, double b, double x);

@@ -260,15 +260,15 @@ TEST(FaultSimulation, PartitionHealsAndViewsReconverge) {
 
   for (const HonestNode& node : sim.nodes())
     EXPECT_EQ(node.tree().block_count(), sim.public_tree().block_count());
-  const FaultReport report = sim.fault_report();
-  EXPECT_TRUE(report.faulted);
-  EXPECT_FALSE(report.delivery_unbounded);
-  EXPECT_GE(report.observed_delta, 1u);
-  EXPECT_LE(report.observed_delta, 3u);
-  EXPECT_EQ(report.stats.partitions_healed, 1u);
-  EXPECT_GT(report.stats.ships_dropped, 0u);
-  EXPECT_GT(report.stats.resync_blocks, 0u);
-  EXPECT_EQ(report.stats.crashes, 0u);
+  const DeliveryAudit audit = sim.delivery_audit();
+  EXPECT_TRUE(audit.faulted);
+  EXPECT_FALSE(audit.delivery_unbounded);
+  EXPECT_GE(audit.observed_delta, 1u);
+  EXPECT_LE(audit.observed_delta, 3u);
+  EXPECT_EQ(audit.stats.partitions_healed, 1u);
+  EXPECT_GT(audit.stats.ships_dropped, 0u);
+  EXPECT_GT(audit.stats.resync_blocks, 0u);
+  EXPECT_EQ(audit.stats.crashes, 0u);
 }
 
 TEST(FaultSimulation, CrashRestartResyncRestoresViewWithinDeltaPlusOne) {
@@ -296,11 +296,11 @@ TEST(FaultSimulation, CrashRestartResyncRestoresViewWithinDeltaPlusOne) {
     expected_skips += static_cast<std::size_t>(
         std::count(honest.begin(), honest.end(), static_cast<PartyId>(2)));
   }
-  const FaultReport report = sim.fault_report();
-  EXPECT_EQ(report.leaderships_skipped, expected_skips);
-  EXPECT_EQ(report.stats.crashes, 1u);
-  EXPECT_EQ(report.stats.restarts, 1u);
-  EXPECT_FALSE(report.delivery_unbounded);
+  const DeliveryAudit audit = sim.delivery_audit();
+  EXPECT_EQ(audit.stats.leaderships_skipped, expected_skips);
+  EXPECT_EQ(audit.stats.crashes, 1u);
+  EXPECT_EQ(audit.stats.restarts, 1u);
+  EXPECT_FALSE(audit.delivery_unbounded);
 }
 
 // --- gossip relays under faults ----------------------------------------------
@@ -419,6 +419,70 @@ TEST(FaultSimulation, FuzzedPlansKeepPublicTreeTheUnionOfViews) {
         check_union(stop);
       }
     }
+  }
+}
+
+// --- the delivery audit ------------------------------------------------------
+
+TEST(DeliveryAudit, UnhealedLockstepPartitionIsUnbounded) {
+  // Party 0 forges at slot 4 behind a split that never heals: parties 2 and 3
+  // never adopt the block, so no finite Delta describes the run.
+  const LeaderSchedule schedule = hand_schedule(16, 4, {{4, 0}});
+  faults::FaultPlan plan;
+  plan.partitions.push_back({3, 100, {0, 0, 1, 1}});
+  faults::FaultInjector inj(plan, 4, 16);
+  Simulation sim(schedule, SimulationConfig{TieBreak::ConsistentHash, 2}, 1, nullptr, &inj);
+  sim.run();
+  const DeliveryAudit audit = sim.delivery_audit();
+  EXPECT_TRUE(audit.faulted);
+  EXPECT_FALSE(audit.heterogeneous);
+  EXPECT_TRUE(audit.delivery_unbounded);
+  EXPECT_EQ(audit.pending_inflations, 0u);  // lockstep never inflates
+  EXPECT_GT(audit.stats.ships_dropped, 0u);
+}
+
+TEST(DeliveryAudit, GossipChurnReportsStatsAndInflationTogether) {
+  // 6-ring, party 1 down for [3, 12). Party 0 forges at slot 4 and party 1
+  // loses its slot-5 leadership. Stopped at slot 6 (deliveries flushed
+  // through onset 7), party 3 adopted the block the long way at onset 7, but
+  // party 2, one hop further, has not: the audit inflates Delta to 7 - 4 = 3
+  // and carries the injector's stats in the same record.
+  const LeaderSchedule schedule = hand_schedule(16, 6, {{4, 0}, {5, 1}});
+  faults::FaultPlan plan;
+  plan.churn.push_back({1, 3, 12});
+  faults::FaultInjector inj(plan, 6, 16);
+  Simulation sim(schedule, SimulationConfig{TieBreak::ConsistentHash, 5}, 0, nullptr, &inj,
+                 ring_config());
+  sim.run_until(6);
+  const DeliveryAudit audit = sim.delivery_audit();
+  EXPECT_TRUE(audit.faulted);
+  EXPECT_TRUE(audit.heterogeneous);
+  EXPECT_FALSE(audit.delivery_unbounded);
+  EXPECT_EQ(audit.pending_inflations, 1u);  // party 2; party 1 is down: no claim
+  EXPECT_EQ(audit.observed_delta, 3u);
+  EXPECT_EQ(audit.stats.crashes, 1u);
+  EXPECT_EQ(audit.stats.ships_dropped, 1u);
+  EXPECT_EQ(audit.stats.leaderships_skipped, 1u);
+  EXPECT_EQ(audit.leaderships_skipped, 1u);
+}
+
+TEST(DeliveryAudit, ReusedInjectorIsRejected) {
+  // The audit reads the skip count from the injector's stats, so an injector
+  // that already served an execution cannot be attached to another.
+  const LeaderSchedule schedule = hand_schedule(16, 6, {{4, 0}, {5, 1}});
+  faults::FaultPlan plan;
+  plan.churn.push_back({1, 3, 12});
+  faults::FaultInjector inj(plan, 6, 16);
+  {
+    Simulation first(schedule, SimulationConfig{TieBreak::ConsistentHash, 5}, 0, nullptr, &inj);
+    first.run();
+  }
+  ASSERT_NE(inj.stats(), faults::FaultStats{});
+  try {
+    Simulation second(schedule, SimulationConfig{TieBreak::ConsistentHash, 5}, 0, nullptr, &inj);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("fresh injector"), std::string::npos) << e.what();
   }
 }
 

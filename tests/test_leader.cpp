@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "protocol/consensus/leader_select.hpp"
-#include "support/stats.hpp"
 
 namespace mh {
 namespace {
@@ -68,28 +67,6 @@ TEST(Leader, TetraScheduleMayHaveEmptySlots) {
     if (is_empty(w.at(t))) ++empties;
   EXPECT_GT(empties, 120u);  // pBot = 0.7: expect ~210
   EXPECT_THROW(schedule.characteristic_sync(), std::invalid_argument);
-}
-
-TEST(Leader, PraosLotteryInducedLawMatchesEmpirical) {
-  const double f = 0.3, adv_stake = 0.25;
-  const std::size_t parties = 6;
-  const TetraLaw predicted = LeaderSchedule::praos_induced_law(f, adv_stake, parties);
-  Rng rng(14);
-  std::array<std::size_t, 4> counts{};  // Bot, h, H, A
-  const std::size_t horizon = 60'000;
-  const LeaderSchedule schedule = LeaderSchedule::praos_lottery(f, adv_stake, parties,
-                                                                horizon, rng);
-  const TetraString w = schedule.characteristic();
-  for (std::size_t t = 1; t <= horizon; ++t) ++counts[static_cast<std::size_t>(w.at(t))];
-  const std::array<double, 4> expected{predicted.pBot, predicted.ph, predicted.pH,
-                                       predicted.pA};
-  EXPECT_LT(chi_square_statistic(counts, expected), chi_square_critical(3, 0.001));
-}
-
-TEST(Leader, PraosInducedLawSums) {
-  const TetraLaw law = LeaderSchedule::praos_induced_law(0.2, 0.3, 10);
-  EXPECT_NEAR(law.pBot + law.ph + law.pH + law.pA, 1.0, 1e-12);
-  EXPECT_GT(law.pH, 0.0);  // concurrent honest leaders occur by design
 }
 
 TEST(Leader, HSlotNeedsTwoParties) {
@@ -159,48 +136,6 @@ TEST(Leader, PhiPrecisionAtCommitteeScale) {
       const long double rel_naive = std::fabs(static_cast<long double>(naive) - ref) / ref;
       EXPECT_GT(rel_naive, 1e-12L) << "the old formula unexpectedly kept full precision";
     }
-  }
-}
-
-TEST(Leader, InducedLawPrecisionAtCommitteeScale) {
-  // The induced law's one-winner mass goes through the same small-share
-  // regime: n * phi * q^(n-1). Long-double reference at n = 10^5.
-  const double f = 0.1, adv = 0.25;
-  const std::size_t n = 100000;
-  const long double share = (1.0L - (long double)adv) / static_cast<long double>(n);
-  const long double Lq = share * std::log1pl(-(long double)f);
-  const long double p_adv = -std::expm1l((long double)adv * std::log1pl(-(long double)f));
-  const long double no_honest = std::exp(static_cast<long double>(n) * Lq);
-  const long double one_honest = static_cast<long double>(n) * (-std::expm1l(Lq)) *
-                                 std::exp(static_cast<long double>(n - 1) * Lq);
-  const TetraLaw law = LeaderSchedule::praos_induced_law(f, adv, n);
-  const long double ref_ph = (1.0L - p_adv) * one_honest;
-  const long double ref_bot = (1.0L - p_adv) * no_honest;
-  EXPECT_LE(std::fabs((long double)law.ph - ref_ph) / ref_ph, 1e-12L);
-  EXPECT_LE(std::fabs((long double)law.pBot - ref_bot) / ref_bot, 1e-12L);
-  EXPECT_NEAR(law.pBot + law.ph + law.pH + law.pA, 1.0, 1e-12);
-}
-
-TEST(Leader, PraosLotteryWithinClopperPearsonBands) {
-  // Exact-band agreement between the lottery and its analytic induced law:
-  // each symbol's frequency over a 10^4-slot horizon must sit inside the
-  // Clopper-Pearson band around the induced mass (no normal approximation —
-  // pH here is a rare event).
-  const double f = 0.25, adv_stake = 0.2;
-  const std::size_t parties = 8, horizon = 10'000;
-  const TetraLaw predicted = LeaderSchedule::praos_induced_law(f, adv_stake, parties);
-  Rng rng(20);
-  const LeaderSchedule schedule =
-      LeaderSchedule::praos_lottery(f, adv_stake, parties, horizon, rng);
-  const TetraString w = schedule.characteristic();
-  std::array<std::size_t, 4> counts{};
-  for (std::size_t t = 1; t <= horizon; ++t) ++counts[static_cast<std::size_t>(w.at(t))];
-  const std::array<double, 4> masses{predicted.pBot, predicted.ph, predicted.pH,
-                                     predicted.pA};
-  for (std::size_t s = 0; s < 4; ++s) {
-    const Proportion band = clopper_pearson_interval(counts[s], horizon, 0.999999);
-    EXPECT_LE(band.lo, masses[s]) << "symbol " << s;
-    EXPECT_GE(band.hi, masses[s]) << "symbol " << s;
   }
 }
 

@@ -414,9 +414,9 @@ TEST(HeteroNetwork, ObservedDeltaIsBoundedByTheLatencyCapOnAFullMesh) {
   Simulation sim(schedule, SimulationConfig{TieBreak::AdversarialOrder, 4242}, 3, nullptr,
                  nullptr, cfg);
   sim.run();
-  const NetReport report = sim.net_report();
-  EXPECT_TRUE(report.heterogeneous);
-  EXPECT_LE(report.observed_delta, 3u);
+  const DeliveryAudit audit = sim.delivery_audit();
+  EXPECT_TRUE(audit.heterogeneous);
+  EXPECT_LE(audit.observed_delta, 3u);
 }
 
 TEST(HeteroNetwork, DegenerateReportIsTrivial) {
@@ -425,10 +425,35 @@ TEST(HeteroNetwork, DegenerateReportIsTrivial) {
       LeaderSchedule::from_symbol_law(kTransportProbeLaw, 32, 4, rng);
   Simulation sim(schedule, SimulationConfig{TieBreak::AdversarialOrder, 7}, 0, nullptr);
   sim.run();
-  const NetReport report = sim.net_report();
-  EXPECT_FALSE(report.heterogeneous);
-  EXPECT_EQ(report.observed_delta, 0u);
-  EXPECT_EQ(report.pending_inflations, 0u);
+  const DeliveryAudit audit = sim.delivery_audit();
+  EXPECT_FALSE(audit.heterogeneous);
+  EXPECT_EQ(audit.observed_delta, 0u);
+  EXPECT_EQ(audit.pending_inflations, 0u);
+}
+
+TEST(HeteroNetwork, RunStoppedMidGossipInflatesTheObservedDelta) {
+  // 6-ring, one hop per slot: party 0's slot-4 block reaches parties 1 and 5
+  // at onset 5, 2 and 4 at onset 6, and party 3 at onset 7. Stopped at slot 5
+  // (deliveries flushed through onset 6), party 3 is still pending, so the
+  // audit raises Delta to at least last onset - forge slot.
+  std::vector<SlotLeaders> slots(16);
+  slots[3].honest = {0};
+  const LeaderSchedule schedule(std::move(slots), 6);
+  NetConfig cfg;
+  cfg.topology = TopologyKind::Ring;
+  Simulation sim(schedule, SimulationConfig{TieBreak::ConsistentHash, 3}, 0, nullptr, nullptr,
+                 cfg);
+  sim.run_until(5);
+  const std::size_t last_onset = sim.current_slot() + 1;
+  const std::size_t forge_slot = sim.all_blocks().back().slot;
+  ASSERT_EQ(forge_slot, 4u);
+  EXPECT_FALSE(sim.nodes()[3].tree().contains(sim.all_blocks().back().hash));
+  const DeliveryAudit audit = sim.delivery_audit();
+  EXPECT_TRUE(audit.heterogeneous);
+  EXPECT_FALSE(audit.faulted);
+  EXPECT_FALSE(audit.delivery_unbounded);
+  EXPECT_EQ(audit.pending_inflations, 1u);
+  EXPECT_GE(audit.observed_delta, last_onset - forge_slot);
 }
 
 TEST(HeteroNetwork, NoHonestOrphansWithoutAnAdversary) {

@@ -172,6 +172,37 @@ TEST(ClopperPearson, ExtremesAndWidthOrdering) {
   EXPECT_THROW(clopper_pearson_interval(5, 4), std::exception);
 }
 
+TEST(ClopperPearson, CoversAgreesWithTheInterval) {
+  // The duality check must decide coverage exactly as the bisected interval
+  // does: on a 1/64 grid of p, and just inside and outside every finite
+  // endpoint (scaled by 1 -+ 1e-9), for every x (a stride at n = 10^4).
+  std::size_t checks = 0;
+  for (const double confidence : {0.9, 0.99, 0.999999})
+    for (const std::size_t n : {1u, 2u, 7u, 32u, 160u, 200u, 10000u}) {
+      const std::size_t stride = n == 10000 ? 97 : 1;
+      for (std::size_t x = 0; x <= n; x += stride) {
+        const Proportion band = clopper_pearson_interval(x, n, confidence);
+        std::vector<double> probes;
+        for (int j = 0; j <= 64; ++j) probes.push_back(j / 64.0);
+        for (const double scale : {1.0 - 1e-9, 1.0 + 1e-9}) {
+          if (x > 0) probes.push_back(band.lo * scale);
+          if (x < n) probes.push_back(band.hi * scale);
+        }
+        for (const double p : probes) {
+          if (p > 1.0) continue;
+          const bool inside = band.lo <= p && p <= band.hi;
+          EXPECT_EQ(clopper_pearson_covers(x, n, p, confidence), inside)
+              << "x = " << x << ", n = " << n << ", p = " << p
+              << ", confidence = " << confidence;
+          ++checks;
+        }
+      }
+    }
+  EXPECT_GT(checks, 100000u);
+  EXPECT_THROW((void)clopper_pearson_covers(5, 4, 0.5), std::exception);
+  EXPECT_THROW((void)clopper_pearson_covers(2, 4, 1.5), std::exception);
+}
+
 TEST(DecayRate, RecoversExponentialRate) {
   std::vector<double> k, p;
   for (int i = 1; i <= 20; ++i) {
