@@ -11,7 +11,7 @@
 // noise hit. What the median over pairs cannot absorb is the process itself:
 // one process's layout (heap, code alignment) biases all of its pairs alike,
 // and same-code processes' medians spread by a few percent. With
-// MH_OBS_BENCH_PROCS=N (default 1; CI uses 3 x 9 pairs) the binary re-runs
+// MH_OBS_BENCH_PROCS=N (default 1; CI uses 5 x 15 pairs) the binary re-runs
 // itself as N fresh processes, one after another, and gates on the median of
 // their per-process medians. Two hard gates, each failing the process:
 //

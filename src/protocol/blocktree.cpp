@@ -25,21 +25,20 @@ constexpr std::uint64_t index_mix(BlockHash key) noexcept {
 }
 
 /// OrphanBuffer::flush against a tree or a view: retry every buffered block
-/// until a pass makes no progress. Added blocks go to `*accepted` in
-/// acceptance order and Orphan ones keep waiting; Duplicate and Invalid ones
-/// are dropped — a buffered block whose parent arrived but whose labels are
-/// bad is permanently invalid, so it is not retried forever.
-template <class Target>
-void retry_orphans(std::vector<Block>& orphans, Target& target, std::vector<Block>* accepted) {
+/// until a pass makes no progress. `admit` tries one block and reports an
+/// admission itself; Orphan blocks keep waiting, and Duplicate and Invalid
+/// ones are dropped — a buffered block whose parent arrived but whose labels
+/// are bad is permanently invalid, so it is not retried forever.
+template <class Admit>
+void retry_orphans(std::vector<Block>& orphans, Admit admit) {
   bool progress = true;
   while (progress && !orphans.empty()) {
     progress = false;
     std::vector<Block> still;
     still.reserve(orphans.size());
     for (const Block& b : orphans) {
-      switch (target.try_add(b)) {
+      switch (admit(b)) {
         case BlockTree::AddResult::Added:
-          if (accepted) accepted->push_back(b);
           progress = true;
           MH_OBS_COUNT("protocol.node.orphans_flushed", 1);
           break;
@@ -81,6 +80,8 @@ void reset_storage(BlockTree::Storage& s) {
   s.lift_off.clear();
   s.lift.clear();
   s.lift_built = 0;
+  s.member.clear();
+  s.columns = 0;
   if (s.index_vals.empty()) {
     s.index_keys.assign(kIndexInitialCap, 0);
     s.index_vals.assign(kIndexInitialCap, 0xffffffffu);
@@ -132,6 +133,26 @@ void BlockTree::seed_genesis() {
   s_.parents.push_back(0);  // genesis is its own parent slot (never walked)
   s_.arrival.push_back(genesis.hash);
   index_insert(genesis.hash, 0);
+}
+
+std::uint32_t BlockTree::add_column() {
+  std::vector<std::uint64_t>& member = s_.member;
+  const std::uint32_t column = s_.columns;
+  const std::size_t rows = column == 0 ? 0 : member.size() / column;
+  if (rows <= 1) {
+    // One row (genesis's word) is laid out the same at any width.
+    member.resize(column);
+    member.push_back(1);
+  } else {
+    std::vector<std::uint64_t> wider(rows * (column + 1), 0);
+    for (std::size_t w = 0; w < rows; ++w)
+      std::copy_n(member.begin() + static_cast<std::ptrdiff_t>(w * column), column,
+                  wider.begin() + static_cast<std::ptrdiff_t>(w * (column + 1)));
+    wider[column] = 1;
+    member.swap(wider);
+  }
+  s_.columns = column + 1;
+  return column;
 }
 
 std::uint32_t BlockTree::find(BlockHash hash) const noexcept {
@@ -249,8 +270,9 @@ std::uint32_t BlockTree::lift(std::uint32_t idx, std::size_t steps) const {
 
 std::vector<BlockHash> HeadSet::heads(const std::vector<BlockHash>& hashes) const {
   std::vector<BlockHash> out;
-  out.reserve(entries_.size());
-  for (const std::uint32_t entry : entries_) out.push_back(hashes[entry]);
+  out.reserve(1 + ties_.size());
+  out.push_back(hashes[first_]);
+  for (const std::uint32_t entry : ties_) out.push_back(hashes[entry]);
   return out;
 }
 
@@ -320,14 +342,24 @@ void OrphanBuffer::buffer(const Block& block) {
 }
 
 void OrphanBuffer::flush(BlockTree& tree, std::vector<Block>* accepted) {
-  retry_orphans(orphans_, tree, accepted);
+  retry_orphans(orphans_, [&](const Block& b) {
+    const BlockTree::AddResult r = tree.try_add(b);
+    if (r == BlockTree::AddResult::Added && accepted) accepted->push_back(b);
+    return r;
+  });
 }
 
-void OrphanBuffer::flush(TreeView& view, std::vector<Block>* accepted) {
-  retry_orphans(orphans_, view, accepted);
+void OrphanBuffer::flush(TreeView& view, std::vector<std::uint32_t>* accepted) {
+  retry_orphans(orphans_, [&](const Block& b) {
+    std::uint32_t entry = TreeView::kNone;
+    const BlockTree::AddResult r = view.try_add(b, view.lookup(b), &entry);
+    if (r == BlockTree::AddResult::Added && accepted) accepted->push_back(entry);
+    return r;
+  });
 }
 
-TreeView::TreeView(BlockTree* store) : store_(store), bits_(1, 1) {  // genesis
+TreeView::TreeView(BlockTree* store)
+    : store_(store), column_(store != nullptr ? store->add_column() : 0) {
   MH_REQUIRE(store != nullptr);
 }
 
@@ -337,33 +369,31 @@ TreeView::Lookup TreeView::lookup(const Block& block) const {
   return Lookup{entry, stored, stored || verify_block_integrity(block)};
 }
 
-BlockTree::AddResult TreeView::try_add(const Block& block, const Lookup& found) {
+BlockTree::AddResult TreeView::try_add(const Block& block, const Lookup& found,
+                                       std::uint32_t* added) {
   using AddResult = BlockTree::AddResult;
+  if (found.stored) {
+    const AddResult r = admit(found.entry);
+    if (r == AddResult::Added && added) *added = found.entry;
+    return r;
+  }
   if (found.entry != kNone && holds(found.entry)) return AddResult::Duplicate;
   if (!found.intact) return AddResult::Invalid;
-  const BlockTree::Storage& s = store_->s_;
-  if (found.stored) {
-    // The store checked the slot against the parent when the entry arrived.
-    if (!holds(s.parents[found.entry])) return AddResult::Orphan;
-    hold(found.entry);
-    return AddResult::Added;
-  }
   const std::uint32_t parent = store_->find(block.parent);
   if (parent == kNone || !holds(parent)) return AddResult::Orphan;
-  if (block.slot <= s.slots[parent]) return AddResult::Invalid;
+  if (block.slot <= store_->s_.slots[parent]) return AddResult::Invalid;
   // First admission of a block the store never recorded: intern it. A stored
   // entry under the same hash with other content would be a hash collision.
   MH_REQUIRE_MSG(found.entry == kNone, "block hash collision in the store");
-  hold(store_->append(block, parent));
+  const std::uint32_t entry = store_->append(block, parent);
+  hold(entry);
+  if (added) *added = entry;
   return AddResult::Added;
 }
 
-void TreeView::hold(std::uint32_t entry) {
-  const std::size_t word = entry >> 6;
-  if (word >= bits_.size()) bits_.resize(word + 1, 0);
-  bits_[word] |= std::uint64_t{1} << (entry & 63);
-  ++count_;
-  heads_.offer(entry, store_->s_.lengths[entry], store_->s_.arrival[entry]);
+void TreeView::add_rows(std::uint32_t entry) {
+  BlockTree::Storage& s = store_->s_;
+  s.member.resize((static_cast<std::size_t>(entry >> 6) + 1) * s.columns, 0);
 }
 
 bool TreeView::contains(BlockHash hash) const {
@@ -372,11 +402,12 @@ bool TreeView::contains(BlockHash hash) const {
 }
 
 std::vector<BlockHash> TreeView::members() const {
+  const BlockTree::Storage& s = store_->s_;
   std::vector<BlockHash> out;
   out.reserve(count_);
-  for (std::size_t word = 0; word < bits_.size(); ++word)
-    for (std::uint64_t bits = bits_[word]; bits != 0; bits &= bits - 1)
-      out.push_back(store_->s_.arrival[word * 64 + std::countr_zero(bits)]);
+  for (std::size_t word = column_, row = 0; word < s.member.size(); word += s.columns, ++row)
+    for (std::uint64_t bits = s.member[word]; bits != 0; bits &= bits - 1)
+      out.push_back(s.arrival[row * 64 + std::countr_zero(bits)]);
   return out;
 }
 

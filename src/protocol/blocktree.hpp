@@ -34,22 +34,29 @@
 // A tree is also a BLOCK STORE: an honest node holds a TreeView (below), a
 // membership set over the entries of a tree it shares with other nodes (in a
 // simulation, the global tree). Entries are append-only and their indices
-// stable, so a view can name a block by its 32-bit entry and read its
-// length, slot and parent from the shared columns.
+// stable, so a view, and the transport, name a block by its 32-bit entry and
+// read its length, slot and parent from the shared columns. The views' sets
+// are the columns of one word-major membership matrix the store owns: word w
+// of view c is member[w * columns + c], so a block delivered to every view
+// sets one bit in each of a run of consecutive words instead of touching one
+// allocation per view.
 //
-// The whole Storage block is recycled through a thread-local arena: a
-// destroyed tree donates its buffers, the next tree constructed on the same
-// thread reuses them, so a sweep cell that runs executions back to back
-// (each builds a global and a public tree) performs zero per-block
-// allocations after its first run reached the high-water mark. Recycling is
-// invisible to semantics (storage is fully reset on reuse; only capacities
-// survive).
+// The whole Storage block, matrix included, is recycled through a
+// thread-local arena: a destroyed tree donates its buffers, the next tree
+// constructed on the same thread reuses them, so a sweep cell that runs
+// executions back to back (each builds a global and a public tree) performs
+// zero per-block allocations after its first run reached the high-water
+// mark. Recycling is invisible to semantics (storage is fully reset on reuse;
+// only capacities survive). The arena stays because those back-to-back runs
+// are the oracle band's shape: thousands of short executions per worker,
+// each building two trees, measured ~10% slower without it.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "protocol/block.hpp"
@@ -61,19 +68,21 @@ enum class TieBreak { AdversarialOrder, ConsistentHash };
 /// The longest-chain head set, kept incrementally by trees and views alike:
 /// a strictly longer entry resets the tie set, an equal-length one joins it
 /// (arrival order is offer order), and the minimal head hash is tracked.
-/// Starts as {genesis}, entry 0.
+/// Starts as {genesis}, entry 0. The first-arrived head is kept inline and
+/// only later ties spill to a vector, so a view that never sees a tie never
+/// allocates for its heads.
 class HeadSet {
  public:
-  HeadSet() : entries_{0}, min_hash_(genesis_block().hash) {}
+  HeadSet() : min_hash_(genesis_block().hash) {}
 
   void offer(std::uint32_t entry, std::size_t length, BlockHash hash) {
     if (length > best_length_) {
       best_length_ = length;
-      entries_.clear();
-      entries_.push_back(entry);
+      first_ = entry;
+      ties_.clear();
       min_hash_ = hash;
     } else if (length == best_length_) {
-      entries_.push_back(entry);
+      ties_.push_back(entry);
       min_hash_ = std::min(min_hash_, hash);
     }
   }
@@ -84,15 +93,16 @@ class HeadSet {
   /// heads: the adversary, ordering deliveries per recipient, decides which
   /// tied head arrives first.
   [[nodiscard]] BlockHash best(TieBreak rule, const std::vector<BlockHash>& hashes) const {
-    return rule == TieBreak::AdversarialOrder ? hashes[entries_.front()] : min_hash_;
+    return rule == TieBreak::AdversarialOrder ? hashes[first_] : min_hash_;
   }
   /// The tied heads' hashes, in arrival order.
   [[nodiscard]] std::vector<BlockHash> heads(const std::vector<BlockHash>& hashes) const;
 
  private:
-  std::vector<std::uint32_t> entries_;  ///< max-length entries, arrival order
+  std::uint32_t first_ = 0;            ///< the first-arrived max-length entry
+  std::vector<std::uint32_t> ties_;    ///< later max-length entries, arrival order
   std::size_t best_length_ = 0;
-  BlockHash min_hash_;  ///< min hash among entries_
+  BlockHash min_hash_;  ///< min hash among the max-length entries
 };
 
 class BlockTree {
@@ -171,6 +181,18 @@ class BlockTree {
     return s_.arrival;
   }
 
+  /// Entry-level access for the transport and the simulation, which carry
+  /// 32-bit entries instead of blocks. Entries are stable: entry i is the
+  /// i-th arrival (genesis is entry 0).
+  static constexpr std::uint32_t kNoEntry = 0xffffffffu;
+  /// The entry holding `hash`, or kNoEntry.
+  [[nodiscard]] std::uint32_t find_entry(BlockHash hash) const noexcept { return find(hash); }
+  [[nodiscard]] const Block& entry_block(std::uint32_t entry) const { return s_.blocks[entry]; }
+  /// The parent's entry (genesis: 0).
+  [[nodiscard]] std::uint32_t entry_parent(std::uint32_t entry) const {
+    return s_.parents[entry];
+  }
+
   /// Structure-of-arrays storage. Public only as a type (for the arena API
   /// below); the columns themselves stay private to BlockTree.
   struct Storage {
@@ -192,6 +214,13 @@ class BlockTree {
     std::vector<BlockHash> index_keys;
     std::vector<std::uint32_t> index_vals;
     std::size_t index_size = 0;
+    /// The views' membership matrix, word-major: word w of column c is
+    /// member[w * columns + c], so one entry's bit across every view is one
+    /// run of consecutive words. Rows are appended as views hold later
+    /// entries; a new column is appended in place while the matrix has one
+    /// row, and re-lays it out once otherwise.
+    std::vector<std::uint64_t> member;
+    std::uint32_t columns = 0;
   };
 
   /// Cumulative counters of the calling thread's storage arena (diagnostics
@@ -207,9 +236,11 @@ class BlockTree {
 
  private:
   friend class TreeView;
-  static constexpr std::uint32_t kEmptySlot = 0xffffffffu;
+  static constexpr std::uint32_t kEmptySlot = kNoEntry;
 
   void seed_genesis();
+  /// Register one more membership column holding genesis; returns it.
+  std::uint32_t add_column();
   /// Insert a validated block under its parent's entry; returns its entry.
   std::uint32_t append(const Block& block, std::uint32_t parent_idx);
   [[nodiscard]] std::uint32_t find(BlockHash hash) const noexcept;
@@ -243,7 +274,8 @@ class OrphanBuffer {
   /// newly admitted blocks are appended to `*accepted` (when non-null) in
   /// acceptance order. Duplicate and Invalid outcomes drop the block.
   void flush(BlockTree& tree, std::vector<Block>* accepted);
-  void flush(TreeView& view, std::vector<Block>* accepted);
+  /// The same against a view; admitted blocks are reported as store entries.
+  void flush(TreeView& view, std::vector<std::uint32_t>* accepted);
   [[nodiscard]] std::size_t size() const noexcept { return orphans_.size(); }
   /// Drop every buffered orphan (crash: the buffer is volatile state).
   void clear() noexcept { orphans_.clear(); }
@@ -253,19 +285,28 @@ class OrphanBuffer {
 };
 
 /// One party's view of a shared block store: the set of the store's entries
-/// it holds (a bitset over entry indices), its maximum-length heads in its
-/// own arrival order, the min-hash head, the best length, a block count and
-/// its parent-unknown blocks. Admission and head selection follow
-/// BlockTree::try_add exactly, so a view answers every query the party's own
-/// tree would; chain length, slot and ancestry are properties of the block
-/// and are read from the store. A block whose content is identical to a
-/// stored one was header-checked when it entered the store, so only a
-/// lookup and a bit test remain; any other block gets the full check and,
+/// it holds, its maximum-length heads in its own arrival order, the min-hash
+/// head, the best length, a block count and its parent-unknown blocks.
+/// Admission and head selection follow BlockTree::try_add exactly, so a view
+/// answers every query the party's own tree would; chain length, slot and
+/// ancestry are properties of the block and are read from the store.
+///
+/// The set is one column of the store's membership matrix (see
+/// Storage::member), registered when the view is built; a block delivered to
+/// every view sets one bit in each of a run of consecutive words. A view owns
+/// its column, so it is movable but not copyable. A block whose content is
+/// identical to a stored one was header-checked when it entered the store, so
+/// only a bit test remains (admit); any other block gets the full check and,
 /// on its first admission, is interned in the store (its parent is held,
 /// hence stored). The store must outlive the view.
 class TreeView {
  public:
   explicit TreeView(BlockTree* store);
+
+  TreeView(TreeView&&) noexcept = default;
+  TreeView& operator=(TreeView&&) noexcept = default;
+  TreeView(const TreeView&) = delete;
+  TreeView& operator=(const TreeView&) = delete;
 
   /// A block resolved against the store with one index probe: the entry
   /// holding its hash (or kNone), whether that entry is this very block,
@@ -275,14 +316,24 @@ class TreeView {
     bool stored;
     bool intact;
   };
-  static constexpr std::uint32_t kNone = BlockTree::kEmptySlot;
+  static constexpr std::uint32_t kNone = BlockTree::kNoEntry;
   [[nodiscard]] Lookup lookup(const Block& block) const;
 
   /// BlockTree::try_add on the view: Duplicate if held, Invalid if the header
   /// is bad, Orphan if the parent is not held, Invalid unless the slot rises
-  /// above the parent's, else Added.
-  BlockTree::AddResult try_add(const Block& block, const Lookup& found);
+  /// above the parent's, else Added (and `*added`, when non-null, is the
+  /// block's entry).
+  BlockTree::AddResult try_add(const Block& block, const Lookup& found,
+                               std::uint32_t* added = nullptr);
   BlockTree::AddResult try_add(const Block& block) { return try_add(block, lookup(block)); }
+  /// try_add of the store's own entry `entry`: Duplicate if held, Orphan if
+  /// its parent is not, else Added. The store checked its header and slot.
+  BlockTree::AddResult admit(std::uint32_t entry) {
+    if (holds(entry)) return BlockTree::AddResult::Duplicate;
+    if (!holds(store_->s_.parents[entry])) return BlockTree::AddResult::Orphan;
+    hold(entry);
+    return BlockTree::AddResult::Added;
+  }
 
   /// The party's parent-unknown blocks, flushed against this view.
   [[nodiscard]] OrphanBuffer& orphans() noexcept { return orphans_; }
@@ -300,19 +351,35 @@ class TreeView {
   }
   /// The held blocks in store order: a set, not this view's arrival order.
   [[nodiscard]] std::vector<BlockHash> members() const;
+  [[nodiscard]] const BlockTree& store() const noexcept { return *store_; }
 
  private:
   [[nodiscard]] bool holds(std::uint32_t entry) const noexcept {
-    const std::size_t word = entry >> 6;
-    return word < bits_.size() && ((bits_[word] >> (entry & 63)) & 1u) != 0;
+    const BlockTree::Storage& s = store_->s_;
+    const std::size_t word = static_cast<std::size_t>(entry >> 6) * s.columns + column_;
+    return word < s.member.size() && ((s.member[word] >> (entry & 63)) & 1u) != 0;
   }
-  void hold(std::uint32_t entry);
+  void hold(std::uint32_t entry) {
+    BlockTree::Storage& s = store_->s_;
+    const std::size_t word = static_cast<std::size_t>(entry >> 6) * s.columns + column_;
+    if (word >= s.member.size()) add_rows(entry);
+    s.member[word] |= std::uint64_t{1} << (entry & 63);
+    ++count_;
+    heads_.offer(entry, s.lengths[entry], s.arrival[entry]);
+  }
+  /// Append zero rows to the matrix up to the one holding `entry`.
+  void add_rows(std::uint32_t entry);
 
   BlockTree* store_;
-  std::vector<std::uint64_t> bits_;  ///< membership over store entries
-  std::size_t count_ = 1;            ///< genesis is always held
+  std::uint32_t column_;   ///< this view's column of the store's matrix
+  std::size_t count_ = 1;  ///< genesis is always held
   HeadSet heads_;
   OrphanBuffer orphans_;
 };
+
+static_assert(!std::is_copy_constructible_v<TreeView> && !std::is_copy_assignable_v<TreeView>,
+              "a view owns its matrix column");
+static_assert(std::is_nothrow_move_constructible_v<TreeView>,
+              "views move when a node vector grows");
 
 }  // namespace mh

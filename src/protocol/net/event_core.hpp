@@ -1,18 +1,36 @@
-// The discrete-event heart of the transport: per-recipient priority queues of
-// timestamped deliveries.
+// The discrete-event heart of the transport: timestamped deliveries of 32-bit
+// refs, popped per recipient in (due, seq) order.
 //
-// Every scheduled send becomes a Delivery{due, seq, block}; seq is one global
-// monotone counter, so the pop order (due ascending, then seq ascending) is a
-// total order fixed at scheduling time. For the degenerate lockstep
-// configuration this reproduces the slot-bucket transport's contract exactly:
-// within one recipient, equal-due deliveries pop in scheduling order (global
-// seq preserves per-recipient insertion order), and buckets pop due-ascending
-// — which is why the golden transport digests survive the refactor
-// bit-identically. Under heterogeneous latency laws, deliveries may pop out
-// of insertion order (a late send with a short draw overtakes an early send
-// with a long one); the (due, seq) key is the contract drivers rely on.
+// A ref names what is delivered: an entry of the network's block store, or,
+// with the high bit set, an index into the network's side table of blocks the
+// store does not hold byte-for-byte (see Network). Every scheduled send takes
+// one seq from one global monotone counter, so the pop order (due ascending,
+// then seq ascending) is a total order fixed at scheduling time. Within one
+// recipient, equal-due deliveries pop in scheduling order; under heterogeneous
+// latency laws a late send with a short draw overtakes an early send with a
+// long one. The (due, seq) key is the contract callers rely on, and it is why
+// the golden transport digests survive any change to how deliveries are held.
+//
+// Deliveries are held two ways, merged by (due, seq) at collection:
+//
+//   * private: a per-recipient binary heap of 16-byte Delivery{seq, due, ref};
+//   * shared: a delivery to every recipient but one (`except`, the forger, or
+//     nobody for an adversarial injection) is ONE 16-byte Round{seq, ref,
+//     except}, appended to the bucket of its due in a power-of-two ring of
+//     buckets. Each recipient reads the rounds through its own cursor (due,
+//     position): it has read every round due before `due` and the first
+//     `position` rounds of bucket `due`. A crash sets the recipient's floor
+//     seq to the next seq, so every round pushed before it is skipped.
+//
+// A round due below some recipient's cursor can no longer be appended (that
+// cursor has passed its bucket), so it falls back to one private delivery per
+// recipient; the pop order is the same either way. A bucket is recycled once
+// every cursor has passed it; the ring doubles when a new due would land on a
+// bucket some cursor still has to read, up to a cap past which a round takes
+// the private fallback too.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <queue>
@@ -22,40 +40,69 @@
 
 namespace mh::net {
 
+/// A delivery's payload: a store entry, or kForeignTag | side-table index.
+using Ref = std::uint32_t;
+inline constexpr Ref kForeignTag = 0x80000000u;
+[[nodiscard]] constexpr bool is_foreign(Ref ref) noexcept { return (ref & kForeignTag) != 0; }
+
+/// The `except` of a round every recipient reads.
+inline constexpr PartyId kNobody = 0xffffffffu;
+
+/// Throws std::invalid_argument naming the slot of a due past 2^32 - 1.
+[[noreturn]] void due_overflow(std::size_t due);
+/// Dues are 32-bit: a due past 2^32 - 1 throws.
+[[nodiscard]] inline std::uint32_t narrow_due(std::size_t due) {
+  if (due > 0xffffffffu) due_overflow(due);
+  return static_cast<std::uint32_t>(due);
+}
+
+/// One private delivery.
 struct Delivery {
-  std::size_t due = 0;    ///< delivery at the onset of this slot
-  std::uint64_t seq = 0;  ///< global scheduling counter (ties within a due)
-  Block block;
+  std::uint64_t seq;
+  std::uint32_t due;
+  Ref ref;
 };
+static_assert(sizeof(Delivery) <= 16, "a private delivery is 16 bytes");
+
+/// One shared delivery: every recipient except `except` reads it.
+struct Round {
+  std::uint64_t seq;
+  Ref ref;
+  PartyId except;
+};
+static_assert(sizeof(Round) <= 16, "a shared round is 16 bytes");
 
 class EventCore {
  public:
-  explicit EventCore(std::size_t parties) : heaps_(parties) {}
+  explicit EventCore(std::size_t parties);
 
-  /// Schedule one delivery; the global seq counter stamps it.
-  void schedule(PartyId recipient, std::size_t due, const Block& block) {
-    heaps_[recipient].push(Delivery{due, seq_++, block});
-  }
+  /// Schedule one private delivery to `recipient`.
+  void schedule(PartyId recipient, std::size_t due, Ref ref);
+  /// Schedule one delivery to every recipient except `except` (kNobody for
+  /// all): one shared round, or the private fallback when a cursor has
+  /// already passed `due`.
+  void schedule_all(std::size_t due, Ref ref, PartyId except);
 
-  /// Append every delivery for `recipient` with due <= slot to `out`, in
-  /// (due asc, seq asc) order, removing them from the queue.
-  void collect_due(PartyId recipient, std::size_t slot, std::vector<Block>* out) {
-    auto& heap = heaps_[recipient];
-    while (!heap.empty() && heap.top().due <= slot) {
-      out->push_back(heap.top().block);
-      heap.pop();
-    }
-  }
+  /// Hand every delivery for `recipient` with due <= slot to `take(ref)`,
+  /// in (due asc, seq asc) order, and consume them. `take` must not
+  /// schedule.
+  template <class Take>
+  void collect(PartyId recipient, std::size_t slot, Take&& take);
 
-  /// Crash semantics: every queued delivery toward `recipient` is volatile
-  /// endpoint state and is lost.
-  void wipe(PartyId recipient) { heaps_[recipient] = Heap(); }
+  /// Crash semantics: every delivery queued toward `recipient`, private or
+  /// shared, is volatile endpoint state and is lost.
+  void wipe(PartyId recipient);
 
-  [[nodiscard]] std::size_t pending(PartyId recipient) const {
-    return heaps_[recipient].size();
-  }
+  /// Deliveries queued toward `recipient`, due or not.
+  [[nodiscard]] std::size_t pending(PartyId recipient) const;
+
+  /// Deliveries scheduled so far (the seq counter): unchanged means nothing
+  /// new of any kind was scheduled.
+  [[nodiscard]] std::uint64_t scheduled() const noexcept { return seq_; }
 
  private:
+  static constexpr std::uint32_t kNoDue = 0xffffffffu;
+
   struct Later {
     bool operator()(const Delivery& a, const Delivery& b) const noexcept {
       return a.due != b.due ? a.due > b.due : a.seq > b.seq;
@@ -63,8 +110,68 @@ class EventCore {
   };
   using Heap = std::priority_queue<Delivery, std::vector<Delivery>, Later>;
 
-  std::vector<Heap> heaps_;
+  /// A recipient's private heap, its read position in the shared rounds
+  /// (cursor due and position), and its crash floor seq.
+  struct Inbox {
+    Heap heap;
+    std::uint32_t due = 0;
+    std::uint32_t pos = 0;
+    std::uint64_t floor = 0;
+  };
+  struct Bucket {
+    std::uint32_t due = kNoDue;
+    std::vector<Round> rounds;
+  };
+
+  [[nodiscard]] std::uint32_t min_cursor() const noexcept;
+  /// Resize the ring so every bucket some cursor still has to read, and the
+  /// bucket of `due`, sit at distinct positions; false (and no change) when
+  /// that would pass the ring's size cap.
+  bool grow(std::uint32_t due);
+
+  std::vector<Inbox> inboxes_;
+  std::vector<Bucket> ring_;    ///< power-of-two size, bucket of due d at d & mask
+  std::uint32_t passed_ = 0;    ///< the highest cursor due: rounds below fall back
+  std::uint32_t last_due_ = 0;  ///< the highest due any bucket holds
+  bool shared_ = false;         ///< any round ever went to a bucket
   std::uint64_t seq_ = 0;
 };
+
+// Inline: the simulation collects once per node per delivery round.
+template <class Take>
+void EventCore::collect(PartyId recipient, std::size_t slot, Take&& take) {
+  Inbox& inbox = inboxes_[recipient];
+  Heap& heap = inbox.heap;
+  const std::uint32_t until = slot < kNoDue ? static_cast<std::uint32_t>(slot) : kNoDue;
+  // A collect at a lower slot than the cursor reads no round: every round it
+  // could see is due after that slot.
+  if (until >= inbox.due) {
+    const std::size_t mask = ring_.size() - 1;
+    const std::uint64_t last = std::min(until, last_due_);
+    for (std::uint64_t d = inbox.due; d <= last; ++d) {
+      const Bucket& bucket = ring_[d & mask];
+      if (bucket.due != d) continue;
+      for (std::size_t pos = d == inbox.due ? inbox.pos : 0; pos < bucket.rounds.size(); ++pos) {
+        const Round& round = bucket.rounds[pos];
+        if (round.except == recipient || round.seq < inbox.floor) continue;
+        // Private deliveries ahead of the round in (due, seq) order go first.
+        while (!heap.empty() &&
+               (heap.top().due < d || (heap.top().due == d && heap.top().seq < round.seq))) {
+          take(heap.top().ref);
+          heap.pop();
+        }
+        take(round.ref);
+      }
+    }
+    const Bucket& at = ring_[until & mask];
+    inbox.pos = at.due == until ? static_cast<std::uint32_t>(at.rounds.size()) : 0;
+    inbox.due = until;
+    passed_ = std::max(passed_, until);
+  }
+  while (!heap.empty() && heap.top().due <= until) {
+    take(heap.top().ref);
+    heap.pop();
+  }
+}
 
 }  // namespace mh::net

@@ -17,58 +17,180 @@ Network::Network(std::size_t parties, std::size_t delta, net::NetConfig config)
       hetero_(config.heterogeneous()),
       topology_(net::Topology::build(config.topology, parties, config.k, config.seed)),
       link_seeds_(config.seed),
-      events_(parties),
-      sent_(parties) {
+      events_(parties) {
   MH_REQUIRE_MSG(parties >= 1, "a network needs at least one party, got " +
                                    std::to_string(parties));
   config_.validate(parties);
   if (config_.bandwidth != 0) egress_.resize(parties);
 }
 
+void Network::bind_store(const BlockTree& store) {
+  if (store_ == nullptr) store_ = &store;
+  MH_REQUIRE_MSG(store_ == &store, "a network resolves every send against one block store");
+}
+
+// --- refs --------------------------------------------------------------------
+
+net::Ref Network::ref_of(const Block& block) {
+  if (store_ != nullptr) {
+    const std::uint32_t entry = store_->find_entry(block.hash);
+    if (entry != BlockTree::kNoEntry && store_->entry_block(entry) == block) {
+      MH_REQUIRE_MSG(entry < net::kForeignTag, "store entry " + std::to_string(entry) +
+                                                   " is past the 31-bit ref range");
+      return entry;
+    }
+  }
+  MH_REQUIRE_MSG(foreign_.size() < net::kForeignTag, "the side table of blocks is full");
+  foreign_.push_back(block);
+  return net::kForeignTag | static_cast<net::Ref>(foreign_.size() - 1);
+}
+
+std::uint32_t Network::sent_entry(const BlockTree& tree, const Block& block, std::size_t slot) {
+  bind_store(tree);
+  const std::uint32_t entry = tree.find_entry(block.hash);
+  MH_REQUIRE_MSG(entry != BlockTree::kNoEntry && tree.entry_block(entry) == block,
+                 "party " + std::to_string(block.issuer) + "'s slot-" +
+                     std::to_string(block.slot) + " block, sent at slot " +
+                     std::to_string(slot) + ", is not in the network's block store");
+  MH_REQUIRE_MSG(entry < net::kForeignTag, "store entry " + std::to_string(entry) +
+                                               " is past the 31-bit ref range");
+  return entry;
+}
+
+const Block& Network::block(net::Ref ref) const {
+  return net::is_foreign(ref) ? foreign_[ref & ~net::kForeignTag] : store_->entry_block(ref);
+}
+
 // --- the coverage rule -------------------------------------------------------
 
-bool Network::covered_all(BlockHash hash, std::size_t due) const {
-  if (hash == genesis_block().hash) return true;
-  if (sent_all_.empty()) return false;  // the common case on a gossip network
-  const auto it = sent_all_.find(hash);
-  return it != sent_all_.end() && it->second <= due;
+Network::EntryTable::EntryTable() : keys_(16, kEmpty), dues_(16, 0) {}
+
+std::size_t Network::EntryTable::home(std::uint64_t key) const noexcept {
+  key *= 0x9e3779b97f4a7c15ULL;
+  return static_cast<std::size_t>(key ^ (key >> 32)) & (keys_.size() - 1);
 }
 
-bool Network::covered(PartyId recipient, BlockHash hash, std::size_t due) const {
-  const Coverage& sent = sent_[recipient];
-  const auto it = sent.find(hash);
-  return (it != sent.end() && it->second <= due) || covered_all(hash, due);
+std::size_t Network::EntryTable::slot_of(std::uint64_t key) const noexcept {
+  const std::size_t mask = keys_.size() - 1;
+  std::size_t i = home(key);
+  while (keys_[i] != kEmpty && keys_[i] != key) i = (i + 1) & mask;
+  return i;
 }
 
-void Network::record(PartyId recipient, BlockHash hash, std::size_t due) {
-  if (covered_all(hash, due)) return;  // the bound already answers for everyone
-  const auto [it, inserted] = sent_[recipient].try_emplace(hash, due);
-  if (inserted)
-    ++recipient_entries_;
-  else
-    it->second = std::min(it->second, due);
+std::uint32_t Network::EntryTable::find(PartyId recipient, std::uint32_t entry) const noexcept {
+  if (size_ == 0) return kNever;
+  const std::size_t i = slot_of(std::uint64_t{entry} << 32 | recipient);
+  return keys_[i] == kEmpty ? kNever : dues_[i];
 }
 
-void Network::record_all(BlockHash hash, std::size_t due) {
-  const auto [it, inserted] = sent_all_.try_emplace(hash, due);
-  if (!inserted) it->second = std::min(it->second, due);
+void Network::EntryTable::lower(PartyId recipient, std::uint32_t entry, std::uint32_t due) {
+  if ((size_ + 1) * 8 >= keys_.size() * 7) rehash(keys_.size() * 2);
+  const std::uint64_t key = std::uint64_t{entry} << 32 | recipient;
+  const std::size_t i = slot_of(key);
+  if (keys_[i] == key) {
+    dues_[i] = std::min(dues_[i], due);
+    return;
+  }
+  keys_[i] = key;
+  dues_[i] = due;
+  ++size_;
+  if (entry >= holders_.size()) holders_.resize(entry + 1, 0);
+  ++holders_[entry];
+}
+
+void Network::EntryTable::erase_at(std::size_t index) {
+  // Backward shift: pull later keys of the probe run into the hole unless
+  // their home lies cyclically in (hole, position].
+  const std::size_t mask = keys_.size() - 1;
+  for (std::size_t j = (index + 1) & mask; keys_[j] != kEmpty; j = (j + 1) & mask) {
+    const std::size_t h = home(keys_[j]);
+    const bool stays = index <= j ? (index < h && h <= j) : (index < h || h <= j);
+    if (stays) continue;
+    keys_[index] = keys_[j];
+    dues_[index] = dues_[j];
+    index = j;
+  }
+  keys_[index] = kEmpty;
+  --size_;
+}
+
+void Network::EntryTable::erase_entry(std::uint32_t entry) {
+  if (entry >= holders_.size()) return;
+  for (PartyId r = 0; holders_[entry] != 0; ++r) {
+    const std::size_t i = slot_of(std::uint64_t{entry} << 32 | r);
+    if (keys_[i] == kEmpty) continue;
+    erase_at(i);
+    --holders_[entry];
+  }
+}
+
+std::size_t Network::EntryTable::erase_recipient(PartyId recipient) {
+  std::size_t erased = 0;
+  for (std::size_t i = 0; i < keys_.size(); ++i) {
+    if (keys_[i] == kEmpty || static_cast<PartyId>(keys_[i]) != recipient) continue;
+    --holders_[keys_[i] >> 32];
+    ++erased;
+    keys_[i] = kEmpty;
+  }
+  size_ -= erased;
+  if (erased != 0) rehash(keys_.size());  // re-seat the runs the holes broke
+  return erased;
+}
+
+void Network::EntryTable::rehash(std::size_t capacity) {
+  std::vector<std::uint64_t> keys(capacity, kEmpty);
+  std::vector<std::uint32_t> dues(capacity, 0);
+  keys.swap(keys_);
+  dues.swap(dues_);
+  const std::size_t mask = capacity - 1;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (keys[i] == kEmpty) continue;
+    std::size_t j = home(keys[i]);
+    while (keys_[j] != kEmpty) j = (j + 1) & mask;
+    keys_[j] = keys[i];
+    dues_[j] = dues[i];
+  }
+}
+
+bool Network::covered_all(std::uint32_t entry, std::size_t due) const {
+  if (entry == 0) return true;  // genesis
+  const std::uint32_t bound = entry < all_due_.size() ? all_due_[entry] : kNever;
+  return bound != kNever && bound <= due;
+}
+
+bool Network::covered(PartyId recipient, std::uint32_t entry, std::size_t due) const {
+  if (covered_all(entry, due)) return true;
+  const std::uint32_t own = sent_.find(recipient, entry);
+  return own != kNever && own <= due;
+}
+
+void Network::record(PartyId recipient, std::uint32_t entry, std::size_t due) {
+  if (covered_all(entry, due)) return;  // the bound already answers for everyone
+  sent_.lower(recipient, entry, net::narrow_due(due));
+}
+
+void Network::record_all(std::uint32_t entry, std::size_t due) {
+  if (entry >= all_due_.size()) all_due_.resize(store_->block_count(), kNever);
+  std::uint32_t& bound = all_due_[entry];
+  if (bound == kNever) ++all_count_;
+  bound = std::min(bound, net::narrow_due(due));
   // The bound now answers for every recipient: a per-recipient entry adds at
   // most a tighter due, and dropping it costs at most a duplicate re-ship,
   // which first arrivals never see.
-  if (recipient_entries_ != 0)
-    for (Coverage& sent : sent_) recipient_entries_ -= sent.erase(hash);
+  if (!sent_.empty()) sent_.erase_entry(entry);
 }
 
-void Network::fold(const BlockTree& tree, const Block& block, std::size_t due) {
-  for (BlockHash h = block.parent; !covered_all(h, due); h = tree.block(h).parent)
+void Network::fold(std::uint32_t entry, std::size_t due) {
+  for (std::uint32_t h = store_->entry_parent(entry); !covered_all(h, due);
+       h = store_->entry_parent(h))
     record_all(h, due);
-  record_all(block.hash, due);
+  record_all(entry, due);
 }
 
-void Network::require_party(PartyId party, const char* action) const {
-  MH_REQUIRE_MSG(party < parties_, std::string(action) + " for unknown party " +
-                                       std::to_string(party) + " (network has " +
-                                       std::to_string(parties_) + " parties)");
+void Network::unknown_party(PartyId party, const char* action) const {
+  require_failed("party < parties_", __FILE__, __LINE__,
+                 std::string(action) + " for unknown party " + std::to_string(party) +
+                     " (network has " + std::to_string(parties_) + " parties)");
 }
 
 // --- faults, bandwidth and latency -------------------------------------------
@@ -140,60 +262,58 @@ std::size_t Network::link_extra(std::size_t slot, PartyId sender, PartyId recipi
 // deliveries are scheduled millions of times per execution, and a hook on
 // each alone costs ~2% wall-clock on the E14 acceptance cell.
 
-std::size_t Network::send_link(const BlockTree& tree, const Block& block, PartyId sender,
-                               PartyId recipient, std::size_t slot, std::size_t hold,
-                               bool faulted) {
+std::size_t Network::send_link(std::uint32_t entry, PartyId sender, PartyId recipient,
+                               std::size_t slot, std::size_t hold, bool faulted) {
   // The bundle leaves no earlier than the sender's first free departure, so
   // a block covered by then needs no latency draw (the usual relay case: the
   // neighbor already has it).
   const std::size_t depart = egress_first(sender, slot);
-  if (covered(recipient, block.hash, depart + 1 + hold)) return 0;
+  if (covered(recipient, entry, depart + 1 + hold)) return 0;
   // The bundle lands no earlier than `earliest` (all of it leaving at once,
   // no fault delay): whatever is covered by then is covered by its real due
   // too, so the suffix walked here keeps the bundle chain-complete.
   const std::size_t earliest = depart + 1 + hold + link_extra(depart, sender, recipient);
-  if (covered(recipient, block.hash, earliest)) return 0;
+  if (covered(recipient, entry, earliest)) return 0;
   lift_scratch_.clear();
-  BlockHash h = block.parent;
-  for (; !covered(recipient, h, earliest); h = tree.block(h).parent) lift_scratch_.push_back(h);
+  std::uint32_t h = store_->entry_parent(entry);
+  for (; !covered(recipient, h, earliest); h = store_->entry_parent(h)) lift_scratch_.push_back(h);
   faults::LinkVerdict link{};
   // A lost ship records nothing: the next send on this chain walks past the
   // gap and re-ships the missing suffix.
   if (faulted && !faulted_link(sender, recipient, slot, &link)) return 0;
   MH_OBS_HIST("protocol.net.chain_sync_depth", lift_scratch_.size());
   // The walk stopping short of genesis means coverage answered it.
-  if (h != genesis_block().hash) MH_OBS_COUNT("protocol.net.coverage_hits", 1);
+  if (h != 0) MH_OBS_COUNT("protocol.net.coverage_hits", 1);
   const std::size_t blocks = lift_scratch_.size() + 1;
   // One due for the whole bundle: its last departure plus the link's draw at
   // its first, so no ancestor lands after the block.
   const std::size_t due =
       earliest + (egress_take(sender, slot, blocks) - depart) + link.extra_delay;
   for (std::size_t i = lift_scratch_.size(); i-- > 0;) {
-    events_.schedule(recipient, due, tree.block(lift_scratch_[i]));
+    events_.schedule(recipient, due, lift_scratch_[i]);
     record(recipient, lift_scratch_[i], due);
   }
-  events_.schedule(recipient, due, block);
-  if (link.duplicate) events_.schedule(recipient, due, block);
-  record(recipient, block.hash, due);
+  events_.schedule(recipient, due, entry);
+  if (link.duplicate) events_.schedule(recipient, due, entry);
+  record(recipient, entry, due);
   return blocks;
 }
 
-std::size_t Network::send_round(const BlockTree& tree, const Block& block, PartyId sender,
-                                std::size_t slot,
+std::size_t Network::send_round(std::uint32_t entry, PartyId sender, std::size_t slot,
                                 const std::vector<std::size_t>& per_recipient_delay) {
   const bool faulted = fault_window(slot);
-  record(sender, block.hash, slot);  // the sender holds what it sends
+  record(sender, entry, slot);  // the sender holds what it sends
   std::size_t shipped = 0;
   topology_.for_each_neighbor(sender, [&](PartyId r) {
     const std::size_t hold = per_recipient_delay.empty() ? 0 : per_recipient_delay[r];
-    shipped += send_link(tree, block, sender, r, slot, hold, faulted);
+    shipped += send_link(entry, sender, r, slot, hold, faulted);
   });
   // A lockstep round outside a fault window reached every party, so by its
   // latest due everyone holds the block with its whole ancestry.
   if (!hetero_ && !faulted) {
     std::size_t due = slot + 1;
     for (const std::size_t hold : per_recipient_delay) due = std::max(due, slot + 1 + hold);
-    fold(tree, block, due);
+    fold(entry, due);
   }
   return shipped;
 }
@@ -222,43 +342,37 @@ void Network::broadcast_chain(const BlockTree& tree, const Block& block, std::si
                        " exceeds Delta = " + std::to_string(delta_));
     uniform = uniform && per_recipient_delay[r] == per_recipient_delay.front();
   }
+  const std::uint32_t entry = sent_entry(tree, block, sent_slot);
   if (!uniform) {
-    const std::size_t shipped =
-        send_round(tree, block, block.issuer, sent_slot, per_recipient_delay);
+    const std::size_t shipped = send_round(entry, block.issuer, sent_slot, per_recipient_delay);
     MH_OBS_COUNT("protocol.net.blocks_shipped", shipped);
     return;
   }
   // One due for every recipient: one walk against the all-recipient bound
-  // covers them all, and each shipped block gets one all-recipient entry.
+  // covers them all, and each shipped block is one shared round and one
+  // all-recipient entry.
   const std::size_t due =
       sent_slot + 1 + (per_recipient_delay.empty() ? 0 : per_recipient_delay.front());
   lift_scratch_.clear();
-  BlockHash h = block.parent;
-  for (; !covered_all(h, due); h = tree.block(h).parent) lift_scratch_.push_back(h);
+  std::uint32_t h = store_->entry_parent(entry);
+  for (; !covered_all(h, due); h = store_->entry_parent(h)) lift_scratch_.push_back(h);
   MH_OBS_HIST("protocol.net.chain_sync_depth", lift_scratch_.size());
   MH_OBS_COUNT("protocol.net.blocks_shipped", (lift_scratch_.size() + 1) * (parties_ - 1));
-  if (h != genesis_block().hash) MH_OBS_COUNT("protocol.net.coverage_hits", 1);
-  const auto ship_to_all = [&](const Block& b) {
-    for (PartyId r = 0; r < parties_; ++r)
-      if (r != block.issuer) events_.schedule(r, due, b);
-  };
-  for (std::size_t i = lift_scratch_.size(); i-- > 0;) ship_to_all(tree.block(lift_scratch_[i]));
-  ship_to_all(block);
-  fold(tree, block, due);
+  if (h != 0) MH_OBS_COUNT("protocol.net.coverage_hits", 1);
+  for (std::size_t i = lift_scratch_.size(); i-- > 0;)
+    events_.schedule_all(due, lift_scratch_[i], block.issuer);
+  events_.schedule_all(due, entry, block.issuer);
+  fold(entry, due);
 }
 
 void Network::relay(const BlockTree& tree, const Block& block, PartyId relayer,
                     std::size_t slot) {
   require_party(relayer, "relay");
-  const std::size_t relayed = send_round(tree, block, relayer, slot, {});
+  const std::size_t relayed = send_round(sent_entry(tree, block, slot), relayer, slot, {});
   MH_OBS_COUNT("protocol.net.blocks_relayed", relayed);
 }
 
-void Network::inject(const Block& block, PartyId recipient, std::size_t visible_slot) {
-  require_party(recipient, "injection");
-  MH_REQUIRE_MSG(visible_slot >= block.slot,
-                 "non-monotone injection: a slot-" + std::to_string(block.slot) +
-                     " block cannot be visible at slot " + std::to_string(visible_slot));
+void Network::inject_ref(net::Ref ref, PartyId recipient, std::size_t visible_slot) {
   // Partitions never sever adversarial channels (the coalition keeps links
   // into every component), but a crashed endpoint receives nothing.
   if (faults_ != nullptr && faults_->is_down(recipient, visible_slot)) {
@@ -266,26 +380,44 @@ void Network::inject(const Block& block, PartyId recipient, std::size_t visible_
     return;
   }
   MH_OBS_COUNT("protocol.net.blocks_shipped", 1);
-  events_.schedule(recipient, visible_slot, block);
+  events_.schedule(recipient, visible_slot, ref);
   // Coverage must stay chain-complete: a partial disclosure (parent not
   // covered) is NOT recorded, so later honest sends re-ship the prefix.
-  if (covered(recipient, block.parent, visible_slot))
-    record(recipient, block.hash, visible_slot);
+  if (!net::is_foreign(ref) && covered(recipient, store_->entry_parent(ref), visible_slot))
+    record(recipient, ref, visible_slot);
 }
 
-void Network::inject_all(const Block& block, std::size_t visible_slot) {
-  // Unless the parent is covered for everyone outside a fault window (where
-  // a down recipient's ship is dropped), this is one injection per party.
-  if (fault_window(visible_slot) || !covered_all(block.parent, visible_slot)) {
-    for (PartyId r = 0; r < parties_; ++r) inject(block, r, visible_slot);
-    return;
-  }
+void Network::inject(const Block& block, PartyId recipient, std::size_t visible_slot) {
+  require_party(recipient, "injection");
   MH_REQUIRE_MSG(visible_slot >= block.slot,
                  "non-monotone injection: a slot-" + std::to_string(block.slot) +
                      " block cannot be visible at slot " + std::to_string(visible_slot));
+  inject_ref(ref_of(block), recipient, visible_slot);
+}
+
+void Network::inject_all(const Block& block, std::size_t visible_slot) {
+  MH_REQUIRE_MSG(visible_slot >= block.slot,
+                 "non-monotone injection: a slot-" + std::to_string(block.slot) +
+                     " block cannot be visible at slot " + std::to_string(visible_slot));
+  const net::Ref ref = ref_of(block);
+  // Inside a fault window a down recipient's ship is dropped: one injection
+  // per party.
+  if (fault_window(visible_slot)) {
+    for (PartyId r = 0; r < parties_; ++r) inject_ref(ref, r, visible_slot);
+    return;
+  }
   MH_OBS_COUNT("protocol.net.blocks_shipped", parties_);
-  for (PartyId r = 0; r < parties_; ++r) events_.schedule(r, visible_slot, block);
-  record_all(block.hash, visible_slot);  // one entry carries everyone's coverage
+  events_.schedule_all(visible_slot, ref, net::kNobody);
+  if (net::is_foreign(ref)) return;
+  // The coverage each per-party injection would record: one all-recipient
+  // entry when the parent is covered for everyone, else each recipient's own.
+  const std::uint32_t parent = store_->entry_parent(ref);
+  if (covered_all(parent, visible_slot)) {
+    record_all(ref, visible_slot);
+  } else if (!sent_.empty()) {
+    for (PartyId r = 0; r < parties_; ++r)
+      if (covered(r, parent, visible_slot)) record(r, ref, visible_slot);
+  }
 }
 
 void Network::crash_recipient(PartyId recipient) {
@@ -294,20 +426,19 @@ void Network::crash_recipient(PartyId recipient) {
   // claimed they would land. The all-recipient bound covers this recipient's
   // wiped in-flight messages too, so it is cleared — conservatively for
   // everyone, which only costs re-ships.
-  Coverage& sent = sent_[recipient];
-  const std::size_t invalidated = sent.size() + sent_all_.size();
+  const std::size_t invalidated = sent_.erase_recipient(recipient) + all_count_;
   if (faults_ != nullptr) faults_->stats().coverage_invalidated += invalidated;
   MH_OBS_COUNT("protocol.faults.coverage_invalidated", invalidated);
   events_.wipe(recipient);
-  recipient_entries_ -= sent.size();
-  sent.clear();
-  sent_all_.clear();
+  all_due_.clear();
+  all_count_ = 0;
 }
 
 void Network::resync_ship(const Block& block, PartyId recipient, std::size_t slot) {
   require_party(recipient, "re-sync");
-  events_.schedule(recipient, slot, block);
-  record(recipient, block.hash, slot);
+  const net::Ref ref = ref_of(block);
+  events_.schedule(recipient, slot, ref);
+  if (!net::is_foreign(ref)) record(recipient, ref, slot);
   if (faults_ != nullptr) ++faults_->stats().resync_blocks;
   MH_OBS_COUNT("protocol.faults.resync_blocks", 1);
 }
@@ -315,7 +446,7 @@ void Network::resync_ship(const Block& block, PartyId recipient, std::size_t slo
 void Network::collect_into(PartyId recipient, std::size_t slot, std::vector<Block>* out) {
   require_party(recipient, "collect");
   out->clear();
-  events_.collect_due(recipient, slot, out);
+  events_.collect(recipient, slot, [&](net::Ref ref) { out->push_back(block(ref)); });
 }
 
 }  // namespace mh

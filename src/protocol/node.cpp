@@ -16,18 +16,32 @@ HonestNode::HonestNode(PartyId id, TieBreak rule, const ScheduleSource* schedule
 }
 
 // blocks_received is counted (aggregated) by Simulation::deliver_due / step;
-// receive() itself only records the rare outcomes.
+// the admission paths only record the rare outcomes.
 void HonestNode::receive(const Block& block, std::vector<Block>* accepted) {
+  admitted_.clear();
+  admit(block, &admitted_);
+  if (accepted)
+    for (const std::uint32_t entry : admitted_) accepted->push_back(view_.store().entry_block(entry));
+}
+
+void HonestNode::admit(const Block& block, std::vector<std::uint32_t>* accepted) {
   const TreeView::Lookup found = view_.lookup(block);
   if (!found.intact ||                                   // forged header
       !schedule_->eligible(block.issuer, block.slot)) {  // signature check
     MH_OBS_COUNT("protocol.node.invalid_dropped", 1);
     return;
   }
-  switch (view_.try_add(block, found)) {
+  std::uint32_t entry = TreeView::kNone;
+  const BlockTree::AddResult result = view_.try_add(block, found, &entry);
+  settle(result, entry, block, accepted);
+}
+
+void HonestNode::settle(BlockTree::AddResult result, std::uint32_t entry, const Block& block,
+                        std::vector<std::uint32_t>* accepted) {
+  switch (result) {
     case BlockTree::AddResult::Added:
-      if (accepted) accepted->push_back(block);
-      view_.orphans().flush(view_, accepted);
+      if (accepted) accepted->push_back(entry);
+      if (view_.orphans().size() != 0) view_.orphans().flush(view_, accepted);
       break;
     case BlockTree::AddResult::Orphan:
       // Parent not yet known: buffer (deduplicated) and retry when ancestors

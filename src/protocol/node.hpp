@@ -3,7 +3,9 @@
 // block whenever the schedule elects it.
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "protocol/blocktree.hpp"
 #include "protocol/leader.hpp"
@@ -29,6 +31,19 @@ class HonestNode {
   /// unblocked, in acceptance order (parents first) — is appended to
   /// `*accepted` when non-null, so callers can mirror the node's view.
   void receive(const Block& block, std::vector<Block>* accepted = nullptr);
+  /// receive(), reporting admissions as entries of the view's store.
+  void admit(const Block& block, std::vector<std::uint32_t>* accepted);
+  /// receive() of the store's own entry `entry`, whose issuance the caller
+  /// has checked against this node's schedule: its header was checked when
+  /// it entered the store, so a bit test, a bit set and a head offer remain.
+  void admit_stored(std::uint32_t entry, std::vector<std::uint32_t>* accepted) {
+    const BlockTree::AddResult result = view_.admit(entry);
+    if (result == BlockTree::AddResult::Added && view_.orphans().size() == 0) {
+      if (accepted) accepted->push_back(entry);
+    } else if (result != BlockTree::AddResult::Duplicate) {
+      settle(result, entry, view_.store().entry_block(entry), accepted);
+    }
+  }
 
   /// Current longest-chain head under this node's tie-break rule.
   [[nodiscard]] BlockHash best_head() const { return view_.best_head(rule_); }
@@ -48,11 +63,16 @@ class HonestNode {
   void crash() noexcept { view_.orphans().clear(); }
 
  private:
+  /// Act on the view's verdict for `block` (entry `entry` once Added).
+  void settle(BlockTree::AddResult result, std::uint32_t entry, const Block& block,
+              std::vector<std::uint32_t>* accepted);
+
   PartyId id_;
   TieBreak rule_;
   const ScheduleSource* schedule_;
-  std::unique_ptr<BlockTree> own_store_;  ///< only when no store was passed
+  std::unique_ptr<BlockTree> own_store_;  ///< a one-column store, only when none was passed
   TreeView view_;
+  std::vector<std::uint32_t> admitted_;   ///< receive()'s entries, reused
 };
 
 }  // namespace mh

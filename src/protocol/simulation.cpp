@@ -36,6 +36,7 @@ Simulation::Simulation(const ScheduleSource& schedule, SimulationConfig config,
     fault_active_ = !faults_->plan().empty();
     if (fault_active_) network_.attach_faults(faults_);
   }
+  network_.bind_store(global_tree_);
   nodes_.reserve(schedule.honest_parties());
   for (PartyId p = 0; p < schedule.honest_parties(); ++p)
     nodes_.emplace_back(p, config.tie_break, &schedule_, &global_tree_);
@@ -53,11 +54,24 @@ void Simulation::run_until(std::size_t slot) {
   // Axiom A0 delivers a slot's broadcasts before the slot concludes; flush
   // everything already due at the upcoming onset so observations at the close
   // of `slot` see its blocks. step() re-collects idempotently (queues drain).
-  deliver_due(next_slot_);
+  count_received(deliver_due(next_slot_), 0);
   check_watches(next_slot_);
 }
 
-void Simulation::public_add(const Block& block) {
+void Simulation::count_received(std::size_t delivered, std::size_t self_received) {
+  if (delivered != 0) MH_OBS_COUNT("protocol.net.blocks_delivered", delivered);
+  if (delivered + self_received != 0)
+    MH_OBS_COUNT("protocol.node.blocks_received", delivered + self_received);
+}
+
+void Simulation::public_add(std::uint32_t entry) {
+  // An entry offered once needs no second offer: it was Added (a repeat
+  // would be a Duplicate), is buffered until its parent lands (a repeat
+  // would be a deduplicated Orphan), or was Invalid (forever).
+  std::uint8_t& flags = entry_flags(entry);
+  if ((flags & kMirrored) != 0) return;
+  flags |= kMirrored;
+  const Block& block = global_tree_.entry_block(entry);
   switch (public_tree_.try_add(block)) {
     case BlockTree::AddResult::Added:
       public_orphans_.flush(public_tree_, nullptr);
@@ -74,23 +88,51 @@ void Simulation::public_add(const Block& block) {
   }
 }
 
-void Simulation::deliver_due(std::size_t slot) {
-  // Delivery counters aggregate over the whole node loop (one add per round):
-  // per-(node, slot) hooks here run millions of times on the E14 scale cells.
+std::uint8_t& Simulation::entry_flags(std::uint32_t entry) {
+  if (entry >= entry_flags_.size()) entry_flags_.resize(global_tree_.block_count(), 0);
+  return entry_flags_[entry];
+}
+
+bool Simulation::eligible_entry(std::uint32_t entry) {
+  // A materialized slot's leaders never change, so the check of an entry is
+  // the same at every delivery.
+  std::uint8_t& flags = entry_flags(entry);
+  if ((flags & kChecked) == 0) {
+    const Block& block = global_tree_.entry_block(entry);
+    flags |= kChecked | (schedule_.eligible(block.issuer, block.slot) ? kEligible : 0);
+  }
+  return (flags & kEligible) != 0;
+}
+
+void Simulation::admit(HonestNode& node, std::uint32_t entry) {
+  if (eligible_entry(entry))
+    node.admit_stored(entry, &accepted_);
+  else
+    node.admit(global_tree_.entry_block(entry), &accepted_);
+}
+
+std::size_t Simulation::deliver_due(std::size_t slot) {
+  // Down-ness within a slot is fixed by the plan and relays never fall due
+  // at the slot they leave, so a sweep at a slot already swept finds
+  // nothing unless something was scheduled since.
+  if (slot == swept_slot_ && network_.scheduled() == swept_scheduled_) return 0;
   std::size_t delivered = 0;
   for (HonestNode& node : nodes_) {
     // A crashed endpoint neither collects nor processes; its queue was wiped
     // at crash time and stays empty while it is down.
     if (fault_active_ && faults_->is_down(node.id(), slot)) continue;
-    network_.collect_into(node.id(), slot, &delivery_scratch_);
-    delivered += delivery_scratch_.size();
-    for (const Block& b : delivery_scratch_) {
-      accepted_scratch_.clear();
-      node.receive(b, &accepted_scratch_);
+    network_.collect(node.id(), slot, &refs_);
+    delivered += refs_.size();
+    for (const net::Ref ref : refs_) {
+      accepted_.clear();
+      if (net::is_foreign(ref))
+        node.admit(network_.block(ref), &accepted_);
+      else
+        admit(node, ref);
       // Every block the node admitted — including orphans unblocked by this
       // delivery — joins the public tree (the seed dropped flushed orphans,
       // hiding real public-fork disagreements).
-      for (const Block& a : accepted_scratch_) {
+      for (const std::uint32_t entry : accepted_) {
         // Observed Delta: the max delay until a node could first ADOPT an
         // honest block — chain-complete acceptance, not raw arrival. (A
         // partial leak parks a block in the orphan buffer where it extends
@@ -102,24 +144,25 @@ void Simulation::deliver_due(std::size_t slot) {
         // the network's degradation — a later unrelated crash must not excuse
         // it. The ratchet precheck keeps slot - a.slot - 1 from underflowing
         // on rushed injections.
-        if ((fault_active_ || hetero_) && a.issuer != kAdversary &&
-            slot > a.slot + 1 + observed_delta_) {
-          const std::size_t raw = slot - a.slot - 1;
-          const std::size_t down =
-              fault_active_ ? faults_->down_slots_in(node.id(), a.slot + 1, slot) : 0;
-          if (raw > down + observed_delta_) observed_delta_ = raw - down;
+        if (fault_active_ || hetero_) {
+          const Block& a = global_tree_.entry_block(entry);
+          if (a.issuer != kAdversary && slot > a.slot + 1 + observed_delta_) {
+            const std::size_t raw = slot - a.slot - 1;
+            const std::size_t down =
+                fault_active_ ? faults_->down_slots_in(node.id(), a.slot + 1, slot) : 0;
+            if (raw > down + observed_delta_) observed_delta_ = raw - down;
+          }
         }
-        public_add(a);
+        public_add(entry);
         // Gossip: a node sends every block it admits on to its neighbors
         // (lockstep needs no relays: every party is a direct recipient).
-        if (hetero_) network_.relay(global_tree_, a, node.id(), slot);
+        if (hetero_) network_.relay(global_tree_, global_tree_.entry_block(entry), node.id(), slot);
       }
     }
   }
-  if (delivered != 0) {
-    MH_OBS_COUNT("protocol.net.blocks_delivered", delivered);
-    MH_OBS_COUNT("protocol.node.blocks_received", delivered);
-  }
+  swept_slot_ = slot;
+  swept_scheduled_ = network_.scheduled();
+  return delivered;
 }
 
 void Simulation::step() {
@@ -137,7 +180,7 @@ void Simulation::step() {
   if (fault_active_) apply_fault_events(t);
 
   // 1. Deliveries due at the onset of slot t, then settlement observations.
-  deliver_due(t);
+  std::size_t delivered = deliver_due(t);
   check_watches(t);
 
   // 2. Adversarial action (minting / injection for this slot). Late
@@ -145,7 +188,7 @@ void Simulation::step() {
   //    they forge (the adversary is rushing).
   if (adversary_) {
     adversary_->on_slot_begin(t, *this);
-    deliver_due(t);
+    delivered += deliver_due(t);
   }
 
   // 3. Honest leaders forge concurrently: all choose parents before any new
@@ -171,10 +214,8 @@ void Simulation::step() {
     }
     forged.push_back(make_block(parent, t, leader, rng_()));
   }
-  if (!forged.empty()) {
-    MH_OBS_COUNT("protocol.sim.honest_forged", forged.size());
-    MH_OBS_COUNT("protocol.node.blocks_received", forged.size());  // leader self-receives
-  }
+  if (!forged.empty()) MH_OBS_COUNT("protocol.sim.honest_forged", forged.size());
+  count_received(delivered, forged.size());  // leaders self-receive their blocks
 
   // 4. Broadcast; record; leaders adopt their own blocks immediately. Honest
   //    participants broadcast *chains* (the model's messages are blockchains),
@@ -185,9 +226,9 @@ void Simulation::step() {
   for (const Block& block : forged) {
     global_tree_.add(block);
     all_blocks_.push_back(block);
-    accepted_scratch_.clear();
-    nodes_[block.issuer].receive(block, &accepted_scratch_);
-    for (const Block& a : accepted_scratch_) public_add(a);
+    accepted_.clear();
+    admit(nodes_[block.issuer], global_tree_.find_entry(block.hash));
+    for (const std::uint32_t entry : accepted_) public_add(entry);
     std::vector<std::size_t> delays;
     if (adversary_) delays = adversary_->delivery_delays(block, t, *this);
     network_.broadcast_chain(global_tree_, block, t, delays);
@@ -342,10 +383,22 @@ void Simulation::check_watches(std::size_t onset_slot) {
     // Observing the fork at the close of slot onset_slot - 1; the settlement
     // game begins its checks at forks covering slot s + k.
     if (onset_slot < watch.s + watch.k + 1) continue;
+    // Maximal nodes mostly share a few heads: each distinct head's prefix is
+    // computed once per onset.
+    prefixes_.clear();
     for (const HonestNode& node : nodes_) {
       if (fault_active_ && faults_->is_down(node.id(), onset_slot)) continue;
       if (node.best_length() != best) continue;
-      const BlockHash prefix = prefix_at(node.best_head(), watch.s);
+      const BlockHash head = node.best_head();
+      const auto memo = std::find_if(prefixes_.begin(), prefixes_.end(),
+                                     [&](const auto& known) { return known.first == head; });
+      BlockHash prefix;
+      if (memo != prefixes_.end()) {
+        prefix = memo->second;
+      } else {
+        prefix = prefix_at(head, watch.s);
+        prefixes_.emplace_back(head, prefix);
+      }
       if (!watch.has_record) {
         watch.has_record = true;
         watch.recorded_prefix = prefix;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -419,13 +420,23 @@ class ReferenceNode {
   const ScheduleSource& schedule_;
 };
 
+static_assert(!std::is_copy_constructible_v<TreeView> && !std::is_copy_assignable_v<TreeView>,
+              "a view owns its column of the store's membership matrix");
+static_assert(std::is_nothrow_move_constructible_v<HonestNode>,
+              "nodes move, column and all, when a node vector grows");
+
 TEST(TreeView, DifferentialFuzzAgainstReferenceTree) {
-  // Honest nodes keep membership views over a block store. Three share one
-  // store (pre-seeded with part of the universe, as a Simulation records
-  // blocks before delivering them), one owns a private store; each takes the
-  // same universe in its own order. After every receive, each node must
-  // agree with its own reference node on the accepted list, the membership,
-  // the head set and both tie-break rules, and the orphan count.
+  // Honest nodes keep membership views over a block store, each view one
+  // column of the store's membership matrix. Three share one store
+  // (pre-seeded with part of the universe, as a Simulation records blocks
+  // before delivering them), one owns a one-column private store; each takes
+  // the same universe in its own order. Halfway through, two more nodes join
+  // (one on the shared store, registered after its matrix grew past one row,
+  // and one private): the node vector's growth moves every node, column and
+  // all, and the newcomers take the rest of their own orders. After every
+  // receive, each node must agree with its own reference node on the accepted
+  // list, the membership, the head set and both tie-break rules, and the
+  // orphan count.
   constexpr std::size_t kBlocks = 160;
   constexpr std::size_t kHorizon = 2 * kBlocks + 2;
   // Party 0 leads every slot, the adversary every third; party 1 never leads.
@@ -462,17 +473,22 @@ TEST(TreeView, DifferentialFuzzAgainstReferenceTree) {
     BlockTree store;
     for (const Block& b : universe)
       if (rng.bernoulli(0.5)) store.add(b);
-    std::vector<HonestNode> nodes;
+    std::vector<HonestNode> nodes;  // no reserve: the late joiners move everyone
     for (PartyId p = 0; p < 3; ++p) nodes.emplace_back(p, TieBreak::AdversarialOrder, &schedule, &store);
     nodes.emplace_back(3, TieBreak::ConsistentHash, &schedule);  // private store
-    std::vector<ReferenceNode> refs(nodes.size(), ReferenceNode(schedule));
-    std::vector<std::vector<Block>> orders(nodes.size(), universe);
+    std::vector<ReferenceNode> refs(nodes.size() + 2, ReferenceNode(schedule));
+    std::vector<std::vector<Block>> orders(refs.size(), universe);
     for (std::vector<Block>& order : orders)
       for (std::size_t i = order.size() - 1; i > 0; --i) std::swap(order[i], order[rng.below(i + 1)]);
     // One node takes the universe child-first: every chain arrives orphan-first.
     std::reverse(orders[1].begin(), orders[1].end());
 
-    for (std::size_t step = 0; step < universe.size(); ++step)
+    const std::size_t join = universe.size() / 2;
+    for (std::size_t step = 0; step < universe.size(); ++step) {
+      if (step == join) {
+        nodes.emplace_back(4, TieBreak::AdversarialOrder, &schedule, &store);
+        nodes.emplace_back(5, TieBreak::AdversarialOrder, &schedule);  // private store
+      }
       for (std::size_t n = 0; n < nodes.size(); ++n) {
         const Block& b = orders[n][step];
         std::vector<Block> accepted;
@@ -488,13 +504,47 @@ TEST(TreeView, DifferentialFuzzAgainstReferenceTree) {
         ASSERT_EQ(view.best_head(TieBreak::ConsistentHash), ref.best_head(TieBreak::ConsistentHash));
         ASSERT_EQ(nodes[n].buffered_orphans(), refs[n].orphans.size());
         for (const Block& u : universe) ASSERT_EQ(view.contains(u.hash), ref.contains(u.hash));
+        // members() enumerates this view's column alone.
         std::vector<BlockHash> members = view.members();
         std::vector<BlockHash> want = ref.arrival_order();
+        ASSERT_EQ(members.size(), view.block_count());
         std::sort(members.begin(), members.end());
         std::sort(want.begin(), want.end());
         ASSERT_EQ(members, want);
       }
+    }
   }
+}
+
+TEST(TreeView, ALateColumnOverAGrownMatrixStartsAtGenesis) {
+  // One view holds a 200-block chain, so the matrix has four rows; a view
+  // registered afterwards re-lays it out once, starts with genesis alone,
+  // and leaves the first view's membership intact.
+  const LeaderSchedule schedule = [] {
+    std::vector<SlotLeaders> slots(300);
+    for (SlotLeaders& s : slots) s.honest = {0};
+    return LeaderSchedule(std::move(slots), 1);
+  }();
+  BlockTree store;
+  HonestNode early(0, TieBreak::AdversarialOrder, &schedule, &store);
+  BlockHash tip = genesis_block().hash;
+  for (std::uint64_t slot = 1; slot <= 200; ++slot) {
+    const Block b = make_block(tip, slot, 0, slot);
+    early.receive(b);
+    tip = b.hash;
+  }
+  HonestNode late(0, TieBreak::AdversarialOrder, &schedule, &store);
+  EXPECT_EQ(late.tree().block_count(), 1u);
+  EXPECT_EQ(late.tree().members(), std::vector<BlockHash>{genesis_block().hash});
+  EXPECT_EQ(late.best_head(), genesis_block().hash);
+  EXPECT_EQ(early.tree().block_count(), 201u);
+  EXPECT_EQ(early.tree().members(), store.arrival_order());
+  EXPECT_EQ(early.best_head(), tip);
+  // The late view admits the stored chain in order, parents first.
+  for (std::size_t i = 1; i < store.arrival_order().size(); ++i)
+    late.receive(store.block(store.arrival_order()[i]));
+  EXPECT_EQ(late.tree().members(), store.arrival_order());
+  EXPECT_EQ(late.best_head(), tip);
 }
 
 TEST(BlockTree, LiftPropertiesAtPowerOfTwoLengthBoundaries) {

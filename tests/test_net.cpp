@@ -45,60 +45,171 @@ std::vector<Block> drain(Network& net, PartyId recipient, std::size_t slot) {
 }
 
 // ---------------------------------------------------------------------------
-// EventCore: the (due, seq) total order
+// EventCore: the (due, seq) total order over private and shared deliveries
 // ---------------------------------------------------------------------------
+
+std::vector<net::Ref> collect(EventCore& core, PartyId recipient, std::size_t slot) {
+  std::vector<net::Ref> out;
+  core.collect(recipient, slot, [&](net::Ref ref) { out.push_back(ref); });
+  return out;
+}
+
+using Refs = std::vector<net::Ref>;
 
 TEST(EventCore, PopsDueAscendingThenSchedulingOrder) {
   EventCore core(1);
-  const Block a = test_block(1), b = test_block(2), c = test_block(3);
-  core.schedule(0, 5, a);
-  core.schedule(0, 3, b);
-  core.schedule(0, 5, c);
-  std::vector<Block> out;
-  core.collect_due(0, 10, &out);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].payload, 2u);  // earliest due first...
-  EXPECT_EQ(out[1].payload, 1u);  // ...then scheduling order within a due
-  EXPECT_EQ(out[2].payload, 3u);
+  core.schedule(0, 5, 1);
+  core.schedule(0, 3, 2);
+  core.schedule(0, 5, 3);
+  // Earliest due first, then scheduling order within a due.
+  EXPECT_EQ(collect(core, 0, 10), Refs({2, 1, 3}));
 }
 
 TEST(EventCore, CollectHonorsTheDueBoundAndDrains) {
   EventCore core(2);
-  core.schedule(0, 2, test_block(1));
-  core.schedule(0, 4, test_block(2));
-  core.schedule(1, 2, test_block(3));
-  std::vector<Block> out;
-  core.collect_due(0, 3, &out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].payload, 1u);
-  EXPECT_EQ(core.pending(0), 1u);   // the due-4 delivery is still queued
-  EXPECT_EQ(core.pending(1), 1u);   // other recipients untouched
-  out.clear();
-  core.collect_due(0, 4, &out);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].payload, 2u);
+  core.schedule(0, 2, 1);
+  core.schedule(0, 4, 2);
+  core.schedule(1, 2, 3);
+  EXPECT_EQ(collect(core, 0, 3), Refs{1});
+  EXPECT_EQ(core.pending(0), 1u);  // the due-4 delivery is still queued
+  EXPECT_EQ(core.pending(1), 1u);  // other recipients untouched
+  EXPECT_EQ(collect(core, 0, 4), Refs{2});
 }
 
 TEST(EventCore, SeqOrderSurvivesOutOfInsertionDues) {
   // A later-scheduled send with a shorter draw overtakes an earlier one: the
   // contract is (due, seq), NOT insertion order.
   EventCore core(1);
-  core.schedule(0, 9, test_block(1));  // scheduled first, lands last
-  core.schedule(0, 2, test_block(2));
-  std::vector<Block> out;
-  core.collect_due(0, 100, &out);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].payload, 2u);
-  EXPECT_EQ(out[1].payload, 1u);
+  core.schedule(0, 9, 1);  // scheduled first, lands last
+  core.schedule(0, 2, 2);
+  EXPECT_EQ(collect(core, 0, 100), Refs({2, 1}));
 }
 
 TEST(EventCore, WipeDropsOnlyThatRecipient) {
   EventCore core(2);
-  core.schedule(0, 2, test_block(1));
-  core.schedule(1, 2, test_block(2));
+  core.schedule(0, 2, 1);
+  core.schedule(1, 2, 2);
+  core.schedule_all(3, 7, net::kNobody);
   core.wipe(0);
   EXPECT_EQ(core.pending(0), 0u);
-  EXPECT_EQ(core.pending(1), 1u);
+  EXPECT_EQ(core.pending(1), 2u);
+}
+
+TEST(EventCore, SharedRoundSkipsItsExceptAndCountsOncePerRecipient) {
+  EventCore core(3);
+  const std::uint64_t before = core.scheduled();
+  core.schedule_all(2, 5, 1);  // everyone but party 1
+  EXPECT_EQ(core.scheduled(), before + 1);  // one round, one seq
+  EXPECT_EQ(collect(core, 0, 2), Refs{5});
+  EXPECT_TRUE(collect(core, 1, 2).empty());
+  EXPECT_EQ(collect(core, 2, 2), Refs{5});
+  EXPECT_TRUE(collect(core, 0, 2).empty());  // consumed
+}
+
+TEST(EventCore, SharedAndPrivateDeliveriesWithOneDuePopInSeqOrder) {
+  EventCore core(2);
+  core.schedule(0, 4, 1);
+  core.schedule_all(4, 2, net::kNobody);
+  core.schedule(0, 4, 3);
+  core.schedule_all(4, 4, net::kNobody);
+  core.schedule(1, 3, 9);
+  EXPECT_EQ(collect(core, 0, 4), Refs({1, 2, 3, 4}));
+  EXPECT_EQ(collect(core, 1, 4), Refs({9, 2, 4}));  // due 3 ahead of due 4
+}
+
+TEST(EventCore, RoundsAppendedAtACollectedSlotLandAtTheNextCollect) {
+  // Collecting at slot 5 leaves each cursor inside bucket 5: a round pushed
+  // there afterwards (an injection visible at the current slot) is read at
+  // the next collect, after what was read before.
+  EventCore core(2);
+  core.schedule_all(5, 1, net::kNobody);
+  EXPECT_EQ(collect(core, 0, 5), Refs{1});
+  core.schedule_all(5, 2, net::kNobody);
+  EXPECT_EQ(collect(core, 0, 5), Refs{2});
+  EXPECT_EQ(collect(core, 1, 5), Refs({1, 2}));
+}
+
+TEST(EventCore, ARoundBelowACollectedSlotFallsBackAheadOfLaterDues) {
+  // Party 0 collected slot 6, so a round due 3 cannot join a bucket: it
+  // falls back to one private copy per recipient, and each still pops ahead
+  // of the later dues already queued.
+  EventCore core(2);
+  core.schedule_all(7, 1, net::kNobody);
+  EXPECT_TRUE(collect(core, 0, 6).empty());
+  core.schedule_all(3, 2, net::kNobody);
+  EXPECT_EQ(core.pending(1), 2u);
+  EXPECT_EQ(collect(core, 0, 7), Refs({2, 1}));
+  EXPECT_EQ(collect(core, 1, 7), Refs({2, 1}));
+}
+
+TEST(EventCore, CollectingAtALowerSlotReturnsOnlyPrivateEntriesDueByThen) {
+  EventCore core(1);
+  core.schedule_all(9, 1, net::kNobody);
+  core.schedule(0, 2, 2);
+  core.schedule(0, 8, 3);
+  EXPECT_TRUE(collect(core, 0, 1).empty());
+  core.schedule_all(10, 4, net::kNobody);
+  EXPECT_EQ(collect(core, 0, 9), Refs({2, 3, 1}));
+  // The cursor sits at 9; an earlier slot drains only what is privately due.
+  core.schedule(0, 4, 5);
+  core.schedule(0, 6, 6);
+  EXPECT_EQ(collect(core, 0, 4), Refs{5});
+  EXPECT_EQ(collect(core, 0, 10), Refs({6, 4}));
+}
+
+TEST(EventCore, ACrashDropsSharedRoundsAlreadyPushed) {
+  EventCore core(2);
+  core.schedule_all(4, 1, net::kNobody);
+  core.wipe(0);
+  core.schedule_all(4, 2, net::kNobody);
+  EXPECT_EQ(collect(core, 0, 4), Refs{2});  // only the round after the crash
+  EXPECT_EQ(collect(core, 1, 4), Refs({1, 2}));
+}
+
+TEST(EventCore, TheRingGrowsPastLaggingCursors) {
+  // Party 1 never collects, so every bucket stays live: the ring must grow
+  // instead of recycling a bucket party 1 has not read.
+  EventCore core(2);
+  for (net::Ref due = 1; due <= 100; ++due) {
+    core.schedule_all(due, due, net::kNobody);
+    EXPECT_EQ(collect(core, 0, due), Refs{due});
+  }
+  Refs all;
+  for (net::Ref due = 1; due <= 100; ++due) all.push_back(due);
+  EXPECT_EQ(collect(core, 1, 100), all);
+}
+
+TEST(EventCore, RoundsFarAheadOfTheCursorsFallBack) {
+  // A round a million slots past every cursor, or one that would stretch the
+  // ring past its cap behind a recipient that stopped collecting, is pushed
+  // privately instead; the pop order is unchanged.
+  EventCore core(2);
+  core.schedule_all(1, 1, net::kNobody);
+  EXPECT_EQ(collect(core, 0, 1), Refs{1});
+  core.schedule_all(1000000, 99, net::kNobody);
+  Refs all{1};
+  for (net::Ref due = 2; due <= 70000; ++due) {
+    core.schedule_all(due, due, net::kNobody);  // party 1 pins every bucket
+    all.push_back(due);
+  }
+  all.push_back(99);
+  EXPECT_EQ(core.pending(1), all.size());
+  EXPECT_EQ(collect(core, 1, 1000000), all);
+  EXPECT_EQ(collect(core, 0, 1000000), Refs(all.begin() + 1, all.end()));
+}
+
+TEST(EventCore, ADuePast32BitsThrowsNamingTheSlot) {
+  EventCore core(2);
+  const std::size_t due = std::size_t{1} << 32;
+  EXPECT_THROW(core.schedule(0, due, 1), std::invalid_argument);
+  EXPECT_THROW(core.schedule_all(due, 1, net::kNobody), std::invalid_argument);
+  try {
+    core.schedule(0, due, 1);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(std::to_string(due)), std::string::npos);
+  }
+  core.schedule(0, due - 1, 1);  // the last 32-bit due is legal
+  EXPECT_EQ(core.pending(0), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -318,6 +429,7 @@ TEST(HeteroNetwork, RelayShipsTheChainItsNeighborLacks) {
   const Block b = make_block(a.hash, 2, kAdversary, 2);
   tree.add(a);
   tree.add(b);
+  net.bind_store(tree);  // the injection resolves against the store
   net.inject(a, 2, 2);
   (void)drain(net, 2, 2);
   net.relay(tree, b, 1, 3);
@@ -328,6 +440,29 @@ TEST(HeteroNetwork, RelayShipsTheChainItsNeighborLacks) {
   const auto to2 = drain(net, 2, 4);
   ASSERT_EQ(to2.size(), 1u);
   EXPECT_EQ(to2[0].hash, b.hash);
+}
+
+TEST(HeteroNetwork, ATamperedCopyNeverCoversTheGenuineBlockForRelays) {
+  // Ring 0-1-2-3-0. A tampered copy of party 0's block h (same hash, bad
+  // header) reaches party 2 at slot 1, before h leaves party 0. Both of
+  // party 2's neighbours later relay h: the first relay must still ship it.
+  NetConfig cfg;
+  cfg.topology = TopologyKind::Ring;
+  Network net(4, 0, cfg);
+  BlockTree tree;
+  const Block h = test_block(1, 1, 0);
+  tree.add(h);
+  net.bind_store(tree);
+  Block tampered = h;
+  tampered.payload ^= 0xbad;
+  net.inject(tampered, 2, 1);
+  EXPECT_EQ(drain(net, 2, 1), std::vector<Block>{tampered});
+  net.broadcast_chain(tree, h, 1);
+  EXPECT_EQ(drain(net, 1, 2), std::vector<Block>{h});
+  EXPECT_EQ(drain(net, 3, 2), std::vector<Block>{h});
+  net.relay(tree, h, 1, 2);
+  net.relay(tree, h, 3, 2);
+  EXPECT_EQ(drain(net, 2, 3), std::vector<Block>{h});  // once: the second relay is covered
 }
 
 TEST(HeteroNetwork, AncestorInFlightPastTheChildsDueIsReShipped) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <queue>
 #include <string>
 
 #include "protocol/faults/injector.hpp"
@@ -229,9 +230,10 @@ TEST(Network, InjectionCoversOnlyWhenChainComplete) {
   EXPECT_EQ(due[1].hash, b.hash);
   EXPECT_EQ(due[2].hash, c.hash);
 
-  // Chain-complete injections DO cover: after the adversary publishes
-  // a -> b in order, forging on b ships only the new block.
+  // Chain-complete injections of stored blocks DO cover: after the adversary
+  // publishes a -> b in order, forging on b ships only the new block.
   Network net2(2, 0);
+  net2.bind_store(tree);
   net2.inject_all(a, 1);
   net2.inject_all(b, 2);
   net2.broadcast_chain(tree, c, 3);
@@ -298,6 +300,68 @@ TEST(Network, FoldCoversEveryoneAtTheRoundsLatestDueAndDropsEntries) {
   }
 }
 
+TEST(Network, ATamperedCopyNeverCoversTheGenuineBlock) {
+  // A tampered copy keeps the honest block's hash but fails the header
+  // check, so the recipient rejects it. Injected before the genuine block
+  // reaches that party, it must not cover the genuine block: the per-link
+  // send that follows still ships h.
+  BlockTree tree;
+  const Block h = make_block(genesis_block().hash, 1, 2, 0);
+  tree.add(h);
+  Block tampered = h;
+  tampered.payload ^= 0xbad;
+  {
+    Network net(3, 1);
+    net.bind_store(tree);
+    net.inject(tampered, 1, 1);
+    net.broadcast_chain(tree, h, 1, {0, 1, 0});
+    EXPECT_EQ(drain(net, 1, 3), (std::vector<Block>{tampered, h}));
+  }
+  {
+    // The same through inject_all's shared round.
+    Network net(3, 1);
+    net.bind_store(tree);
+    net.inject_all(tampered, 1);
+    net.broadcast_chain(tree, h, 1, {0, 1, 0});
+    EXPECT_EQ(drain(net, 0, 2), (std::vector<Block>{tampered, h}));
+    EXPECT_EQ(drain(net, 1, 3), (std::vector<Block>{tampered, h}));
+  }
+}
+
+TEST(Network, ACrashBetweenSendAndDueDropsTheSharedCopy) {
+  // Delta = 2: a block sent at slot 1 with a uniform hold-back of 2 is one
+  // shared round due at slot 4. Party 1 crashes at slot 2 and restarts at
+  // slot 3, before the due: its copy was volatile state and is lost, while
+  // party 2 still gets its own.
+  Network net(3, 2);
+  BlockTree tree;
+  const Block h = make_block(genesis_block().hash, 1, 0, 0);
+  tree.add(h);
+  net.broadcast_chain(tree, h, 1, {2, 2, 2});
+  EXPECT_TRUE(drain(net, 1, 2).empty());
+  net.crash_recipient(1);
+  EXPECT_TRUE(drain(net, 1, 3).empty());
+  EXPECT_TRUE(drain(net, 1, 4).empty());
+  EXPECT_EQ(drain(net, 2, 4), std::vector<Block>{h});
+}
+
+TEST(Network, InjectAllAtACollectedSlotLandsAtTheNextCollect) {
+  // Party 0 already collected slot 3 when the adversary injects to everyone
+  // at visible slot 2: the injection still reaches party 0 at its next
+  // collect, ahead of the due-4 broadcast queued before it.
+  Network net(2, 0);
+  BlockTree tree;
+  const Block a = make_block(genesis_block().hash, 3, 1, 0);
+  const Block b = make_block(genesis_block().hash, 2, kAdversary, 1);
+  tree.add(a);
+  tree.add(b);
+  net.broadcast_chain(tree, a, 3);
+  EXPECT_TRUE(drain(net, 0, 3).empty());
+  net.inject_all(b, 2);
+  EXPECT_EQ(drain(net, 0, 4), (std::vector<Block>{b, a}));
+  EXPECT_EQ(drain(net, 1, 4), std::vector<Block>{b});  // a's forger gets only b
+}
+
 TEST(Network, PreservesSchedulingOrder) {
   Network net(1, 0);
   const Block b1 = make_block(genesis_block().hash, 1, 0, 1);
@@ -312,11 +376,41 @@ TEST(Network, PreservesSchedulingOrder) {
 
 // --- the no-coverage reference transport --------------------------------------
 
+/// The reference's delivery queues: one plain priority queue of whole blocks
+/// per recipient, popped by (due, seq) — no refs, no shared rounds, no
+/// cursors.
+class BlockQueues {
+ public:
+  explicit BlockQueues(std::size_t parties) : queues_(parties) {}
+  void schedule(PartyId recipient, std::size_t due, const Block& block) {
+    queues_[recipient].push(Entry{due, seq_++, block});
+  }
+  void collect(PartyId recipient, std::size_t slot, std::vector<Block>* out) {
+    auto& queue = queues_[recipient];
+    for (; !queue.empty() && queue.top().due <= slot; queue.pop()) out->push_back(queue.top().block);
+  }
+  void wipe(PartyId recipient) { queues_[recipient] = {}; }
+
+ private:
+  struct Entry {
+    std::size_t due;
+    std::uint64_t seq;
+    Block block;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return a.due != b.due ? a.due > b.due : a.seq > b.seq;
+    }
+  };
+  std::vector<std::priority_queue<Entry, std::vector<Entry>, Later>> queues_;
+  std::uint64_t seq_ = 0;
+};
+
 /// The transport with no coverage state: every honest link send ships the
-/// sender's whole chain, ancestors first, at one due, through the same event
-/// core, topology, latency draws and fault verdicts as Network, and an
-/// injection ships exactly the block. Bandwidth caps are left out: there a
-/// duplicate costs egress, so the two transports need not agree.
+/// sender's whole chain, ancestors first, at one due, through the same
+/// topology, latency draws and fault verdicts as Network but its own queues,
+/// and an injection ships exactly the block. Bandwidth caps are left out:
+/// there a duplicate costs egress, so the two transports need not agree.
 class ReferenceNetwork {
  public:
   ReferenceNetwork(std::size_t parties, std::size_t /*delta*/, net::NetConfig config)
@@ -326,6 +420,7 @@ class ReferenceNetwork {
         events_(parties) {}
 
   void attach_faults(faults::FaultInjector* faults) { faults_ = faults; }
+  void bind_store(const BlockTree& /*store*/) {}  // whole blocks need no store
 
   void broadcast_chain(const BlockTree& tree, const Block& block, std::size_t slot,
                        const std::vector<std::size_t>& delay) {
@@ -347,7 +442,7 @@ class ReferenceNetwork {
   }
   void collect_into(PartyId recipient, std::size_t slot, std::vector<Block>* out) {
     out->clear();
-    events_.collect_due(recipient, slot, out);
+    events_.collect(recipient, slot, out);
   }
 
  private:
@@ -378,7 +473,7 @@ class ReferenceNetwork {
   net::Topology topology_;
   engine::SeedSequence link_seeds_;
   faults::FaultInjector* faults_ = nullptr;
-  net::EventCore events_;
+  BlockQueues events_;
 };
 
 /// One transport with its own block store, honest nodes and public view,
@@ -396,6 +491,7 @@ class Side {
         faulted_(!plan.empty()),
         accepted_(schedule.honest_parties()) {
     if (faulted_) transport_.attach_faults(&faults_);
+    transport_.bind_store(store_);
     for (PartyId p = 0; p < schedule.honest_parties(); ++p)
       nodes_.emplace_back(p, rule, &schedule, &store_);
   }
@@ -535,6 +631,7 @@ TEST(Network, DifferentialFuzzAgainstReferenceTransport) {
       }
     };
     std::vector<Block> minted{genesis_block()};
+    std::vector<Block> honest;
     for (std::size_t t = 1; t <= horizon; ++t) {
       both([&](auto& side) {
         side.fault_events(t);
@@ -553,8 +650,14 @@ TEST(Network, DifferentialFuzzAgainstReferenceTransport) {
           const std::size_t visible = t + rng.below(delta + 1);
           const std::vector<BlockHash> chain = fast.store().chain(m.hash);
           const PartyId victim = static_cast<PartyId>(rng.below(parties));
-          const std::uint64_t release = rng.below(4);
+          const std::uint64_t release = rng.below(5);
           const std::uint64_t subset = rng();
+          // A tampered copy of an honest block, the latest one or any: it
+          // keeps the block's hash, so it must not cover the genuine one.
+          Block tampered = honest.empty() ? genesis_block()
+                                          : (rng.bernoulli(0.5) ? honest.back()
+                                                                : honest[rng.below(honest.size())]);
+          tampered.payload ^= 0xbad;
           both([&](auto& side) {
             switch (release) {
               case 0: break;  // private for now
@@ -565,6 +668,11 @@ TEST(Network, DifferentialFuzzAgainstReferenceTransport) {
               case 2:  // the whole chain to one party
                 for (std::size_t i = 1; i < chain.size(); ++i)
                   side.transport().inject(side.store().block(chain[i]), victim, visible);
+                break;
+              case 3:  // a tampered copy of an honest block to a subset
+                if (honest.empty()) break;
+                for (PartyId p = 0; p < parties; ++p)
+                  if ((subset >> p) & 1u) side.transport().inject(tampered, p, t);
                 break;
               default:  // the whole chain to everyone
                 for (std::size_t i = 1; i < chain.size(); ++i)
@@ -580,6 +688,7 @@ TEST(Network, DifferentialFuzzAgainstReferenceTransport) {
         const Block block = fast.forge(leader, t, payload);
         ASSERT_EQ(ref.forge(leader, t, payload), block) << shape;
         minted.push_back(block);
+        honest.push_back(block);
         std::vector<std::size_t> hold;
         if (rng.bernoulli(0.5)) {
           hold.assign(parties, rng.below(delta + 1));
