@@ -5,14 +5,16 @@
 //
 //   ./delta_sync_demo [f [Delta]]
 #include <cstdio>
-#include <cstdlib>
 
+#include "cli.hpp"
 #include "delta/delta_settlement.hpp"
 #include "support/table.hpp"
 
 int main(int argc, char** argv) {
-  const double f = argc > 1 ? std::atof(argv[1]) : 0.15;
-  const std::size_t delta = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 2;
+  const mh::cli::Args args(argc, argv, "[f [Delta]]", 2);
+  const double f = args.number(1, "f", 0.15, "a number in (0, 1]",
+                               [](double x) { return x > 0.0 && x <= 1.0; });
+  const std::size_t delta = args.size(2, "Delta", 2, 0, 60);
 
   const mh::TetraLaw law = mh::theorem7_law(f, 0.2 * f, 0.5 * f);
   std::printf("active-slot coefficient f = %.2f; per-slot law: empty %.3f, h %.3f, H %.3f, A %.3f\n",

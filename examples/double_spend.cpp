@@ -7,16 +7,18 @@
 //
 //   ./double_spend [k [pA [seed]]]
 #include <cstdio>
-#include <cstdlib>
 
+#include "cli.hpp"
 #include "core/exact_dp.hpp"
 #include "protocol/adversary.hpp"
 #include "protocol/ledger.hpp"
 
 int main(int argc, char** argv) {
-  const std::size_t k = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 6;
-  const double pA = argc > 2 ? std::atof(argv[2]) : 0.45;
-  const std::uint64_t seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 99;
+  const mh::cli::Args args(argc, argv, "[k [pA [seed]]]", 3);
+  const std::size_t k = args.size(1, "k", 6, 1, 1000);
+  const double pA = args.number(2, "pA", 0.45, "a number in [0, 0.5)",
+                                [](double x) { return x >= 0.0 && x < 0.5; });
+  const std::uint64_t seed = args.size(3, "seed", 99);
 
   mh::SymbolLaw law{0.35, 1.0 - 0.35 - pA, pA};
   law.validate();

@@ -3,21 +3,25 @@
 // watch the two maximal chains live and die slot by slot.
 //
 //   ./pos_network_sim [horizon [pA [pH [seed]]]]
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
+#include "cli.hpp"
 #include "core/relative_margin.hpp"
 #include "protocol/adversary.hpp"
 #include "protocol/bridge.hpp"
 #include "fork/validate.hpp"
 
 int main(int argc, char** argv) {
-  const std::size_t horizon = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 40;
-  const double pA = argc > 2 ? std::atof(argv[2]) : 0.35;
-  const double pH = argc > 3 ? std::atof(argv[3]) : 0.40;
-  const std::uint64_t seed = argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 2026;
+  const mh::cli::Args args(argc, argv, "[horizon [pA [pH [seed]]]]", 4);
+  const std::size_t horizon = args.size(1, "horizon", 40, 1, 10'000);
+  const double pA = args.number(2, "pA", 0.35, "a number in [0, 1]",
+                                [](double x) { return x >= 0.0 && x <= 1.0; });
+  const double pH = args.number(3, "pH", 0.40, "a number in [0, 1 - pA]",
+                                [pA](double x) { return x >= 0.0 && x <= 1.0 - pA; });
+  const std::uint64_t seed = args.size(4, "seed", 2026);
 
-  mh::SymbolLaw law{1.0 - pA - pH, pH, pA};
+  mh::SymbolLaw law{std::max(0.0, 1.0 - pA - pH), pH, pA};
   law.validate();
   mh::Rng rng(seed);
   const mh::LeaderSchedule schedule =

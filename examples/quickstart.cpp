@@ -6,19 +6,24 @@
 // paper's ph + pH > pA threshold is the only known guarantee.
 //
 //   ./quickstart [pA [ph [target_error]]]
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "analysis/thresholds.hpp"
+#include "cli.hpp"
 #include "core/exact_dp.hpp"
 #include "support/table.hpp"
 
 int main(int argc, char** argv) {
-  const double pA = argc > 1 ? std::atof(argv[1]) : 0.35;
-  const double ph = argc > 2 ? std::atof(argv[2]) : 0.25;
-  const double target = argc > 3 ? std::atof(argv[3]) : 1e-9;
+  const mh::cli::Args args(argc, argv, "[pA [ph [target_error]]]", 3);
+  const double pA = args.number(1, "pA", 0.35, "a number in [0, 1]",
+                                [](double x) { return x >= 0.0 && x <= 1.0; });
+  const double ph = args.number(2, "ph", 0.25, "a number in [0, 1 - pA]",
+                                [pA](double x) { return x >= 0.0 && x <= 1.0 - pA; });
+  const double target = args.number(3, "target_error", 1e-9, "a number in (0, 1]",
+                                    [](double x) { return x > 0.0 && x <= 1.0; });
 
-  mh::SymbolLaw law{ph, 1.0 - pA - ph, pA};
+  mh::SymbolLaw law{ph, std::max(0.0, 1.0 - pA - ph), pA};
   law.validate();
 
   std::printf("leader election law: ph = %.3f, pH = %.3f, pA = %.3f\n", law.ph, law.pH,

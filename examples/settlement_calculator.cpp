@@ -6,19 +6,22 @@
 //
 //   ./settlement_calculator [adversarial_stake [f [parties]]]
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "analysis/baselines.hpp"
+#include "cli.hpp"
 #include "core/exact_dp.hpp"
 #include "delta/reduction.hpp"
 #include "protocol/consensus/schedule.hpp"
 #include "support/table.hpp"
 
 int main(int argc, char** argv) {
-  const double stake = argc > 1 ? std::atof(argv[1]) : 0.30;
-  const double f = argc > 2 ? std::atof(argv[2]) : 0.25;
-  const std::size_t parties = argc > 3 ? std::strtoul(argv[3], nullptr, 10) : 50;
+  const mh::cli::Args args(argc, argv, "[adversarial_stake [f [parties]]]", 3);
+  const double stake = args.number(1, "adversarial_stake", 0.30, "a number in [0, 1]",
+                                   [](double x) { return x >= 0.0 && x <= 1.0; });
+  const double f = args.number(2, "f", 0.25, "a number in (0, 1)",
+                               [](double x) { return x > 0.0 && x < 1.0; });
+  const std::size_t parties = args.size(3, "parties", 50, 1, 10'000'000);
 
   std::printf("deployment: adversarial stake %.2f, active-slot coefficient f = %.2f, %zu honest parties\n",
               stake, f, parties);

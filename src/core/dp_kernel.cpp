@@ -13,21 +13,32 @@ namespace mh {
 //     the report column s >= 0 are therefore always inside the band);
 //   * the top column shi_ falls by exactly one per step, the bottom column
 //     moves by at most one, and rcap_ falls by at most one — so every gather
-//     read below lands inside the band that the previous step wrote, and the
-//     inactive buffer's stale cells (from two steps ago) are never touched.
+//     read lands inside the band the previous step wrote or below its floor,
+//     and the inactive buffer's stale cells (from two steps ago, outside the
+//     band) are never read;
+//   * the reach floor r - max(0, n - r) never rises as n grows, so a cell
+//     below the floor now was below it at every earlier step: no step wrote
+//     it, and it still holds the zero seed() filled in. The gather reads such
+//     cells (a target cell near its row's floor reads the honest predecessor
+//     row r + 1, and the top row's clamped-A rows, a few columns below their
+//     floors), so that zero-fill is load-bearing.
 
 namespace {
 
 // The per-step dp.* metrics. Out of line and cold on purpose: inlined into
 // step(), this block slowed the Table-1 sweep by ~14% with recording off
-// (GCC 12, -O3, 4-vCPU x86-64 host).
+// (GCC 12, -O3, 4-vCPU x86-64 host). `n` is the step count after this step;
+// dp.cells_touched counts the cells the gather writes, from each row's floor.
 [[gnu::cold, gnu::noinline]] void record_step(std::ptrdiff_t slo_next, std::ptrdiff_t shi_next,
-                                              std::ptrdiff_t rcap_next, bool reference) {
+                                              std::ptrdiff_t rcap_next, std::ptrdiff_t n,
+                                              bool reference) {
   MH_OBS_HIST("dp.band_width", static_cast<std::size_t>(shi_next - slo_next + 1));
   std::size_t cells = 0;
   for (std::ptrdiff_t rt = 0; rt <= rcap_next; ++rt) {
+    const std::ptrdiff_t lo = std::max(slo_next, reach_floor(rt, n));
     const std::ptrdiff_t hi = rt < shi_next ? rt : shi_next;
-    cells += static_cast<std::size_t>(hi - slo_next + 1);
+    if (lo > hi) break;
+    cells += static_cast<std::size_t>(hi - lo + 1);
   }
   MH_OBS_COUNT("dp.cells_touched", cells);
   if (reference) {
@@ -66,24 +77,28 @@ void BandedDp<Scalar>::seed(const ReachPmf& initial) {
   rcap_ = k_;
   slo_ = 0;
   shi_ = k_;
+  steps_ = 0;
 }
 
-// Source-side accounting of the mass that exits the band this step. Iteration
-// is ascending (r, s) — the same source order as the original scatter sweep,
-// so each sink accumulator sees the identical add sequence.
+// Source-side accounting of the mass that exits the band this step. Each sink
+// sees its cells in ascending (r, s) — the same source order as the original
+// scatter sweep, so each accumulator gets the identical add sequence. Only
+// the first rows (floor <= slo_next) can sink safe, and only the rows
+// r >= shi_next can sink violating.
 template <typename Scalar>
 void BandedDp<Scalar>::drain_sinks(Scalar pA, Scalar ph, Scalar pH, std::ptrdiff_t slo_next,
                                    std::ptrdiff_t shi_next, bool safe_sink) {
-  for (std::ptrdiff_t r = 0; r <= rcap_; ++r) {
-    const Scalar* row = row_ptr(cur_, r);
-    const std::ptrdiff_t hi = r < shi_ ? r : shi_;
-    if (safe_sink) {
-      // Unpinned honest mass stepping below slo_next: s - 1 < slo_next, i.e.
-      // s <= slo_next (at most two columns, since slo_next >= slo_ - 1). The
-      // pinned cases stay at s = 0 and never sink; the lone unpinned s = 0
-      // case is h at r = 0, which drops to -1.
-      const std::ptrdiff_t safe_hi = std::min(slo_next, hi);
-      for (std::ptrdiff_t s = slo_; s <= safe_hi; ++s) {
+  if (safe_sink) {
+    // Unpinned honest mass stepping below slo_next: s - 1 < slo_next, i.e.
+    // s <= slo_next (at most two columns, since slo_next >= slo_ - 1). The
+    // pinned cases stay at s = 0 and never sink; the lone unpinned s = 0
+    // case is h at r = 0, which drops to -1. Every row has hi >= 0 >=
+    // slo_next, so a row sinks iff its floor allows it.
+    for (std::ptrdiff_t r = 0; r <= rcap_; ++r) {
+      const std::ptrdiff_t lo = row_lo(r);
+      if (lo > slo_next) break;  // row_lo is nondecreasing in r
+      const Scalar* row = row_ptr(cur_, r);
+      for (std::ptrdiff_t s = lo; s <= slo_next; ++s) {
         const Scalar q = row[s];
         if (q == Scalar(0)) continue;
         if (s != 0) {
@@ -94,10 +109,14 @@ void BandedDp<Scalar>::drain_sinks(Scalar pA, Scalar ph, Scalar pH, std::ptrdiff
         }
       }
     }
-    // A-mass stepping above shi_next: s + 1 > shi_next, i.e. s >= shi_next
-    // (at most two columns, since shi_next == shi_ - 1).
-    const std::ptrdiff_t viol_lo = std::max(slo_, shi_next);
-    for (std::ptrdiff_t s = viol_lo; s <= hi; ++s) {
+  }
+  // A-mass stepping above shi_next: s + 1 > shi_next, i.e. s >= shi_next
+  // (at most two columns, since shi_next == shi_ - 1).
+  for (std::ptrdiff_t r = shi_next; r <= rcap_; ++r) {
+    const std::ptrdiff_t lo = row_lo(r), hi = row_hi(r);
+    if (lo > hi) break;
+    const Scalar* row = row_ptr(cur_, r);
+    for (std::ptrdiff_t s = std::max(lo, shi_next); s <= hi; ++s) {
       const Scalar q = row[s];
       if (q == Scalar(0)) continue;
       viol_.add(q * pA);
@@ -112,27 +131,29 @@ void BandedDp<Scalar>::step(Scalar pA, Scalar ph, Scalar pH, std::ptrdiff_t slo_
   MH_ASSERT(slo_next >= slo_ - 1 && slo_next <= slo_ + 1 && slo_next <= 0);
   MH_ASSERT(rcap_next >= 1 && (rcap_next == rcap_ || rcap_next == rcap_ - 1));
   MH_ASSERT(safe_sink || slo_next == slo_ - 1);
+  const std::ptrdiff_t n = steps_ + 1;
 
-  if (obs::enabled()) record_step(slo_next, shi_next, rcap_next, sizeof(Scalar) > sizeof(double));
+  if (obs::enabled())
+    record_step(slo_next, shi_next, rcap_next, n, sizeof(Scalar) > sizeof(double));
 
   drain_sinks(pA, ph, pH, slo_next, shi_next, safe_sink);
 
   // First target column whose A-predecessor column s - 1 is inside the source
   // band; below it (at most the bottom two cells of each row) no A-mass lands.
   const std::ptrdiff_t sA = std::max(slo_next, slo_ + 1);
-  const std::ptrdiff_t lo = slo_next;
 
   for (std::ptrdiff_t rt = 0; rt <= rcap_next; ++rt) {
     Scalar* out = row_ptr(nxt_, rt);
 
     if (rt == 0) {
-      // Row 0 receives no A-mass (rcap_next >= 1 keeps min(r+1, rcap_next)
-      // positive) and gathers honest mass from source rows 0 and 1, in that
-      // order (both collapse to r' = 0).
+      // Row 0 (its floor -n never binds: slo_next >= -n) receives no A-mass
+      // (rcap_next >= 1 keeps min(r+1, rcap_next) positive) and gathers
+      // honest mass from source rows 0 and 1, in that order (both collapse
+      // to r' = 0).
       const Scalar* r0 = row_ptr(cur_, 0);
       const Scalar* r1 = row_ptr(cur_, 1);
       MH_SIMD_LOOP
-      for (std::ptrdiff_t s = lo; s <= -2; ++s) {
+      for (std::ptrdiff_t s = slo_next; s <= -2; ++s) {
         const Scalar c0 = r0[s + 1];
         Scalar v = ph * c0;
         v += pH * c0;
@@ -141,7 +162,7 @@ void BandedDp<Scalar>::step(Scalar pA, Scalar ph, Scalar pH, std::ptrdiff_t slo_
         v += pH * c1;
         out[s] = v;
       }
-      if (-1 >= lo) out[-1] = ph * r0[0];  // the lone unpinned s = 0 case: h at r = 0
+      if (-1 >= slo_next) out[-1] = ph * r0[0];  // the lone unpinned s = 0 case: h at r = 0
       {
         // s' = 0: H pinned at (0,0); h and H pinned at (1,0); then the
         // unpinned drop from (1,1) — ascending source (r, s, symbol) order.
@@ -159,8 +180,10 @@ void BandedDp<Scalar>::step(Scalar pA, Scalar ph, Scalar pH, std::ptrdiff_t slo_
       continue;
     }
 
-    const bool top = rt == rcap_next;
     const std::ptrdiff_t hi = rt < shi_next ? rt : shi_next;
+    const std::ptrdiff_t lo = std::max(slo_next, reach_floor(rt, n));
+    if (lo > hi) break;  // the floor outruns the band here and in every higher row
+    const bool top = rt == rcap_next;
     const Scalar* a = row_ptr(cur_, rt - 1);  // A-predecessor (r' - 1, s' - 1)
     // Honest predecessor row r' + 1 (absent for the top row on a step where
     // rcap does not shrink), and the top row's extra clamped-A source rows.
@@ -217,7 +240,7 @@ void BandedDp<Scalar>::step(Scalar pA, Scalar ph, Scalar pH, std::ptrdiff_t slo_
       }
       // The two pinning-special columns s' in {-1, 0}.
       for (std::ptrdiff_t s = std::max<std::ptrdiff_t>(lo, -1); s <= 0; ++s) out[s] = cell(s);
-      // Bulk positive columns [1, hi]: sA <= 1 always, so the A-term applies.
+      // Bulk positive columns [max(lo, 1), hi]: sA <= 1 always, so the A-term applies.
       const std::ptrdiff_t pos_lo = std::max<std::ptrdiff_t>(lo, 1);
       MH_SIMD_LOOP
       for (std::ptrdiff_t s = pos_lo; s <= hi; ++s) {
@@ -237,29 +260,27 @@ void BandedDp<Scalar>::step(Scalar pA, Scalar ph, Scalar pH, std::ptrdiff_t slo_
   rcap_ = rcap_next;
   slo_ = slo_next;
   shi_ = shi_next;
+  steps_ = n;
 }
 
 template <typename Scalar>
 Scalar BandedDp<Scalar>::nonneg_mass() const {
   DpAccum<Scalar> acc = viol_;
-  if constexpr (sizeof(Scalar) <= sizeof(double)) {
-    // Fast path: plain (vectorizable) per-row sums, Neumaier-compensated
-    // only across the row totals — the report is the only O(K^2) reduction
-    // on the hot path, so compensating every cell would dominate it.
-    for (std::ptrdiff_t r = 0; r <= rcap_; ++r) {
-      const Scalar* row = row_ptr(cur_, r);
-      const std::ptrdiff_t hi = r < shi_ ? r : shi_;
+  for (std::ptrdiff_t r = 0; r <= rcap_; ++r) {
+    const std::ptrdiff_t lo = row_lo(r), hi = row_hi(r);
+    if (lo > hi) break;
+    const Scalar* row = row_ptr(cur_, r);
+    if constexpr (sizeof(Scalar) <= sizeof(double)) {
+      // Fast path: plain (vectorizable) per-row sums, Neumaier-compensated
+      // only across the row totals — the report is the only O(K^2) reduction
+      // on the hot path, so compensating every cell would dominate it.
       Scalar row_sum{0};
-      for (std::ptrdiff_t s = 0; s <= hi; ++s) row_sum += row[s];
+      for (std::ptrdiff_t s = std::max<std::ptrdiff_t>(lo, 0); s <= hi; ++s) row_sum += row[s];
       acc.add(row_sum);
-    }
-  } else {
-    // Reference path: start from the always-violating sink, then every live
-    // cell in ascending (r, s) — the exact add order of the original code.
-    for (std::ptrdiff_t r = 0; r <= rcap_; ++r) {
-      const Scalar* row = row_ptr(cur_, r);
-      const std::ptrdiff_t hi = r < shi_ ? r : shi_;
-      for (std::ptrdiff_t s = 0; s <= hi; ++s) acc.add(row[s]);
+    } else {
+      // Reference path: start from the always-violating sink, then every live
+      // cell in ascending (r, s) — the exact add order of the original code.
+      for (std::ptrdiff_t s = std::max<std::ptrdiff_t>(lo, 0); s <= hi; ++s) acc.add(row[s]);
     }
   }
   return acc.value();

@@ -3,11 +3,12 @@
 // synchronous counterpart (delta/delta_settlement.hpp).
 //
 // The joint (r, s) = (rho, mu) law of Theorem 5 is evolved over a shrinking
-// diagonal band of live states:
+// diagonal band of live states. After n steps since seed(), row r is live on
 //
-//   r in [0, rcap],   s in [slo, min(r, shi)],
+//   r in [0, rcap],   s in [max(slo, r - max(0, n - r)), min(r, shi)].
 //
-// stored as two flat row-major double-buffers. Per step the kernel
+// Both double-buffers are the full (K+2) x (2K+2) row-major grid; the band
+// bounds what is iterated, not what is stored. Per step the kernel
 //
 //   * GATHERS each target cell from its (at most three) predecessor cells
 //     instead of scattering three writes per source cell — every target is a
@@ -19,8 +20,16 @@
 //     accrues to the viol() sink), `slo` either rises toward the horizon
 //     (fixed-horizon series: mass below is provably safe, accruing to safe())
 //     or falls (eventual-settlement phase 1, which keeps every recovery path);
-//   * never reads outside the live band, so stale cells from two steps ago in
-//     the inactive buffer are unreachable by construction.
+//   * starts every row at its REACH FLOOR r - max(0, n - r). Call g = r - s
+//     the gap. seed() puts all mass at gap 0; a step raises the gap by at
+//     most one, and only on an honest symbol read at reach 0 (every other
+//     transition keeps it or lowers it); and climbing back from reach 0 to
+//     reach r takes at least r adversarial symbols. So g <= max(0, n - r),
+//     and every cell below the floor holds an exact zero. At K = 300 that is
+//     ~78% of the [slo, min(r, shi)] band; skipping it moves no bit, since
+//     a skipped cell would only have added +0 to a sum. The floor is the
+//     exact support: with pA, ph and pH all positive and mass on every
+//     seeded reach, every band cell at or above it holds mass > 0.
 //
 // The scalar is a template parameter and the two instantiations have distinct
 // contracts, pinned by tests/test_dp_kernel.cpp:
@@ -28,7 +37,8 @@
 //   * long double — the REFERENCE path. Per-cell gather terms are added in
 //     exactly the source-iteration order of the original scatter code
 //     (ascending r, then ascending s, then A before h before H), so results
-//     are bit-identical to the pre-refactor kernel.
+//     are bit-identical to the pre-refactor kernel (a dense copy of which
+//     the tests keep as a fuzz reference).
 //   * double — the FAST path. Same recurrence in hardware doubles (SIMD-able,
 //     half the memory traffic); sink and report accumulators additionally use
 //     Neumaier-compensated summation so the band-wide reductions do not lose
@@ -74,6 +84,12 @@ struct DpAccum {
   }
 };
 
+/// The reach floor r - max(0, n - r): the lowest margin a reach-r state can
+/// hold n steps after BandedDp::seed() (see the gap argument above).
+[[nodiscard]] constexpr std::ptrdiff_t reach_floor(std::ptrdiff_t r, std::ptrdiff_t n) noexcept {
+  return r >= n ? r : 2 * r - n;
+}
+
 template <typename Scalar>
 class BandedDp {
  public:
@@ -83,7 +99,8 @@ class BandedDp {
 
   /// Seed the diagonal s = r from `initial` (which must cover r = 0..k_max);
   /// mass beyond r = k_max and `initial.tail` fold into the viol() sink
-  /// (exact: such states keep mu >= 0 through any horizon <= k_max).
+  /// (exact: such states keep mu >= 0 through any horizon <= k_max). Zeroes
+  /// both buffers and restarts the step count the reach floor is taken at.
   void seed(const ReachPmf& initial);
 
   /// One Theorem-5 transition onto the band [slo_next, min(r, shi_next)],
@@ -99,13 +116,15 @@ class BandedDp {
   /// in ascending (r, s) order starting from viol().
   [[nodiscard]] Scalar nonneg_mass() const;
 
-  /// Visit every live cell in ascending (r, s) order: f(r, s, mass).
+  /// Visit every live cell, from each row's floor up, in ascending (r, s)
+  /// order: f(r, s, mass).
   template <typename F>
   void for_each_live(F&& f) const {
     for (std::ptrdiff_t r = 0; r <= rcap_; ++r) {
+      const std::ptrdiff_t lo = row_lo(r), hi = row_hi(r);
+      if (lo > hi) break;  // the floor outruns the band here and in every higher row
       const Scalar* row = row_ptr(cur_, r);
-      const std::ptrdiff_t hi = r < shi_ ? r : shi_;
-      for (std::ptrdiff_t s = slo_; s <= hi; ++s) f(r, s, row[s]);
+      for (std::ptrdiff_t s = lo; s <= hi; ++s) f(r, s, row[s]);
     }
   }
 
@@ -117,6 +136,18 @@ class BandedDp {
   [[nodiscard]] std::ptrdiff_t k() const noexcept { return k_; }
 
  private:
+  /// Live extent of row r in the current state: [row_lo(r), row_hi(r)], empty
+  /// when row_lo(r) > row_hi(r). Emptiness is monotone in r: hi >= 0 >= slo,
+  /// so only the floor can empty a row, and the floor climbs at least one
+  /// column per row while hi climbs at most one.
+  [[nodiscard]] std::ptrdiff_t row_lo(std::ptrdiff_t r) const noexcept {
+    const std::ptrdiff_t f = reach_floor(r, steps_);
+    return f > slo_ ? f : slo_;
+  }
+  [[nodiscard]] std::ptrdiff_t row_hi(std::ptrdiff_t r) const noexcept {
+    return r < shi_ ? r : shi_;
+  }
+
   /// Row pointer biased so that row[s] addresses column s + k.
   [[nodiscard]] Scalar* row_ptr(std::vector<Scalar>& buf, std::ptrdiff_t r) const noexcept {
     return buf.data() + static_cast<std::size_t>(r) * sdim_ + static_cast<std::size_t>(k_);
@@ -136,6 +167,7 @@ class BandedDp {
   std::ptrdiff_t rcap_ = 0;
   std::ptrdiff_t slo_ = 0;
   std::ptrdiff_t shi_ = 0;
+  std::ptrdiff_t steps_ = 0;  ///< steps since seed(): the n of the reach floor
   DpAccum<Scalar> viol_;
   DpAccum<Scalar> safe_;
 };

@@ -1,5 +1,6 @@
 #include "support/env.hpp"
 
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -24,6 +25,28 @@ std::string lowered(const char* raw) {
 
 }  // namespace
 
+std::optional<std::size_t> parse_size(const char* text) {
+  // strtoull alone would wrap "-1" to 2^64-1 and stop at trailing junk:
+  // demand plain digits end to end.
+  if (*text == '\0') return std::nullopt;
+  for (const char* c = text; *c != '\0'; ++c)
+    if (*c < '0' || *c > '9') return std::nullopt;
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(text, nullptr, 10);
+  if (errno == ERANGE) return std::nullopt;
+  return static_cast<std::size_t>(parsed);
+}
+
+std::optional<double> parse_number(const char* text) {
+  // strtod skips leading space and stops at trailing junk: reject both.
+  if (*text == '\0' || std::isspace(static_cast<unsigned char>(*text))) return std::nullopt;
+  errno = 0;
+  char* end = nullptr;
+  const double parsed = std::strtod(text, &end);
+  if (*end != '\0' || errno == ERANGE || !std::isfinite(parsed)) return std::nullopt;
+  return parsed;
+}
+
 bool flag(const char* name) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return false;
@@ -36,29 +59,19 @@ bool flag(const char* name) {
 std::size_t size(const char* name, std::size_t fallback, std::size_t min_value) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
-  // strtoull alone would wrap "-1" to 2^64-1 and stop at trailing junk:
-  // demand plain digits end to end.
-  for (const char* c = raw; *c != '\0'; ++c)
-    if (*c < '0' || *c > '9') reject(name, raw, "a non-negative integer");
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0' || errno == ERANGE)
-    reject(name, raw, "a non-negative integer");
-  if (parsed < min_value)
+  const std::optional<std::size_t> parsed = parse_size(raw);
+  if (!parsed) reject(name, raw, "a non-negative integer");
+  if (*parsed < min_value)
     reject(name, raw, min_value == 1 ? "a positive integer" : "a larger integer");
-  return static_cast<std::size_t>(parsed);
+  return *parsed;
 }
 
 double positive_number(const char* name, double fallback) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(raw, &end);
-  if (end == raw || *end != '\0' || errno == ERANGE || !std::isfinite(parsed) || parsed <= 0.0)
-    reject(name, raw, "a finite number > 0");
-  return parsed;
+  const std::optional<double> parsed = parse_number(raw);
+  if (!parsed || *parsed <= 0.0) reject(name, raw, "a finite number > 0");
+  return *parsed;
 }
 
 std::size_t choice(const char* name, const char* const* choices, std::size_t count,

@@ -7,11 +7,24 @@
 // These parsers accept exactly the documented forms and throw
 // std::invalid_argument (naming the variable and the offending value) on
 // anything else. Unset or empty always means "use the fallback".
+//
+// The text rules underneath (parse_size, parse_number) are exposed too: the
+// examples read their positional arguments with them, so a command line and
+// an env knob accept the same spellings.
 #pragma once
 
 #include <cstddef>
+#include <optional>
 
 namespace mh::env {
+
+/// Plain decimal digits end to end (no sign, space or suffix) that fit a
+/// std::size_t; std::nullopt for anything else, including "".
+[[nodiscard]] std::optional<std::size_t> parse_size(const char* text);
+
+/// The whole text as one finite real (no leading space, no suffix, no
+/// overflow or underflow, no nan/inf); std::nullopt for anything else.
+[[nodiscard]] std::optional<double> parse_number(const char* text);
 
 /// Boolean knob: unset/"" -> false; "1"/"true"/"on"/"yes" -> true;
 /// "0"/"false"/"off"/"no" -> false (case-insensitive). Anything else throws.

@@ -3,20 +3,30 @@
 //
 //   (a) the long double Reference path is BIT-IDENTICAL to the pre-refactor
 //       dense scatter implementation, pinned by a golden grid of Table-1
-//       cells (hex long double literals dumped from the original kernel);
+//       cells (hex long double literals dumped from the original kernel) and
+//       fuzzed against a retained copy of that dense implementation;
 //   (b) the double Fast path tracks the Reference path to < 1e-12 relative
 //       error wherever the value is comfortably inside double range;
-//   (c) sweep results are invariant under the thread count, bit for bit.
+//   (c) sweep results are invariant under the thread count, bit for bit;
+//   (d) the reach floor is the exact support: the kernel visits, and
+//       dp.cells_touched counts, exactly the reachable (r, s) cells.
 #include "core/dp_kernel.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/sweep.hpp"
 #include "core/exact_dp.hpp"
 #include "delta/delta_settlement.hpp"
+#include "obs/obs.hpp"
+#include "support/random.hpp"
 
 namespace mh {
 namespace {
@@ -131,6 +141,164 @@ TEST(DpKernel, EventualReferencePathBitIdenticalToSeedKernel) {
   }
 }
 
+// The retained dense reference: the original scatter DP over the whole
+// (K+2) x (2K+2) grid, cleared every step, with no band, no floor and no
+// gather. It pushes each nonzero source cell's mass to its three successors
+// in ascending (r, s) order, A before h before H — the add order the
+// Reference path reproduces.
+class DenseGrid {
+ public:
+  explicit DenseGrid(std::size_t k_max)
+      : k_(static_cast<std::ptrdiff_t>(k_max)), sdim_(2 * k_max + 2),
+        mass_((k_max + 2) * sdim_, 0.0L) {}
+
+  long double& at(std::ptrdiff_t r, std::ptrdiff_t s) {
+    return mass_[static_cast<std::size_t>(r) * sdim_ + static_cast<std::size_t>(s + k_)];
+  }
+  void clear() { std::fill(mass_.begin(), mass_.end(), 0.0L); }
+
+ private:
+  std::ptrdiff_t k_;
+  std::size_t sdim_;
+  std::vector<long double> mass_;
+};
+
+/// Seed s = r = rho(x); mass above K is always violating.
+long double dense_seed(DenseGrid& grid, const ReachPmf& initial, std::ptrdiff_t K) {
+  long double viol = initial.tail;
+  for (std::size_t r = static_cast<std::size_t>(K) + 1; r < initial.mass.size(); ++r)
+    viol += initial.mass[r];
+  for (std::ptrdiff_t r = 0; r <= K; ++r) grid.at(r, r) = initial.mass[static_cast<std::size_t>(r)];
+  return viol;
+}
+
+SettlementSeries dense_settlement_series(const SymbolLaw& law, std::size_t k_max,
+                                         const ReachPmf& initial) {
+  const auto K = static_cast<std::ptrdiff_t>(k_max);
+  const auto pA = static_cast<long double>(law.pA);
+  const auto ph = static_cast<long double>(law.ph);
+  const auto pH = static_cast<long double>(law.pH);
+  DenseGrid cur(k_max), nxt(k_max);
+  SettlementSeries series;
+  series.violation.assign(k_max + 1, 0.0L);
+  long double viol = dense_seed(cur, initial, K);
+  long double safe = 0.0L;
+  for (std::ptrdiff_t t = 0; t <= K; ++t) {
+    // Report P(t): the always-violating sink plus all live mass with mu >= 0.
+    long double p = viol;
+    for (std::ptrdiff_t r = 0; r <= K - t + 1; ++r)
+      for (std::ptrdiff_t s = 0; s <= std::min(r, K - t + 1); ++s) p += cur.at(r, s);
+    series.violation[static_cast<std::size_t>(t)] = p;
+    if (t == K) break;
+    // Step to t+1: reach cap K-t, live margins |s'| <= K-t-1.
+    const std::ptrdiff_t rcap_next = K - t, band = K - t - 1;
+    nxt.clear();
+    for (std::ptrdiff_t r = 0; r <= K - t + 1; ++r)
+      for (std::ptrdiff_t s = -(K - t); s <= std::min(r, K - t + 1); ++s) {
+        const long double q = cur.at(r, s);
+        if (q == 0.0L) continue;
+        if (s + 1 > band)
+          viol += q * pA;
+        else
+          nxt.at(std::min(r + 1, rcap_next), s + 1) += q * pA;
+        const std::ptrdiff_t r2 = r == 0 ? 0 : std::min(r - 1, rcap_next);
+        const std::ptrdiff_t sh = (s == 0 && r > 0) ? 0 : s - 1;  // h pins only with rho > 0
+        const std::ptrdiff_t sH = s == 0 ? 0 : s - 1;             // H pins whenever mu = 0
+        if (sh < -band)
+          safe += q * ph;
+        else
+          nxt.at(r2, sh) += q * ph;
+        if (sH < -band)
+          safe += q * pH;
+        else
+          nxt.at(r2, sH) += q * pH;
+      }
+    std::swap(cur, nxt);
+  }
+  series.always_violating = viol;
+  series.never_violating = safe;
+  return series;
+}
+
+long double dense_eventual_insecurity(const SymbolLaw& law, std::size_t k,
+                                      const ReachPmf& initial) {
+  const auto K = static_cast<std::ptrdiff_t>(k);
+  const auto pA = static_cast<long double>(law.pA);
+  const auto ph = static_cast<long double>(law.ph);
+  const auto pH = static_cast<long double>(law.pH);
+  DenseGrid cur(k), nxt(k);
+  long double viol = dense_seed(cur, initial, K);
+  // Phase 1 to step k with no safe sink: a negative margin can still recover.
+  for (std::ptrdiff_t t = 0; t < K; ++t) {
+    const std::ptrdiff_t rcap_next = K - t;
+    nxt.clear();
+    for (std::ptrdiff_t r = 0; r <= K - t + 1; ++r)
+      for (std::ptrdiff_t s = -t; s <= std::min(r, K - t); ++s) {
+        const long double q = cur.at(r, s);
+        if (q == 0.0L) continue;
+        if (s + 1 > K - t - 1)
+          viol += q * pA;
+        else
+          nxt.at(std::min(r + 1, rcap_next), s + 1) += q * pA;
+        const std::ptrdiff_t r2 = r == 0 ? 0 : std::min(r - 1, rcap_next);
+        nxt.at(r2, (s == 0 && r > 0) ? 0 : s - 1) += q * ph;
+        nxt.at(r2, s == 0 ? 0 : s - 1) += q * pH;
+      }
+    std::swap(cur, nxt);
+  }
+  // Phase 2: mu = -m < 0 climbs back to 0 with probability beta^m.
+  const long double beta = reach_beta(law);
+  std::vector<long double> beta_pow(k + 1, 1.0L);
+  for (std::size_t m = 1; m <= k; ++m) beta_pow[m] = beta_pow[m - 1] * beta;
+  long double total = viol;
+  for (std::ptrdiff_t r = 0; r <= K + 1; ++r)
+    for (std::ptrdiff_t s = -K; s <= std::min(r, K); ++s) {
+      const long double q = cur.at(r, s);
+      if (q == 0.0L) continue;
+      total += s >= 0 ? q : q * beta_pow[static_cast<std::size_t>(-s)];
+    }
+  return total;
+}
+
+/// A seeded law with pA < 1/2 (the stationary reach law needs it); every
+/// eighth draw zeroes ph, pH, or shrinks ph to ~1e-9.
+SymbolLaw fuzz_law(Rng& rng, std::size_t i) {
+  const double pA = 0.5 * rng.uniform();
+  double ph = (1.0 - pA) * rng.uniform();
+  if (i % 8 == 1) ph = 0.0;
+  if (i % 8 == 2) ph = 1.0 - pA;
+  if (i % 8 == 3) ph = 1e-9 * (1.0 + rng.uniform());
+  return SymbolLaw{ph, std::max(0.0, 1.0 - pA - ph), pA};
+}
+
+TEST(DpKernel, ReferencePathMatchesRetainedDenseKernelBitForBit) {
+  Rng rng(0x19d9);
+  for (std::size_t i = 0; i < 300; ++i) {
+    const SymbolLaw law = fuzz_law(rng, i);
+    const std::size_t k = 1 + static_cast<std::size_t>(rng() % 64);
+    // Every law shape of fuzz_law meets both initial reach laws.
+    const InitialReach init = (i / 8) % 2 == 0 ? InitialReach::Stationary : InitialReach::Zero;
+    ReachPmf initial = stationary_reach_distribution(law, k);
+    if (init == InitialReach::Zero) {
+      initial.mass.assign(k + 1, 0.0L);
+      initial.mass[0] = 1.0L;
+      initial.tail = 0.0L;
+    }
+    const SettlementSeries dense = dense_settlement_series(law, k, initial);
+    const SettlementSeries banded = exact_settlement_series(law, k, init);
+    const std::string where = "run " + std::to_string(i) + " k " + std::to_string(k) + " pA " +
+                              std::to_string(law.pA) + " ph " + std::to_string(law.ph);
+    ASSERT_EQ(banded.violation.size(), dense.violation.size()) << where;
+    for (std::size_t t = 0; t <= k; ++t)
+      ASSERT_EQ(banded.violation[t], dense.violation[t]) << where << " t " << t;
+    ASSERT_EQ(banded.always_violating, dense.always_violating) << where;
+    ASSERT_EQ(banded.never_violating, dense.never_violating) << where;
+    ASSERT_EQ(eventual_settlement_insecurity(law, k, init),
+              dense_eventual_insecurity(law, k, initial))
+        << where;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // (b) Fast-path accuracy against the Reference path.
 // ---------------------------------------------------------------------------
@@ -212,6 +380,71 @@ TEST(Sweep, EventualInvariantUnderThreadCount) {
     EXPECT_EQ(a[c], b[c]) << "cell " << c;
     const std::size_t i = c / ks.size(), j = c % ks.size();
     EXPECT_EQ(a[c], eventual_settlement_insecurity(laws[i], ks[j])) << "cell " << c;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// (d) The reach floor is the exact support.
+// ---------------------------------------------------------------------------
+
+using Cells = std::set<std::pair<std::ptrdiff_t, std::ptrdiff_t>>;
+
+/// Restores the metric-recording switch on scope exit.
+class ObsGuard {
+ public:
+  ObsGuard() : was_(obs::enabled()) {}
+  ~ObsGuard() { obs::set_enabled(was_); }
+
+ private:
+  bool was_;
+};
+
+// A boolean copy of the Theorem-5 transitions, with the kernel's own band
+// parameters for both drivers (the fixed-horizon series with its safe sink,
+// and eventual phase 1 without). With pA, ph and pH all positive and mass on
+// every seeded reach, the cells for_each_live visits must be exactly the
+// reachable set, each holding mass > 0: a floor set too low visits a cell
+// nothing reaches, one set too high misses a reachable cell (and moves the
+// bit pins above). dp.cells_touched must count the same cells.
+TEST(DpKernel, ReachFloorIsTheExactSupport) {
+  ObsGuard guard;
+  obs::set_enabled(true);
+  obs::Counter& touched = obs::Registry::global().counter("dp.cells_touched");
+  const SymbolLaw law{0.3, 0.25, 0.45};
+  for (const bool safe_sink : {true, false}) {
+    for (std::ptrdiff_t K = 1; K <= 40; ++K) {
+      const ReachPmf initial = stationary_reach_distribution(law, static_cast<std::size_t>(K));
+      BandedDp<long double> dp(static_cast<std::size_t>(K));
+      dp.seed(initial);
+      Cells reach;
+      for (std::ptrdiff_t r = 0; r <= K; ++r) reach.insert({r, r});
+      touched.reset();
+      std::size_t expected_touched = 0;
+      for (std::ptrdiff_t t = 0; t <= K; ++t) {
+        Cells live;
+        dp.for_each_live([&](std::ptrdiff_t r, std::ptrdiff_t s, long double q) {
+          EXPECT_GT(q, 0.0L) << "K " << K << " t " << t << " cell (" << r << ", " << s << ")";
+          live.insert({r, s});
+        });
+        ASSERT_EQ(live, reach) << "K " << K << " t " << t << " safe_sink " << safe_sink;
+        if (t == K) break;
+        const std::ptrdiff_t shi_next = K - t - 1, rcap_next = K - t;
+        const std::ptrdiff_t slo_next =
+            safe_sink ? std::max(dp.slo() - 1, -shi_next) : dp.slo() - 1;
+        Cells next;
+        for (const auto& [r, s] : reach) {
+          if (s + 1 <= shi_next) next.insert({std::min(r + 1, rcap_next), s + 1});
+          const std::ptrdiff_t r2 = r == 0 ? 0 : std::min(r - 1, rcap_next);
+          for (const std::ptrdiff_t s2 : {(s == 0 && r > 0) ? std::ptrdiff_t{0} : s - 1,
+                                          s == 0 ? std::ptrdiff_t{0} : s - 1})
+            if (s2 >= slo_next) next.insert({r2, s2});
+        }
+        dp.step(law.pA, law.ph, law.pH, slo_next, shi_next, rcap_next, safe_sink);
+        reach = std::move(next);
+        expected_touched += reach.size();
+      }
+      EXPECT_EQ(touched.value(), expected_touched) << "K " << K << " safe_sink " << safe_sink;
+    }
   }
 }
 

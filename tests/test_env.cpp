@@ -2,12 +2,15 @@
 // the ad-hoc parsers that treated "false"/"off" as enabled (old bench
 // env_flag) and silently coerced garbage to the fallback (MH_THREADS,
 // MH_OBS_BENCH_REPS). Malformed values must throw with the variable name in
-// the message, never fall back.
+// the message, never fall back. The text rules underneath also read the
+// examples' command lines, where atof/strtoul used to turn "abc" into 0 and
+// "-5" into 2^64-5.
 #include "support/env.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
 
 #include "engine/thread_pool.hpp"
@@ -16,6 +19,26 @@
 namespace {
 
 constexpr const char* kVar = "MH_TEST_ENV_KNOB";
+
+TEST(EnvText, ParseSizeAcceptsPlainDigitsOnly) {
+  EXPECT_EQ(mh::env::parse_size("0"), std::optional<std::size_t>(0));
+  EXPECT_EQ(mh::env::parse_size("50"), std::optional<std::size_t>(50));
+  EXPECT_EQ(mh::env::parse_size("18446744073709551615"),
+            std::optional<std::size_t>(18446744073709551615ULL));
+  for (const char* v : {"", "-5", "+5", "abc", "16x", " 4", "4 ", "1.5", "0x10", "1e3",
+                        "18446744073709551616"})
+    EXPECT_EQ(mh::env::parse_size(v), std::nullopt) << '"' << v << '"';
+}
+
+TEST(EnvText, ParseNumberAcceptsOneFiniteRealOnly) {
+  EXPECT_EQ(mh::env::parse_number("0.3"), std::optional<double>(0.3));
+  EXPECT_EQ(mh::env::parse_number("-5"), std::optional<double>(-5.0));
+  EXPECT_EQ(mh::env::parse_number("1e-9"), std::optional<double>(1e-9));
+  EXPECT_EQ(mh::env::parse_number("0"), std::optional<double>(0.0));
+  for (const char* v : {"", "abc", "0.3x", " 0.3", "0.3 ", "nan", "inf", "-inf", "1e999",
+                        "1e-400", "0.3,5"})
+    EXPECT_EQ(mh::env::parse_number(v), std::nullopt) << '"' << v << '"';
+}
 
 class EnvTest : public ::testing::Test {
  protected:
@@ -97,7 +120,7 @@ TEST_F(EnvTest, PositiveNumberParsesAndRejects) {
   EXPECT_DOUBLE_EQ(mh::env::positive_number(kVar, 2.0), 2.0);
   set("3.25");
   EXPECT_DOUBLE_EQ(mh::env::positive_number(kVar, 2.0), 3.25);
-  for (const char* v : {"0", "-1.5", "nan", "inf", "2%", "fast"}) {
+  for (const char* v : {"0", "-1.5", "nan", "inf", "2%", "fast", " 3"}) {
     set(v);
     EXPECT_THROW((void)mh::env::positive_number(kVar, 2.0), std::invalid_argument) << v;
   }
