@@ -26,6 +26,12 @@ bool FaultInjector::is_down(PartyId party, std::size_t slot) const noexcept {
   return false;
 }
 
+bool FaultInjector::any_down(std::size_t slot) const noexcept {
+  for (const CrashSpec& c : plan_.churn)
+    if (c.crash <= slot && slot < c.restart) return true;
+  return false;
+}
+
 bool FaultInjector::down_in_window(PartyId party, std::size_t lo, std::size_t hi) const noexcept {
   for (const CrashSpec& c : plan_.churn)
     if (c.party == party && c.crash <= hi && lo < c.restart) return true;

@@ -65,6 +65,9 @@ class FaultInjector {
   /// Is `party` crashed at `slot` (some down-window [crash, restart) covers it)?
   [[nodiscard]] bool is_down(PartyId party, std::size_t slot) const noexcept;
 
+  /// Is some party crashed at `slot`?
+  [[nodiscard]] bool any_down(std::size_t slot) const noexcept;
+
   /// Does a down-window of `party` intersect slots [lo, hi] (inclusive)?
   /// (The non-delivery sweep's excusal; for observed-Delta use down_slots_in —
   /// a binary excusal would let a crash far into the window mask a genuine

@@ -27,13 +27,17 @@ EventCore::EventCore(std::size_t parties) : inboxes_(parties), ring_(kInitialRin
 
 void EventCore::schedule(PartyId recipient, std::size_t due, Ref ref) {
   inboxes_[recipient].heap.push(Delivery{seq_++, narrow_due(due), ref});
+  ++queued_;
 }
 
 void EventCore::schedule_all(std::size_t due, Ref ref, PartyId except) {
   const std::uint32_t d = narrow_due(due);
   const auto privately = [&] {
     for (PartyId r = 0; r < inboxes_.size(); ++r)
-      if (r != except) inboxes_[r].heap.push(Delivery{seq_++, d, ref});
+      if (r != except) {
+        inboxes_[r].heap.push(Delivery{seq_++, d, ref});
+        ++queued_;
+      }
   };
   // A cursor past this bucket, a due too far ahead of every cursor for the
   // ring, or the due that marks a free bucket: one private copy each.
@@ -45,11 +49,13 @@ void EventCore::schedule_all(std::size_t due, Ref ref, PartyId except) {
     // No round exists yet, so a cursor that never collected may start at
     // this due: the ring then spans only what recipients still have to read.
     shared_ = true;
-    for (Inbox& inbox : inboxes_)
-      if (inbox.due < d) {
-        inbox.due = d;
-        inbox.pos = 0;
-      }
+    const auto start = [d](Cursor& cursor) {
+      if (cursor.due < d) cursor = Cursor{d, 0};
+    };
+    if (aligned_)
+      start(cursor_);
+    else
+      for (Inbox& inbox : inboxes_) start(inbox.cursor);
     passed_ = d;
   }
   Bucket* bucket = &ring_[d & (ring_.size() - 1)];
@@ -72,9 +78,44 @@ void EventCore::schedule_all(std::size_t due, Ref ref, PartyId except) {
   last_due_ = std::max(last_due_, d);
 }
 
+bool EventCore::sweep(std::size_t slot, std::vector<Round>* out) {
+  if (queued_ != 0 || (!aligned_ && !realign())) return false;
+  out->clear();
+  const std::uint32_t until = slot < kNoDue ? static_cast<std::uint32_t>(slot) : kNoDue;
+  // As in collect: a slot below the cursor reads no round.
+  if (until < cursor_.due) return true;
+  // A round pushed before some recipient's crash is skipped by that
+  // recipient alone.
+  bool below_floor = false;
+  walk(cursor_, until, [&](std::uint32_t, const Round& round) {
+    below_floor = below_floor || round.seq < wiped_;
+    out->push_back(round);
+  });
+  if (below_floor) {
+    out->clear();
+    return false;
+  }
+  pass(cursor_, until);
+  return true;
+}
+
+void EventCore::split() {
+  for (Inbox& inbox : inboxes_) inbox.cursor = cursor_;
+  aligned_ = false;
+}
+
+bool EventCore::realign() {
+  for (const Inbox& inbox : inboxes_)
+    if (inbox.cursor != inboxes_.front().cursor) return false;
+  if (!inboxes_.empty()) cursor_ = inboxes_.front().cursor;
+  aligned_ = true;
+  return true;
+}
+
 std::uint32_t EventCore::min_cursor() const noexcept {
+  if (aligned_) return cursor_.due;
   std::uint32_t lo = kNoDue;
-  for (const Inbox& inbox : inboxes_) lo = std::min(lo, inbox.due);
+  for (const Inbox& inbox : inboxes_) lo = std::min(lo, inbox.cursor.due);
   return lo;
 }
 
@@ -93,21 +134,18 @@ bool EventCore::grow(std::uint32_t due) {
 
 void EventCore::wipe(PartyId recipient) {
   Inbox& inbox = inboxes_[recipient];
+  queued_ -= inbox.heap.size();
   inbox.heap = Heap();
   inbox.floor = seq_;
+  wiped_ = seq_;
 }
 
 std::size_t EventCore::pending(PartyId recipient) const {
   const Inbox& inbox = inboxes_[recipient];
   std::size_t count = inbox.heap.size();
-  const std::size_t mask = ring_.size() - 1;
-  for (std::uint64_t d = inbox.due; d <= last_due_; ++d) {
-    const Bucket& bucket = ring_[d & mask];
-    if (bucket.due != d) continue;
-    for (std::size_t pos = d == inbox.due ? inbox.pos : 0; pos < bucket.rounds.size(); ++pos)
-      if (bucket.rounds[pos].except != recipient && bucket.rounds[pos].seq >= inbox.floor)
-        ++count;
-  }
+  walk(aligned_ ? cursor_ : inbox.cursor, kNoDue, [&](std::uint32_t, const Round& round) {
+    if (round.except != recipient && round.seq >= inbox.floor) ++count;
+  });
   return count;
 }
 

@@ -28,6 +28,17 @@
 // every cursor has passed it; the ring doubles when a new due would land on a
 // bucket some cursor still has to read, up to a cap past which a round takes
 // the private fallback too.
+//
+// Two ways to read. collect() hands one recipient its merged deliveries.
+// sweep() reads a slot's due rounds ONCE for every recipient, and only when
+// that is what each collect would hand it (minus the rounds it is the
+// `except` of): no private delivery is queued anywhere, every cursor stands
+// at one position, and no round in range was pushed before a crash floor.
+// The core tracks those three facts as it goes: a count of queued private
+// deliveries, the highest floor, and whether the cursors are aligned. While
+// aligned, one shared cursor stands for every recipient's, so a sweep writes
+// one cursor, not one per recipient; the first collect gives each recipient
+// its own copy, and a sweep re-aligns them when they all agree again.
 #pragma once
 
 #include <algorithm>
@@ -84,10 +95,19 @@ class EventCore {
   void schedule_all(std::size_t due, Ref ref, PartyId except);
 
   /// Hand every delivery for `recipient` with due <= slot to `take(ref)`,
-  /// in (due asc, seq asc) order, and consume them. `take` must not
-  /// schedule.
+  /// in (due asc, seq asc) order, and consume them. `take` may schedule
+  /// private deliveries due after `slot` to other recipients (a gossip
+  /// relay), never a shared round.
   template <class Take>
   void collect(PartyId recipient, std::size_t slot, Take&& take);
+
+  /// Read the rounds due by `slot` once for every recipient. When no private
+  /// delivery is queued, every cursor agrees and no round in range lies
+  /// below a crash floor, collect(r, slot) would hand each recipient r
+  /// exactly these rounds minus those whose `except` is r: then replace
+  /// `*out` with them in (due, seq) order, consume them for every recipient
+  /// and return true. Otherwise consume nothing and return false.
+  bool sweep(std::size_t slot, std::vector<Round>* out);
 
   /// Crash semantics: every delivery queued toward `recipient`, private or
   /// shared, is volatile endpoint state and is lost.
@@ -110,12 +130,18 @@ class EventCore {
   };
   using Heap = std::priority_queue<Delivery, std::vector<Delivery>, Later>;
 
-  /// A recipient's private heap, its read position in the shared rounds
-  /// (cursor due and position), and its crash floor seq.
-  struct Inbox {
-    Heap heap;
+  /// A read position in the shared rounds: every round due before `due`
+  /// and the first `pos` rounds of bucket `due` are read.
+  struct Cursor {
     std::uint32_t due = 0;
     std::uint32_t pos = 0;
+    friend bool operator==(const Cursor&, const Cursor&) = default;
+  };
+  /// A recipient's private heap, its own cursor (stale while aligned_) and
+  /// its crash floor seq.
+  struct Inbox {
+    Heap heap;
+    Cursor cursor;
     std::uint64_t floor = 0;
   };
   struct Bucket {
@@ -123,6 +149,20 @@ class EventCore {
     std::vector<Round> rounds;
   };
 
+  /// Hand `visit(due, round)` every round after `from` due by `until`, in
+  /// (due, seq) order. `visit` must not append a round.
+  template <class Visit>
+  void walk(const Cursor& from, std::uint32_t until, Visit&& visit) const;
+  /// Move `cursor` past every round due by `until`, as a read to `until`.
+  void pass(Cursor& cursor, std::uint32_t until) {
+    const Bucket& at = ring_[until & (ring_.size() - 1)];
+    cursor = Cursor{until, at.due == until ? static_cast<std::uint32_t>(at.rounds.size()) : 0};
+    passed_ = std::max(passed_, until);
+  }
+  /// Give every recipient its own copy of the shared cursor.
+  void split();
+  /// Re-align when every recipient's cursor agrees; false if one differs.
+  bool realign();
   [[nodiscard]] std::uint32_t min_cursor() const noexcept;
   /// Resize the ring so every bucket some cursor still has to read, and the
   /// bucket of `due`, sit at distinct positions; false (and no change) when
@@ -130,6 +170,10 @@ class EventCore {
   bool grow(std::uint32_t due);
 
   std::vector<Inbox> inboxes_;
+  Cursor cursor_;               ///< every recipient's cursor while aligned_
+  bool aligned_ = true;         ///< every recipient reads through cursor_
+  std::size_t queued_ = 0;      ///< private deliveries queued, all recipients
+  std::uint64_t wiped_ = 0;     ///< the highest crash floor
   std::vector<Bucket> ring_;    ///< power-of-two size, bucket of due d at d & mask
   std::uint32_t passed_ = 0;    ///< the highest cursor due: rounds below fall back
   std::uint32_t last_due_ = 0;  ///< the highest due any bucket holds
@@ -137,41 +181,47 @@ class EventCore {
   std::uint64_t seq_ = 0;
 };
 
-// Inline: the simulation collects once per node per delivery round.
+template <class Visit>
+void EventCore::walk(const Cursor& from, std::uint32_t until, Visit&& visit) const {
+  const std::size_t mask = ring_.size() - 1;
+  const std::uint64_t last = std::min(until, last_due_);
+  for (std::uint64_t d = from.due; d <= last; ++d) {
+    const Bucket& bucket = ring_[d & mask];
+    if (bucket.due != d) continue;
+    for (std::size_t pos = d == from.due ? from.pos : 0; pos < bucket.rounds.size(); ++pos)
+      visit(static_cast<std::uint32_t>(d), bucket.rounds[pos]);
+  }
+}
+
+// Inline: a simulation that cannot sweep collects once per node per round.
 template <class Take>
 void EventCore::collect(PartyId recipient, std::size_t slot, Take&& take) {
+  if (aligned_) split();
   Inbox& inbox = inboxes_[recipient];
   Heap& heap = inbox.heap;
+  // Pop before take: take may schedule (a relay), so no reference into the
+  // heap is held across it.
+  const auto pop = [&] {
+    const Ref ref = heap.top().ref;
+    heap.pop();
+    --queued_;
+    take(ref);
+  };
   const std::uint32_t until = slot < kNoDue ? static_cast<std::uint32_t>(slot) : kNoDue;
   // A collect at a lower slot than the cursor reads no round: every round it
   // could see is due after that slot.
-  if (until >= inbox.due) {
-    const std::size_t mask = ring_.size() - 1;
-    const std::uint64_t last = std::min(until, last_due_);
-    for (std::uint64_t d = inbox.due; d <= last; ++d) {
-      const Bucket& bucket = ring_[d & mask];
-      if (bucket.due != d) continue;
-      for (std::size_t pos = d == inbox.due ? inbox.pos : 0; pos < bucket.rounds.size(); ++pos) {
-        const Round& round = bucket.rounds[pos];
-        if (round.except == recipient || round.seq < inbox.floor) continue;
-        // Private deliveries ahead of the round in (due, seq) order go first.
-        while (!heap.empty() &&
-               (heap.top().due < d || (heap.top().due == d && heap.top().seq < round.seq))) {
-          take(heap.top().ref);
-          heap.pop();
-        }
-        take(round.ref);
-      }
-    }
-    const Bucket& at = ring_[until & mask];
-    inbox.pos = at.due == until ? static_cast<std::uint32_t>(at.rounds.size()) : 0;
-    inbox.due = until;
-    passed_ = std::max(passed_, until);
+  if (until >= inbox.cursor.due) {
+    walk(inbox.cursor, until, [&](std::uint32_t d, const Round& round) {
+      if (round.except == recipient || round.seq < inbox.floor) return;
+      // Private deliveries ahead of the round in (due, seq) order go first.
+      while (!heap.empty() &&
+             (heap.top().due < d || (heap.top().due == d && heap.top().seq < round.seq)))
+        pop();
+      take(round.ref);
+    });
+    pass(inbox.cursor, until);
   }
-  while (!heap.empty() && heap.top().due <= until) {
-    take(heap.top().ref);
-    heap.pop();
-  }
+  while (!heap.empty() && heap.top().due <= until) pop();
 }
 
 }  // namespace mh::net

@@ -258,9 +258,9 @@ std::size_t Network::link_extra(std::size_t slot, PartyId sender, PartyId recipi
 
 // --- the one send path -------------------------------------------------------
 //
-// Shipping counters are aggregated per round, not per scheduled delivery:
-// deliveries are scheduled millions of times per execution, and a hook on
-// each alone costs ~2% wall-clock on the E14 acceptance cell.
+// Shipping counters are tallied in counts_ and reach the obs registry in
+// flush_counts(): deliveries are scheduled millions of times per execution,
+// and even a hook per broadcast is a measurable share of an E14 slot.
 
 std::size_t Network::send_link(std::uint32_t entry, PartyId sender, PartyId recipient,
                                std::size_t slot, std::size_t hold, bool faulted) {
@@ -283,7 +283,7 @@ std::size_t Network::send_link(std::uint32_t entry, PartyId sender, PartyId reci
   if (faulted && !faulted_link(sender, recipient, slot, &link)) return 0;
   MH_OBS_HIST("protocol.net.chain_sync_depth", lift_scratch_.size());
   // The walk stopping short of genesis means coverage answered it.
-  if (h != 0) MH_OBS_COUNT("protocol.net.coverage_hits", 1);
+  if (h != 0) ++counts_.coverage_hits;
   const std::size_t blocks = lift_scratch_.size() + 1;
   // One due for the whole bundle: its last departure plus the link's draw at
   // its first, so no ancestor lands after the block.
@@ -345,7 +345,7 @@ void Network::broadcast_chain(const BlockTree& tree, const Block& block, std::si
   const std::uint32_t entry = sent_entry(tree, block, sent_slot);
   if (!uniform) {
     const std::size_t shipped = send_round(entry, block.issuer, sent_slot, per_recipient_delay);
-    MH_OBS_COUNT("protocol.net.blocks_shipped", shipped);
+    counts_.shipped += shipped;
     return;
   }
   // One due for every recipient: one walk against the all-recipient bound
@@ -357,8 +357,8 @@ void Network::broadcast_chain(const BlockTree& tree, const Block& block, std::si
   std::uint32_t h = store_->entry_parent(entry);
   for (; !covered_all(h, due); h = store_->entry_parent(h)) lift_scratch_.push_back(h);
   MH_OBS_HIST("protocol.net.chain_sync_depth", lift_scratch_.size());
-  MH_OBS_COUNT("protocol.net.blocks_shipped", (lift_scratch_.size() + 1) * (parties_ - 1));
-  if (h != 0) MH_OBS_COUNT("protocol.net.coverage_hits", 1);
+  counts_.shipped += (lift_scratch_.size() + 1) * (parties_ - 1);
+  if (h != 0) ++counts_.coverage_hits;
   for (std::size_t i = lift_scratch_.size(); i-- > 0;)
     events_.schedule_all(due, lift_scratch_[i], block.issuer);
   events_.schedule_all(due, entry, block.issuer);
@@ -369,7 +369,7 @@ void Network::relay(const BlockTree& tree, const Block& block, PartyId relayer,
                     std::size_t slot) {
   require_party(relayer, "relay");
   const std::size_t relayed = send_round(sent_entry(tree, block, slot), relayer, slot, {});
-  MH_OBS_COUNT("protocol.net.blocks_relayed", relayed);
+  counts_.relayed += relayed;
 }
 
 void Network::inject_ref(net::Ref ref, PartyId recipient, std::size_t visible_slot) {
@@ -379,7 +379,7 @@ void Network::inject_ref(net::Ref ref, PartyId recipient, std::size_t visible_sl
     count_drop();
     return;
   }
-  MH_OBS_COUNT("protocol.net.blocks_shipped", 1);
+  ++counts_.shipped;
   events_.schedule(recipient, visible_slot, ref);
   // Coverage must stay chain-complete: a partial disclosure (parent not
   // covered) is NOT recorded, so later honest sends re-ship the prefix.
@@ -406,7 +406,7 @@ void Network::inject_all(const Block& block, std::size_t visible_slot) {
     for (PartyId r = 0; r < parties_; ++r) inject_ref(ref, r, visible_slot);
     return;
   }
-  MH_OBS_COUNT("protocol.net.blocks_shipped", parties_);
+  counts_.shipped += parties_;
   events_.schedule_all(visible_slot, ref, net::kNobody);
   if (net::is_foreign(ref)) return;
   // The coverage each per-party injection would record: one all-recipient
@@ -443,10 +443,16 @@ void Network::resync_ship(const Block& block, PartyId recipient, std::size_t slo
   MH_OBS_COUNT("protocol.faults.resync_blocks", 1);
 }
 
+void Network::flush_counts() {
+  if (counts_.shipped != 0) MH_OBS_COUNT("protocol.net.blocks_shipped", counts_.shipped);
+  if (counts_.relayed != 0) MH_OBS_COUNT("protocol.net.blocks_relayed", counts_.relayed);
+  if (counts_.coverage_hits != 0) MH_OBS_COUNT("protocol.net.coverage_hits", counts_.coverage_hits);
+  counts_ = Counts{};
+}
+
 void Network::collect_into(PartyId recipient, std::size_t slot, std::vector<Block>* out) {
-  require_party(recipient, "collect");
   out->clear();
-  events_.collect(recipient, slot, [&](net::Ref ref) { out->push_back(block(ref)); });
+  collect(recipient, slot, [&](net::Ref ref) { out->push_back(block(ref)); });
 }
 
 }  // namespace mh

@@ -38,7 +38,10 @@
 //     the batched form: each shipped block is ONE shared round of the event
 //     core, which every recipient but the forger reads through its own
 //     cursor, and one all-recipient entry. An injection to everyone outside a
-//     fault window is one shared round too. Any other round outside a fault
+//     fault window is one shared round too. When nothing else is queued and
+//     every cursor agrees, sweep() reads a slot's due rounds once for every
+//     recipient, so the simulation admits one list node by node instead of
+//     collecting per recipient. Any other round outside a fault
 //     window has also covered everyone by its latest due, so it folds its
 //     chain into the all-recipient bound there, and folding drops the
 //     block's per-recipient entries: those only track blocks not yet covered
@@ -109,8 +112,8 @@ class Network {
   /// covered for. `tree` is the store, and holds the block. `delay[r]` in
   /// [0, delta] is the adversary's extra hold-back for recipient r (empty =
   /// no extra delay). Once the chain prefix is covered: O(1) per shipped
-  /// block in the batched form (plus one O(parties) scan of the cursors per
-  /// new due), O(parties) otherwise.
+  /// block in the batched form (plus, while the cursors are apart, one
+  /// O(parties) scan of them per new due), O(parties) otherwise.
   void broadcast_chain(const BlockTree& tree, const Block& block, std::size_t sent_slot,
                        const std::vector<std::size_t>& per_recipient_delay = {});
 
@@ -144,20 +147,31 @@ class Network {
   /// chain-complete.
   void resync_ship(const Block& block, PartyId recipient, std::size_t slot);
 
-  /// Replace `*out` with the refs delivered to `recipient` at the onset of
-  /// `slot`, in (due, seq) event order; block() resolves them.
-  void collect(PartyId recipient, std::size_t slot, std::vector<net::Ref>* out) {
+  /// Read the rounds due at the onset of `slot` once for every recipient
+  /// (net::EventCore::sweep): true when each recipient's deliveries are
+  /// exactly `*out` minus the rounds it is the `except` of, all consumed;
+  /// false, with nothing consumed, when some recipient must collect alone.
+  bool sweep(std::size_t slot, std::vector<net::Round>* out) { return events_.sweep(slot, out); }
+  /// Hand `take(ref)` every delivery to `recipient` due at the onset of
+  /// `slot`, in (due, seq) event order; block() resolves a ref. `take` may
+  /// relay, never inject or broadcast.
+  template <class Take>
+  void collect(PartyId recipient, std::size_t slot, Take&& take) {
     require_party(recipient, "collect");
-    out->clear();
-    events_.collect(recipient, slot, [out](net::Ref ref) { out->push_back(ref); });
+    events_.collect(recipient, slot, take);
   }
-  /// collect(), resolved to blocks.
+  /// Replace `*out` with collect()'s deliveries, resolved to blocks.
   void collect_into(PartyId recipient, std::size_t slot, std::vector<Block>* out);
   /// The block a delivered ref names: a store entry or a side-table block.
   [[nodiscard]] const Block& block(net::Ref ref) const;
 
   /// Deliveries scheduled so far: unchanged means nothing new was scheduled.
   [[nodiscard]] std::uint64_t scheduled() const noexcept { return events_.scheduled(); }
+
+  /// Add the tallied shipping counters (protocol.net.blocks_shipped,
+  /// blocks_relayed, coverage_hits) to the obs registry and reset them. A
+  /// Simulation flushes at the end of every run_until.
+  void flush_counts();
 
  private:
   /// Per-recipient coverage entries: (recipient, store entry) -> due, in one
@@ -266,6 +280,12 @@ class Network {
   };
   std::vector<Egress> egress_;  ///< rolling bandwidth counters (capped configs only)
   std::vector<std::uint32_t> lift_scratch_;  ///< ancestors pending ship, reused
+  struct Counts {
+    std::size_t shipped = 0;
+    std::size_t relayed = 0;
+    std::size_t coverage_hits = 0;
+  };
+  Counts counts_;  ///< see flush_counts
 };
 
 }  // namespace mh

@@ -36,7 +36,8 @@ class HonestNode {
   /// receive() of the store's own entry `entry`, whose issuance the caller
   /// has checked against this node's schedule: its header was checked when
   /// it entered the store, so a bit test, a bit set and a head offer remain.
-  void admit_stored(std::uint32_t entry, std::vector<std::uint32_t>* accepted) {
+  [[gnu::always_inline]] void admit_stored(std::uint32_t entry,
+                                           std::vector<std::uint32_t>* accepted) {
     const BlockTree::AddResult result = view_.admit(entry);
     if (result == BlockTree::AddResult::Added && view_.orphans().size() == 0) {
       if (accepted) accepted->push_back(entry);

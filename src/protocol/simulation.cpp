@@ -56,21 +56,24 @@ void Simulation::run_until(std::size_t slot) {
   // of `slot` see its blocks. step() re-collects idempotently (queues drain).
   count_received(deliver_due(next_slot_), 0);
   check_watches(next_slot_);
+  if (counts_.slots != 0) MH_OBS_COUNT("protocol.sim.slots", counts_.slots);
+  if (counts_.forged != 0) MH_OBS_COUNT("protocol.sim.honest_forged", counts_.forged);
+  if (counts_.delivered != 0) MH_OBS_COUNT("protocol.net.blocks_delivered", counts_.delivered);
+  if (counts_.received != 0) MH_OBS_COUNT("protocol.node.blocks_received", counts_.received);
+  counts_ = Counts{};
+  network_.flush_counts();
 }
 
 void Simulation::count_received(std::size_t delivered, std::size_t self_received) {
-  if (delivered != 0) MH_OBS_COUNT("protocol.net.blocks_delivered", delivered);
-  if (delivered + self_received != 0)
-    MH_OBS_COUNT("protocol.node.blocks_received", delivered + self_received);
+  counts_.delivered += delivered;
+  counts_.received += delivered + self_received;
 }
 
-void Simulation::public_add(std::uint32_t entry) {
+void Simulation::mirror(std::uint32_t entry) {
   // An entry offered once needs no second offer: it was Added (a repeat
   // would be a Duplicate), is buffered until its parent lands (a repeat
   // would be a deduplicated Orphan), or was Invalid (forever).
-  std::uint8_t& flags = entry_flags(entry);
-  if ((flags & kMirrored) != 0) return;
-  flags |= kMirrored;
+  entry_flags(entry) |= kMirrored;
   const Block& block = global_tree_.entry_block(entry);
   switch (public_tree_.try_add(block)) {
     case BlockTree::AddResult::Added:
@@ -111,53 +114,73 @@ void Simulation::admit(HonestNode& node, std::uint32_t entry) {
     node.admit(global_tree_.entry_block(entry), &accepted_);
 }
 
+void Simulation::ratchet_and_relay(PartyId node, std::uint32_t entry, std::size_t slot) {
+  // Observed Delta: the max delay until a node could first ADOPT an honest
+  // block — chain-complete acceptance, not raw arrival. (A partial leak
+  // parks a block in the orphan buffer where it extends nothing; grading
+  // the run at arrival delay undercuts the fork projection — F4 fails at an
+  // observed Delta the execution never actually satisfied.) Down slots are
+  // discounted, not the whole window: a crashed endpoint cannot receive
+  // (and the restart re-sync delivers promptly), but every UP slot the block
+  // went undelivered is the network's degradation — a later unrelated crash
+  // must not excuse it. The ratchet precheck keeps slot - a.slot - 1 from
+  // underflowing on rushed injections.
+  const Block& a = global_tree_.entry_block(entry);
+  if (a.issuer != kAdversary && slot > a.slot + 1 + observed_delta_) {
+    const std::size_t raw = slot - a.slot - 1;
+    const std::size_t down = fault_active_ ? faults_->down_slots_in(node, a.slot + 1, slot) : 0;
+    if (raw > down + observed_delta_) observed_delta_ = raw - down;
+  }
+  // Gossip: a node sends every block it admits on to its neighbors
+  // (lockstep needs no relays: every party is a direct recipient).
+  if (hetero_) network_.relay(global_tree_, a, node, slot);
+}
+
+// Inlined into both delivery loops: it runs once per (node, delivered ref).
+[[gnu::always_inline]] inline void Simulation::deliver(HonestNode& node, net::Ref ref, bool stored,
+                                                       std::size_t slot) {
+  // Admitting a foreign block may intern it and grow the store's columns:
+  // nothing here holds a reference into them across the admission.
+  accepted_.clear();
+  if (stored)
+    node.admit_stored(ref, &accepted_);
+  else
+    node.admit(network_.block(ref), &accepted_);
+  // Every block the node admitted — including orphans unblocked by this
+  // delivery — joins the public tree (the seed dropped flushed orphans,
+  // hiding real public-fork disagreements).
+  for (const std::uint32_t entry : accepted_) {
+    if (fault_active_ || hetero_) ratchet_and_relay(node.id(), entry, slot);
+    public_add(entry);
+  }
+}
+
 std::size_t Simulation::deliver_due(std::size_t slot) {
   // Down-ness within a slot is fixed by the plan and relays never fall due
   // at the slot they leave, so a sweep at a slot already swept finds
   // nothing unless something was scheduled since.
   if (slot == swept_slot_ && network_.scheduled() == swept_scheduled_) return 0;
   std::size_t delivered = 0;
-  for (HonestNode& node : nodes_) {
-    // A crashed endpoint neither collects nor processes; its queue was wiped
-    // at crash time and stays empty while it is down.
-    if (fault_active_ && faults_->is_down(node.id(), slot)) continue;
-    network_.collect(node.id(), slot, &refs_);
-    delivered += refs_.size();
-    for (const net::Ref ref : refs_) {
-      accepted_.clear();
-      if (net::is_foreign(ref))
-        node.admit(network_.block(ref), &accepted_);
-      else
-        admit(node, ref);
-      // Every block the node admitted — including orphans unblocked by this
-      // delivery — joins the public tree (the seed dropped flushed orphans,
-      // hiding real public-fork disagreements).
-      for (const std::uint32_t entry : accepted_) {
-        // Observed Delta: the max delay until a node could first ADOPT an
-        // honest block — chain-complete acceptance, not raw arrival. (A
-        // partial leak parks a block in the orphan buffer where it extends
-        // nothing; grading the run at arrival delay undercuts the fork
-        // projection — F4 fails at an observed Delta the execution never
-        // actually satisfied.) Down slots are discounted, not the whole
-        // window: a crashed endpoint cannot receive (and the restart re-sync
-        // delivers promptly), but every UP slot the block went undelivered is
-        // the network's degradation — a later unrelated crash must not excuse
-        // it. The ratchet precheck keeps slot - a.slot - 1 from underflowing
-        // on rushed injections.
-        if (fault_active_ || hetero_) {
-          const Block& a = global_tree_.entry_block(entry);
-          if (a.issuer != kAdversary && slot > a.slot + 1 + observed_delta_) {
-            const std::size_t raw = slot - a.slot - 1;
-            const std::size_t down =
-                fault_active_ ? faults_->down_slots_in(node.id(), a.slot + 1, slot) : 0;
-            if (raw > down + observed_delta_) observed_delta_ = raw - down;
-          }
-        }
-        public_add(entry);
-        // Gossip: a node sends every block it admits on to its neighbors
-        // (lockstep needs no relays: every party is a direct recipient).
-        if (hetero_) network_.relay(global_tree_, global_tree_.entry_block(entry), node.id(), slot);
+  // A crashed endpoint neither collects nor processes; its queue was wiped
+  // at crash time and stays empty while it is down. With every node up and
+  // the same rounds due to each, the rounds are read once and each one's
+  // admission path is resolved once.
+  if (!(fault_active_ && faults_->any_down(slot)) && network_.sweep(slot, &rounds_)) {
+    round_stored_.clear();
+    for (const net::Round& round : rounds_) round_stored_.push_back(stored_path(round.ref));
+    for (HonestNode& node : nodes_)
+      for (std::size_t i = 0; i < rounds_.size(); ++i) {
+        if (rounds_[i].except == node.id()) continue;
+        ++delivered;
+        deliver(node, rounds_[i].ref, round_stored_[i] != 0, slot);
       }
+  } else {
+    for (HonestNode& node : nodes_) {
+      if (fault_active_ && faults_->is_down(node.id(), slot)) continue;
+      network_.collect(node.id(), slot, [&](net::Ref ref) {
+        ++delivered;
+        deliver(node, ref, stored_path(ref), slot);
+      });
     }
   }
   swept_slot_ = slot;
@@ -167,7 +190,7 @@ std::size_t Simulation::deliver_due(std::size_t slot) {
 
 void Simulation::step() {
   const std::size_t t = next_slot_++;
-  MH_OBS_COUNT("protocol.sim.slots", 1);
+  ++counts_.slots;
 
   // Epoch-driven schedules reveal their slots here: an epoch opening at slot
   // t folds its nonce from the public chain exactly as of the previous slot's
@@ -214,7 +237,7 @@ void Simulation::step() {
     }
     forged.push_back(make_block(parent, t, leader, rng_()));
   }
-  if (!forged.empty()) MH_OBS_COUNT("protocol.sim.honest_forged", forged.size());
+  counts_.forged += forged.size();
   count_received(delivered, forged.size());  // leaders self-receive their blocks
 
   // 4. Broadcast; record; leaders adopt their own blocks immediately. Honest

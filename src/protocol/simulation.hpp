@@ -22,9 +22,19 @@
 // and is cached. Per node and delivered entry there remain a parent bit
 // test, a bit set and a head offer on its column; blocks the store does not
 // hold byte-for-byte, and ineligible entries, take the full receive() path.
-// A delivery round at a slot already swept, with nothing scheduled since,
-// is skipped outright (the round after the adversary's turn usually is), and
-// an entry already mirrored into the public tree is not offered to it again.
+//
+// A delivery round is slot-batched when it can be: with every node up and
+// the event core able to sweep (no private delivery queued, every cursor
+// aligned, no round below a crash floor), the slot's due rounds are read
+// once, each round's admission path is resolved once, and the one list is
+// handed to every node in node order. Otherwise each node collects its own
+// merged deliveries. Both loops feed one per-(node, ref) body (admission,
+// observed Delta, public mirror, relay), and processing stays node-major in
+// both, so each node's acceptance sequence and the public arrival order are
+// those of per-node collection. A delivery round at a slot already swept,
+// with nothing scheduled since, is skipped outright (the round after the
+// adversary's turn usually is), and an entry already mirrored into the
+// public tree costs a flag test, not a call.
 #pragma once
 
 #include <cstdint>
@@ -176,11 +186,22 @@ class Simulation {
   void step();
   /// Deliver everything due at the onset of `slot`; returns the deliveries.
   std::size_t deliver_due(std::size_t slot);
-  /// The delivery counters, added once per slot: a hook per delivery round
-  /// is a measurable share of a slot that costs a few microseconds.
+  /// Tally one slot's deliveries and self-receipts into counts_.
   void count_received(std::size_t delivered, std::size_t self_received);
-  /// One delivery of the global tree's entry `entry` to `node`, admissions
-  /// appended to accepted_.
+  /// One delivery of `ref` to `node` at the onset of `slot`, whichever loop
+  /// read it: admission (`stored`: see stored_path), then for every entry
+  /// the node admitted, ratchet_and_relay and the public mirror.
+  void deliver(HonestNode& node, net::Ref ref, bool stored, std::size_t slot);
+  /// The faulted and gossip share of `node` admitting `entry` at `slot`: the
+  /// observed-Delta ratchet, then, on gossip, the relay.
+  void ratchet_and_relay(PartyId node, std::uint32_t entry, std::size_t slot);
+  /// Is `ref` a stored entry whose issuance check passed? Its admission is
+  /// then a bit test; anything else takes the full receive() path.
+  [[nodiscard]] bool stored_path(net::Ref ref) {
+    return !net::is_foreign(ref) && eligible_entry(ref);
+  }
+  /// A forger's adoption of its own block, the global tree's entry `entry`:
+  /// admissions appended to accepted_.
   void admit(HonestNode& node, std::uint32_t entry);
   /// The schedule's issuance check of a stored entry, cached per entry.
   [[nodiscard]] bool eligible_entry(std::uint32_t entry);
@@ -195,8 +216,12 @@ class Simulation {
   void check_watches(std::size_t onset_slot);
   /// Mirror a node-accepted store entry into the public tree (once per
   /// entry); out-of-order arrivals are buffered and flushed like a node's
-  /// own orphan set.
-  void public_add(std::uint32_t entry);
+  /// own orphan set. An entry already offered costs only the flag test.
+  void public_add(std::uint32_t entry) {
+    if (entry >= entry_flags_.size() || (entry_flags_[entry] & kMirrored) == 0) mirror(entry);
+  }
+  /// public_add's first offer of `entry`.
+  [[gnu::noinline]] void mirror(std::uint32_t entry);
   /// The distinct best heads currently adopted across the honest nodes.
   [[nodiscard]] std::vector<BlockHash> distinct_best_heads() const;
   /// The slot-s prefix (deepest block with slot <= s) of the chain at `head`.
@@ -229,9 +254,20 @@ class Simulation {
   /// kMirrored marks an entry already offered to the public tree.
   enum EntryFlag : std::uint8_t { kChecked = 1, kEligible = 2, kMirrored = 4 };
   std::vector<std::uint8_t> entry_flags_;
-  std::vector<net::Ref> refs_;                 ///< collect reuse
+  std::vector<net::Round> rounds_;             ///< a sweep's rounds, reused
+  std::vector<std::uint8_t> round_stored_;     ///< stored_path per swept round
   std::vector<std::uint32_t> accepted_;        ///< admitted entries, reused
   std::vector<std::pair<BlockHash, BlockHash>> prefixes_;  ///< (head, prefix) memo
+  /// The slot loop's obs counters, added to the registry once per run_until:
+  /// a hook costs ~10 ns, a measurable share of a slot that costs a few
+  /// microseconds.
+  struct Counts {
+    std::size_t slots = 0;
+    std::size_t forged = 0;
+    std::size_t delivered = 0;
+    std::size_t received = 0;
+  };
+  Counts counts_;
   /// The last full delivery sweep: its slot and the network's schedule count
   /// after it. A sweep at the same slot with nothing scheduled since is moot.
   std::size_t swept_slot_ = static_cast<std::size_t>(-1);

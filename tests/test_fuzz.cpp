@@ -2,6 +2,8 @@
 // model grants (random minting on random parents, targeted injections,
 // per-recipient delays up to Delta, arbitrary tie-breaking) while the
 // invariants that anchor the reproduction are asserted on every execution:
+//   * lockstep delivers every honest chain by its due slot, checked slot by
+//     slot (delivery_audit() assumes this of unfaulted lockstep runs);
 //   * executions always map onto valid (Delta-)forks;
 //   * honest views only ever contain valid blocks from the global record;
 //   * observed settlement violations never beat the Theorem-5 recurrence.
@@ -72,7 +74,20 @@ TEST_P(ChaosFuzz, InvariantsSurviveChaos) {
     const TieBreak rule = rng.bernoulli(0.5) ? TieBreak::AdversarialOrder
                                              : TieBreak::ConsistentHash;
     Simulation sim(schedule, SimulationConfig{rule, rng()}, delta, &monkey);
-    sim.run();
+    // Invariant 0: after run_until(t) the deliveries due at the onset of
+    // t + 1 have landed, so every node holds every honest block b with
+    // b.slot + 1 + Delta <= t + 1, whatever was injected privately, delayed
+    // per recipient or tied.
+    for (std::size_t t = 1; t <= horizon; ++t) {
+      sim.run_until(t);
+      for (const Block& b : sim.all_blocks()) {
+        if (b.issuer == kAdversary || b.slot == 0 || b.slot + 1 + delta > t + 1) continue;
+        for (const HonestNode& node : sim.nodes())
+          ASSERT_TRUE(node.tree().contains(b.hash))
+              << "node " << node.id() << " lacks party " << b.issuer << "'s slot-" << b.slot
+              << " block after run_until(" << t << "), Delta = " << delta;
+      }
+    }
 
     // Invariant 1: the execution maps onto a valid (Delta-)fork.
     const ExecutionFork ef = fork_from_blocks(sim.all_blocks());

@@ -212,6 +212,169 @@ TEST(EventCore, ADuePast32BitsThrowsNamingTheSlot) {
   EXPECT_EQ(core.pending(0), 1u);
 }
 
+TEST(EventCore, ASweepReadsEachRoundOnceAndRefusesWhatOnlyCollectCanOrder) {
+  EventCore core(3);
+  std::vector<net::Round> rounds;
+  core.schedule_all(2, 7, 1);
+  core.schedule_all(2, 8, net::kNobody);
+  ASSERT_TRUE(core.sweep(2, &rounds));
+  ASSERT_EQ(rounds.size(), 2u);
+  EXPECT_EQ(rounds[0].ref, 7u);
+  EXPECT_EQ(rounds[0].except, 1u);
+  EXPECT_EQ(rounds[1].ref, 8u);
+  EXPECT_EQ(core.pending(0) + core.pending(1) + core.pending(2), 0u);  // consumed for all
+  // A private delivery anywhere: only a per-recipient merge orders it.
+  core.schedule_all(3, 9, net::kNobody);
+  core.schedule(2, 3, 4);
+  EXPECT_FALSE(core.sweep(3, &rounds));
+  EXPECT_EQ(collect(core, 2, 3), Refs({9, 4}));
+  // Party 2 read bucket 3 alone: the cursors disagree until the others do.
+  core.schedule_all(3, 5, net::kNobody);
+  EXPECT_FALSE(core.sweep(3, &rounds));
+  EXPECT_EQ(collect(core, 0, 3), Refs({9, 5}));
+  EXPECT_EQ(collect(core, 1, 3), Refs({9, 5}));
+  EXPECT_EQ(collect(core, 2, 3), Refs{5});
+  // A round pushed before a crash is skipped by the crashed party alone.
+  core.schedule_all(4, 6, net::kNobody);
+  core.wipe(1);
+  EXPECT_FALSE(core.sweep(4, &rounds));
+  EXPECT_TRUE(collect(core, 1, 4).empty());
+  EXPECT_EQ(collect(core, 0, 4), Refs{6});
+  EXPECT_EQ(collect(core, 2, 4), Refs{6});
+  // Aligned again, with every floor below the next round.
+  core.schedule_all(5, 3, 0);
+  ASSERT_TRUE(core.sweep(5, &rounds));
+  ASSERT_EQ(rounds.size(), 1u);
+  EXPECT_EQ(rounds[0].ref, 3u);
+}
+
+/// The event core's contract spelled out naively: one plain list of (due,
+/// seq, ref) per recipient, a shared round copied into every list but its
+/// except's, a wipe clearing the list, and a collect popping what is due by
+/// (due, seq).
+class NaiveQueues {
+ public:
+  explicit NaiveQueues(std::size_t parties) : lists_(parties) {}
+
+  void schedule(PartyId recipient, std::size_t due, net::Ref ref) {
+    lists_[recipient].push_back({due, seq_++, ref});
+  }
+  void schedule_all(std::size_t due, net::Ref ref, PartyId except) {
+    const std::uint64_t seq = seq_++;
+    for (PartyId r = 0; r < lists_.size(); ++r)
+      if (r != except) lists_[r].push_back({due, seq, ref});
+  }
+  void wipe(PartyId recipient) { lists_[recipient].clear(); }
+  Refs collect(PartyId recipient, std::size_t slot) {
+    std::vector<Entry>& list = lists_[recipient];
+    std::sort(list.begin(), list.end());
+    const auto due = std::partition_point(list.begin(), list.end(),
+                                          [slot](const Entry& e) { return e.due <= slot; });
+    Refs out;
+    for (auto it = list.begin(); it != due; ++it) out.push_back(it->ref);
+    list.erase(list.begin(), due);
+    return out;
+  }
+  [[nodiscard]] std::size_t pending(PartyId recipient) const { return lists_[recipient].size(); }
+
+ private:
+  struct Entry {
+    std::size_t due;
+    std::uint64_t seq;
+    net::Ref ref;
+    bool operator<(const Entry& other) const {
+      return due != other.due ? due < other.due : seq < other.seq;
+    }
+  };
+  std::vector<std::vector<Entry>> lists_;
+  std::uint64_t seq_ = 0;
+};
+
+TEST(EventCore, DifferentialFuzzAgainstNaiveQueues) {
+  // Random private sends and shared rounds (to everyone, or everyone but
+  // one), dues below a cursor and past the ring's reach, wipes, lagging and
+  // lower-slot collects, and sweeps: after every collect the core must hand
+  // out exactly the naive lists' due prefix and agree on pending(); a sweep
+  // must either refuse and consume nothing, or return what every
+  // recipient's collect would have.
+  Rng rng(0xc011ec7ULL);
+  std::size_t collects = 0, sweeps = 0, swept_rounds = 0, refused = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const std::size_t parties = 1 + rng.below(5);
+    EventCore core(parties);
+    NaiveQueues naive(parties);
+    std::vector<net::Round> rounds;
+    std::size_t now = rng.below(3);
+    net::Ref next = 0;
+    const auto check_pending = [&] {
+      for (PartyId r = 0; r < parties; ++r)
+        ASSERT_EQ(core.pending(r), naive.pending(r)) << "trial " << trial << ", party " << r;
+    };
+    const auto pick_due = [&]() -> std::size_t {
+      const std::uint64_t shape = rng.below(10);
+      if (shape == 0) return now + (std::size_t{1} << 16) + rng.below(4);  // past the ring
+      if (shape <= 2) return now - std::min<std::size_t>(now, rng.below(3));  // at or below
+      return now + rng.below(4);
+    };
+    const int ops = 10 + static_cast<int>(rng.below(60));
+    for (int op = 0; op < ops; ++op) {
+      const std::uint64_t kind = rng.below(100);
+      if (kind < 15) {
+        const PartyId r = static_cast<PartyId>(rng.below(parties));
+        const std::size_t due = pick_due();
+        core.schedule(r, due, next);
+        naive.schedule(r, due, next++);
+      } else if (kind < 45) {
+        const std::uint64_t pick = rng.below(parties + 1);
+        const PartyId except = pick == parties ? net::kNobody : static_cast<PartyId>(pick);
+        const std::size_t due = pick_due();
+        core.schedule_all(due, next, except);
+        naive.schedule_all(due, next++, except);
+      } else if (kind < 49) {
+        const PartyId r = static_cast<PartyId>(rng.below(parties));
+        core.wipe(r);
+        naive.wipe(r);
+      } else if (kind < 59) {
+        // One recipient alone, at the current slot or lagging behind it.
+        const PartyId r = static_cast<PartyId>(rng.below(parties));
+        const std::size_t slot = now - std::min<std::size_t>(now, rng.below(3));
+        ASSERT_EQ(collect(core, r, slot), naive.collect(r, slot)) << "trial " << trial;
+        ++collects;
+        check_pending();
+      } else if (kind < 79) {
+        // A delivery round: a sweep, or every recipient in order.
+        if (core.sweep(now, &rounds)) {
+          ++sweeps;
+          swept_rounds += rounds.size();
+          for (PartyId r = 0; r < parties; ++r) {
+            Refs read;
+            for (const net::Round& round : rounds)
+              if (round.except != r) read.push_back(round.ref);
+            ASSERT_EQ(read, naive.collect(r, now)) << "trial " << trial << ", party " << r;
+          }
+        } else {
+          ++refused;
+          check_pending();  // a refused sweep consumed nothing
+          for (PartyId r = 0; r < parties; ++r) {
+            ASSERT_EQ(collect(core, r, now), naive.collect(r, now)) << "trial " << trial;
+            ++collects;
+          }
+        }
+        check_pending();
+      } else {
+        now += 1 + rng.below(2);
+      }
+    }
+    check_pending();
+  }
+  // Every branch ran: collects alone and in rounds, sweeps that read rounds
+  // and sweeps that refused.
+  EXPECT_GT(collects, 100000u);
+  EXPECT_GT(sweeps, 10000u);
+  EXPECT_GT(swept_rounds, 10000u);
+  EXPECT_GT(refused, 10000u);
+}
+
 // ---------------------------------------------------------------------------
 // Topology construction
 // ---------------------------------------------------------------------------
