@@ -19,9 +19,6 @@
 //
 // MH_NET_QUICK shrinks the band's per-cell runs for CI smoke; the pinned
 // matrix always runs in full (that is the drift gate CI exists to catch).
-// The env spotlight cell applies the strict MH_NET_* knobs on top of a ring
-// base, so a CI job (or a laptop) can steer one extra shape without a
-// rebuild; it prints its digest and observed Delta but pins nothing.
 #include <benchmark/benchmark.h>
 
 #include "bench_harness.hpp"
@@ -285,17 +282,6 @@ bool hetero_band_report() {
   return clean;
 }
 
-void env_spotlight_report() {
-  NetConfig base;
-  base.topology = TopologyKind::Ring;
-  const NetConfig cfg = mh::net::net_config_from_env(base);
-  const mh::TransportProbeOutcome out =
-      mh::hetero_transport_probe(kPinParties, kPinHorizon, kPinSeed, kPinDelta, cfg);
-  std::printf("env spotlight (MH_NET_* over a ring base): %s\n", cfg.describe().c_str());
-  std::printf("  digest 0x%016llx, %zu blocks, observed Delta %zu\n\n",
-              static_cast<unsigned long long>(out.digest), out.blocks, out.observed_delta);
-}
-
 // --- timed benchmarks --------------------------------------------------------
 
 // One heterogeneous probe per topology kind: the sweep's unit of work
@@ -371,7 +357,6 @@ int main(int argc, char** argv) {
     const bool facade_ok = facade_gate_report();
     const bool pins_ok = pinned_matrix_report();
     const bool band_ok = hetero_band_report();
-    env_spotlight_report();
     return facade_ok && pins_ok && band_ok;
   }, options);
 }

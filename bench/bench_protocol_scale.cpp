@@ -1,8 +1,8 @@
 // E14/E17 — the protocol transport at scale: deep-horizon executions with up
 // to 1024 honest parties, a 10^5-party committee cell, and (behind
 // MH_BENCH_DEEP=1) a 10^6-party smoke cell plus a 10^7-slot horizon cell —
-// exercising the slot-bucketed chain-synced Network, the SoA
-// lifted-ancestor BlockTree and the nodes' membership views over it.
+// exercising the slot-bucketed chain-synced Network, the SoA BlockTree and
+// the nodes' membership views over it.
 // Per-slot transport cost is proportional to the slot's NEW blocks, so
 // wall-clock grows ~linearly in the horizon where the seed transport (full
 // ancestor-chain rebroadcast + queue scans) grew quadratically — the
@@ -20,11 +20,16 @@
 //
 // MH_BENCH_JSON=<path> archives every cell outcome (blocks, wall, digest,
 // gate verdict) in the results block — the BENCH_protocol_scale.json
-// trajectory CI keeps run over run.
+// trajectory CI keeps run over run. Deep-tier cells add their footprint:
+// the whole probe's wall time (schedule draw, run, end-of-run observers and
+// teardown) and the process's peak RSS after the cell.
 #include <benchmark/benchmark.h>
 
 #include "bench_harness.hpp"
 
+#include <sys/resource.h>
+
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -59,10 +64,11 @@ constexpr ScaleCell kSweepCells[] = {
     {100000, 25, 4, 0xae56b39a9e692465ULL},
 };
 
-// The deep tier (MH_BENCH_DEEP=1): a 10^6-party smoke cell (~1.1 GB peak,
-// ~3 s) and a 10^7-slot horizon cell (~5 GB peak, ~1 min, 1.25e7 blocks in
-// every view) — the scale points E17 quotes. Run serially: two of these
-// side by side would double the peak footprint for no timing benefit.
+// The deep tier (MH_BENCH_DEEP=1): a 10^6-party smoke cell (~0.25 GB peak,
+// under 1 s) and a 10^7-slot horizon cell (~3.6 GB peak, ~40 s, 1.25e7
+// blocks in every view) — the scale points E17 quotes; the report prints
+// each cell's measured footprint. Run serially: two of these side by side
+// would double the peak footprint for no timing benefit.
 constexpr ScaleCell kDeepCells[] = {
     {1000000, 16, 5, 0x3a321fa47de34b4dULL},
     {16, 10000000, 6, 0xd6da7d1820c614b2ULL},
@@ -72,6 +78,8 @@ struct CellRecord {
   mh::TransportProbeOutcome outcome;
   std::uint64_t pin = 0;
   bool pin_ok = true;
+  double total_s = 0.0;       ///< the whole probe call; outcome.seconds is sim.run() alone
+  double peak_rss_mib = 0.0;  ///< process high-water mark after the cell (deep tier)
 };
 
 std::vector<CellRecord> g_sweep_records;
@@ -96,30 +104,50 @@ bool check_seed_pins() {
   return ok;
 }
 
+/// getrusage's ru_maxrss: the process's peak so far (KiB on Linux), so it
+/// never falls between cells.
+double peak_rss_mib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
 CellRecord run_cell(const ScaleCell& cell) {
   const mh::engine::SeedSequence seeds(97);
   CellRecord rec;
+  const auto start = std::chrono::steady_clock::now();
   rec.outcome =
       mh::balance_transport_probe(cell.parties, cell.horizon, seeds.derive(cell.derivation));
+  rec.total_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   rec.pin = cell.pin;
   rec.pin_ok = cell.pin == 0 || rec.outcome.digest == cell.pin;
   return rec;
 }
 
-bool print_cells(const char* title, const std::vector<CellRecord>& records) {
+/// `footprint` adds the deep tier's total-wall and peak-RSS columns.
+bool print_cells(const char* title, const std::vector<CellRecord>& records, bool footprint) {
   std::printf("%s\n\n", title);
   bool ok = true;
-  mh::TextTable table(
-      {"parties", "horizon", "blocks", "wall [s]", "slots/s", "divergence", "digest gate"});
+  std::vector<std::string> header{"parties", "horizon",    "blocks",     "wall [s]",
+                                  "slots/s", "divergence", "digest gate"};
+  if (footprint) {
+    header.emplace_back("total [s]");
+    header.emplace_back("process peak RSS, monotone [MiB]");
+  }
+  mh::TextTable table(std::move(header));
   for (const CellRecord& rec : records) {
     const mh::TransportProbeOutcome& out = rec.outcome;
     ok = ok && rec.pin_ok;
-    table.add_row({std::to_string(out.parties), std::to_string(out.horizon),
-                   std::to_string(out.blocks), mh::fixed(out.seconds, 3),
-                   std::to_string(static_cast<std::size_t>(
-                       static_cast<double>(out.horizon) / out.seconds)),
-                   std::to_string(out.divergence),
-                   rec.pin == 0 ? "-" : (rec.pin_ok ? "ok" : "DRIFT")});
+    std::vector<std::string> row{
+        std::to_string(out.parties), std::to_string(out.horizon), std::to_string(out.blocks),
+        mh::fixed(out.seconds, 3),
+        std::to_string(static_cast<std::size_t>(static_cast<double>(out.horizon) / out.seconds)),
+        std::to_string(out.divergence), rec.pin == 0 ? "-" : (rec.pin_ok ? "ok" : "DRIFT")};
+    if (footprint) {
+      row.push_back(mh::fixed(rec.total_s, 3));
+      row.push_back(mh::fixed(rec.peak_rss_mib, 0));
+    }
+    table.add_row(std::move(row));
   }
   std::printf("%s\n", table.render().c_str());
   return ok;
@@ -134,7 +162,7 @@ bool sweep_report() {
   return print_cells(
       "Protocol transport scale sweep (balance attack, law "
       "(ph,pH,pA)=(.40,.25,.35), Delta=0)",
-      records);
+      records, false);
 }
 
 bool deep_report() {
@@ -151,14 +179,15 @@ bool deep_report() {
   std::vector<CellRecord> records;
   for (const ScaleCell& cell : kDeepCells) {
     records.push_back(run_cell(cell));
+    records.back().peak_rss_mib = peak_rss_mib();
     mh::BlockTree::arena_trim();
   }
   g_deep_records = records;
   return print_cells("Deep tier (MH_BENCH_DEEP=1): committee-scale smoke + deep horizon",
-                     records);
+                     records, true);
 }
 
-mh::obs::Json cell_json(const CellRecord& rec) {
+mh::obs::Json cell_json(const CellRecord& rec, bool footprint) {
   char digest_hex[19];
   std::snprintf(digest_hex, sizeof(digest_hex), "0x%016llx",
                 static_cast<unsigned long long>(rec.outcome.digest));
@@ -172,14 +201,18 @@ mh::obs::Json cell_json(const CellRecord& rec) {
   cell.set("digest", digest_hex);
   cell.set("digest_gated", rec.pin != 0);
   cell.set("digest_ok", rec.pin_ok);
+  if (footprint) {
+    cell.set("total_s", rec.total_s);
+    cell.set("peak_rss_mib", rec.peak_rss_mib);
+  }
   return cell;
 }
 
 mh::obs::Json scale_results() {
   mh::obs::Json sweep = mh::obs::Json::array();
-  for (const CellRecord& rec : g_sweep_records) sweep.push(cell_json(rec));
+  for (const CellRecord& rec : g_sweep_records) sweep.push(cell_json(rec, false));
   mh::obs::Json deep = mh::obs::Json::array();
-  for (const CellRecord& rec : g_deep_records) deep.push(cell_json(rec));
+  for (const CellRecord& rec : g_deep_records) deep.push(cell_json(rec, true));
   mh::obs::Json results = mh::obs::Json::object();
   results.set("sweep", std::move(sweep));
   results.set("deep_enabled", g_deep_enabled);

@@ -15,7 +15,7 @@
 //   engine.pool.*     chunk scheduling, task latency, idle/steal counts
 //   protocol.net.*    blocks shipped/relayed/delivered, coverage hits, chain sync
 //   protocol.node.*   deliveries, orphan buffering/flushing
-//   protocol.tree.*   lifted-ancestor query depths
+//   protocol.tree.*   ancestry walk lengths
 //   protocol.sim.*    slot loop progress
 //   dp.*              banded-kernel band widths, cells touched, precision path
 //   oracle.*          per-cell timings, phase timers, MC<->DP band slack

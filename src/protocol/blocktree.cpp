@@ -77,9 +77,6 @@ void reset_storage(BlockTree::Storage& s) {
   s.slots.clear();
   s.parents.clear();
   s.arrival.clear();
-  s.lift_off.clear();
-  s.lift.clear();
-  s.lift_built = 0;
   s.member.clear();
   s.columns = 0;
   if (s.index_vals.empty()) {
@@ -197,10 +194,6 @@ void BlockTree::index_grow() {
   s_.index_vals = std::move(vals);
 }
 
-std::uint32_t BlockTree::levels(std::uint32_t idx) const noexcept {
-  return static_cast<std::uint32_t>(std::bit_width(s_.lengths[idx]));
-}
-
 BlockTree::AddResult BlockTree::try_add(const Block& block) {
   if (find(block.hash) != kEmptySlot) return AddResult::Duplicate;
   if (!verify_block_integrity(block)) return AddResult::Invalid;
@@ -230,43 +223,11 @@ std::uint32_t BlockTree::append(const Block& block, std::uint32_t parent_idx) {
   return idx;
 }
 
-void BlockTree::ensure_lift() const {
-  const auto size = static_cast<std::uint32_t>(s_.blocks.size());
-  if (s_.lift_built == size) return;
-  // Binary lifting into the flat CSR pool: entry i's table occupies
-  // lift[off + j] for 2^j <= length, each level built from the parent's
-  // pointers (the 2^(j-1)-th ancestor's 2^(j-1)-th ancestor, already
-  // materialized: ancestors always precede descendants in the pool).
-  for (std::uint32_t i = s_.lift_built; i < size; ++i) {
-    const std::size_t off = s_.lift.size();
-    const std::uint32_t length = s_.lengths[i];
-    MH_REQUIRE_MSG(off + std::bit_width(length) <= 0xffffffffu,
-                   "lift pool offset overflows 32 bits");
-    s_.lift_off.push_back(static_cast<std::uint32_t>(off));
-    if (length == 0) continue;  // genesis owns zero levels
-    s_.lift.push_back(s_.parents[i]);
-    for (std::size_t j = 1; (1u << j) <= length; ++j) {
-      const std::uint32_t half = s_.lift[off + j - 1];
-      const std::uint32_t up = s_.lift[s_.lift_off[half] + j - 1];
-      s_.lift.push_back(up);
-    }
-  }
-  s_.lift_built = size;
-}
-
 bool BlockTree::contains(BlockHash hash) const { return find(hash) != kEmptySlot; }
 
 const Block& BlockTree::block(BlockHash hash) const { return s_.blocks[index_of(hash)]; }
 
 std::size_t BlockTree::length(BlockHash hash) const { return s_.lengths[index_of(hash)]; }
-
-std::uint32_t BlockTree::lift(std::uint32_t idx, std::size_t steps) const {
-  MH_OBS_HIST("protocol.tree.lift_steps", steps);
-  ensure_lift();
-  for (std::size_t j = 0; steps != 0; ++j, steps >>= 1)
-    if (steps & 1u) idx = s_.lift[s_.lift_off[idx] + j];
-  return idx;
-}
 
 std::vector<BlockHash> HeadSet::heads(const std::vector<BlockHash>& hashes) const {
   std::vector<BlockHash> out;
@@ -291,48 +252,32 @@ std::vector<BlockHash> BlockTree::chain(BlockHash head) const {
 }
 
 BlockHash BlockTree::common_ancestor(BlockHash a, BlockHash b) const {
-  MH_OBS_COUNT("protocol.tree.ancestor_queries", 1);
-  ensure_lift();
-  std::uint32_t ia = index_of(a);
-  std::uint32_t ib = index_of(b);
-  if (s_.lengths[ia] > s_.lengths[ib]) std::swap(ia, ib);
-  ib = lift(ib, s_.lengths[ib] - s_.lengths[ia]);
-  if (ia == ib) return s_.arrival[ia];
-  for (std::size_t j = levels(ia); j-- > 0;) {
-    if (j >= levels(ia)) continue;  // shrunk below a prior jump level
-    const std::uint32_t up_a = s_.lift[s_.lift_off[ia] + j];
-    const std::uint32_t up_b = s_.lift[s_.lift_off[ib] + j];
-    if (up_a != up_b) {
-      ia = up_a;
-      ib = up_b;
-    }
+  const std::uint32_t from_a = index_of(a);
+  const std::uint32_t from_b = index_of(b);
+  // Level the longer side, then step both until they meet (at genesis at the
+  // latest: it roots every chain).
+  std::uint32_t ia = from_a;
+  std::uint32_t ib = from_b;
+  while (s_.lengths[ia] > s_.lengths[ib]) ia = s_.parents[ia];
+  while (s_.lengths[ib] > s_.lengths[ia]) ib = s_.parents[ib];
+  while (ia != ib) {
+    ia = s_.parents[ia];
+    ib = s_.parents[ib];
   }
-  return s_.arrival[s_.parents[ia]];
+  const std::size_t meet = s_.lengths[ia];
+  MH_OBS_HIST("protocol.tree.walk_steps", s_.lengths[from_a] - meet + (s_.lengths[from_b] - meet));
+  return s_.arrival[ia];
 }
 
 std::optional<BlockHash> BlockTree::block_at_slot(BlockHash head, std::uint64_t slot) const {
-  MH_OBS_COUNT("protocol.tree.ancestor_queries", 1);
-  ensure_lift();
-  std::uint32_t idx = index_of(head);
+  const std::uint32_t from = index_of(head);
+  // Slots strictly increase along a chain, so the first block at or below
+  // `slot` on the way up is the deepest one; genesis (slot 0) ends the walk.
+  std::uint32_t idx = from;
+  while (s_.slots[idx] > slot) idx = s_.parents[idx];
+  MH_OBS_HIST("protocol.tree.walk_steps", s_.lengths[from] - s_.lengths[idx]);
   if (idx == 0) return std::nullopt;
-  if (s_.slots[idx] <= slot) return s_.arrival[idx];
-  // Slots are strictly increasing along a chain: lift to the lowest ancestor
-  // still labelled past `slot`; its parent is the deepest block at <= slot.
-  for (std::size_t j = levels(idx); j-- > 0;) {
-    if (j >= levels(idx)) continue;
-    const std::uint32_t anc = s_.lift[s_.lift_off[idx] + j];
-    if (s_.slots[anc] > slot) idx = anc;
-  }
-  const std::uint32_t deepest = s_.parents[idx];
-  if (deepest == 0) return std::nullopt;
-  return s_.arrival[deepest];
-}
-
-BlockHash BlockTree::ancestor_at_length(BlockHash head, std::size_t len) const {
-  MH_OBS_COUNT("protocol.tree.ancestor_queries", 1);
-  const std::uint32_t idx = index_of(head);
-  MH_REQUIRE_MSG(len <= s_.lengths[idx], "ancestor below genesis");
-  return s_.arrival[lift(idx, s_.lengths[idx] - len)];
+  return s_.arrival[idx];
 }
 
 void OrphanBuffer::buffer(const Block& block) {

@@ -9,27 +9,19 @@
 //
 // The tree is built for long executions AND wide sweeps. Storage is
 // structure-of-arrays: per-entry columns (block, length, slot, parent,
-// arrival hash) are parallel contiguous arrays, the binary-lifting ancestor
-// tables live in ONE flat CSR pool indexed by (entry, level) — up(i, j) =
-// the 2^j-th ancestor of entry i, up(i, 0) the parent — and the
-// hash -> index map is a flat open-addressing table (keys are already FNV
-// digests). Consequently best_head / max_length_heads are O(1)+copy, the
-// ancestry queries (common_ancestor, block_at_slot, ancestor_at_length) are
-// O(log chain), and an insertion is a handful of sequential array appends:
-// no per-block heap node, no per-entry lift vector, no random reads.
+// arrival hash) are parallel contiguous arrays, and the hash -> index map is
+// a flat open-addressing table (keys are already FNV digests). Consequently
+// best_head / max_length_heads are O(1)+copy, and an insertion is a handful
+// of sequential array appends: no per-block heap node, no random reads.
 //
-// The lift pool is materialized LAZILY: an insertion appends only the
-// fixed-stride columns; the first lifted query after a batch of insertions
-// extends the pool for the new entries in one contiguous pass (each entry is
-// built exactly once — ancestors always precede descendants in the pool).
-// Ancestry queries come in bursts (settlement watches, adversary planning,
-// end-of-run measurements) between long runs of insertions, so a queried
-// tree pays the same total build cost as an eager scheme, batched while the
-// pool is cache-hot, and a tree that is never queried (a standalone node's
-// private store) never pays for lift tables at all. Lazy materialization is
-// why the query methods are const but not internally synchronized: a tree
-// must not be queried from two threads concurrently (no simulation shares
-// one).
+// Ancestry is a walk up the parent column. common_ancestor costs the length
+// gap plus both chains' distance to their meet; block_at_slot costs the
+// number of the chain's blocks above the slot. Every caller walks a short
+// way: settlement watches run at oracle-scale horizons, and the end-of-run
+// observers stop where the honest chains diverge, which Linear Consistency
+// puts at O(k) blocks with overwhelming probability. The tree keeps no
+// derived index, so its const queries are plain reads that any number of
+// threads may run at once.
 //
 // A tree is also a BLOCK STORE: an honest node holds a TreeView (below), a
 // membership set over the entries of a tree it shares with other nodes (in a
@@ -163,17 +155,14 @@ class BlockTree {
   /// Genesis-to-head block sequence (genesis included). O(chain).
   [[nodiscard]] std::vector<BlockHash> chain(BlockHash head) const;
 
-  /// Hash of the deepest common ancestor of two chains. O(log chain).
+  /// Hash of the deepest common ancestor of two chains. O(length gap +
+  /// distance from each head to the meet).
   [[nodiscard]] BlockHash common_ancestor(BlockHash a, BlockHash b) const;
 
   /// The block of the chain `head` with the largest slot <= s, if different
   /// from genesis; used for settlement checks ("what does this chain say about
-  /// slot s?"). O(log chain).
+  /// slot s?"). O(blocks of the chain above slot s).
   [[nodiscard]] std::optional<BlockHash> block_at_slot(BlockHash head, std::uint64_t slot) const;
-
-  /// The ancestor of `head` at chain length `len` (genesis for len = 0);
-  /// requires len <= length(head). O(log chain).
-  [[nodiscard]] BlockHash ancestor_at_length(BlockHash head, std::size_t len) const;
 
   /// All block hashes in arrival order (genesis first). This is the SoA hash
   /// column itself, not a copy.
@@ -201,13 +190,6 @@ class BlockTree {
     std::vector<std::uint64_t> slots;    ///< slot-label column (hot in queries)
     std::vector<std::uint32_t> parents;  ///< parent-index column (genesis: 0)
     std::vector<BlockHash> arrival;      ///< hash column == arrival order
-    /// CSR binary-lifting pool: entry i's table is lift[lift_off[i] + j] for
-    /// j in [0, bit_width(lengths[i])) — one flat array for the whole tree,
-    /// built lazily (mutable: materialized under const queries) for the
-    /// first `lift_built` entries only.
-    mutable std::vector<std::uint32_t> lift_off;
-    mutable std::vector<std::uint32_t> lift;
-    mutable std::uint32_t lift_built = 0;
     /// Open-addressing hash -> index map (linear probing, power-of-two
     /// capacity). vals[i] == kEmptySlot marks a free slot; keys are the
     /// block hashes (already FNV-mixed, re-mixed once more for the mask).
@@ -247,11 +229,6 @@ class BlockTree {
   [[nodiscard]] std::uint32_t index_of(BlockHash hash) const;
   void index_insert(BlockHash hash, std::uint32_t idx);
   void index_grow();
-  /// Extend the CSR lift pool to cover every entry (no-op when current).
-  void ensure_lift() const;
-  /// Number of lift levels entry `idx` owns: bit_width(length).
-  [[nodiscard]] std::uint32_t levels(std::uint32_t idx) const noexcept;
-  [[nodiscard]] std::uint32_t lift(std::uint32_t idx, std::size_t steps) const;
 
   Storage s_;
   std::size_t max_blocks_ = kMaxBlocks;

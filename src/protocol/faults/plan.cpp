@@ -4,9 +4,11 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
+#include <optional>
 
 #include "support/check.hpp"
+#include "support/env.hpp"
 
 namespace mh::faults {
 
@@ -42,23 +44,26 @@ struct FieldParser {
   }
 };
 
-std::uint64_t parse_u64(std::string_view field) {
-  MH_REQUIRE_MSG(!field.empty(), "FaultPlan::deserialize: empty numeric field");
-  std::uint64_t value = 0;
-  for (const char c : field) {
-    MH_REQUIRE_MSG(c >= '0' && c <= '9', "FaultPlan::deserialize: malformed integer");
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return value;
+/// Numeric fields follow the env knobs' strict text rules: plain digits that
+/// fit a std::size_t, or one finite real. Anything else (a sign, junk, an
+/// overflow, nan or inf) is rejected, never wrapped or coerced.
+std::size_t parse_size(std::string_view field) {
+  const std::optional<std::size_t> value = env::parse_size(std::string(field).c_str());
+  MH_REQUIRE_MSG(value.has_value(), "FaultPlan::deserialize: malformed integer");
+  return *value;
 }
 
-double parse_double(std::string_view field) {
-  const std::string copy(field);
-  char* end = nullptr;
-  const double value = std::strtod(copy.c_str(), &end);
-  MH_REQUIRE_MSG(end == copy.c_str() + copy.size(),
-                 "FaultPlan::deserialize: malformed probability");
-  return value;
+double parse_number(std::string_view field) {
+  const std::optional<double> value = env::parse_number(std::string(field).c_str());
+  MH_REQUIRE_MSG(value.has_value(), "FaultPlan::deserialize: malformed number");
+  return *value;
+}
+
+PartyId parse_party(std::string_view field) {
+  const std::size_t value = parse_size(field);
+  MH_REQUIRE_MSG(value <= std::numeric_limits<PartyId>::max(),
+                 "FaultPlan::deserialize: party id out of range");
+  return static_cast<PartyId>(value);
 }
 
 /// Splits `value` on ':' into exactly `n` fields.
@@ -156,12 +161,12 @@ FaultPlan FaultPlan::deserialize(std::string_view text) {
     const std::string_view key = token.substr(0, eq);
     const std::string_view value = token.substr(eq + 1);
     if (key == "seed") {
-      plan.seed = parse_u64(value);
+      plan.seed = parse_size(value);
     } else if (key == "part") {
       const auto fields = split_fields(value, 3);
       PartitionSpec p;
-      p.start = parse_u64(fields[0]);
-      p.heal = parse_u64(fields[1]);
+      p.start = parse_size(fields[0]);
+      p.heal = parse_size(fields[1]);
       for (const char c : fields[2]) {
         MH_REQUIRE_MSG(c == '0' || c == '1', "FaultPlan::deserialize: malformed group bits");
         p.group.push_back(c == '1' ? 1 : 0);
@@ -169,16 +174,13 @@ FaultPlan FaultPlan::deserialize(std::string_view text) {
       plan.partitions.push_back(std::move(p));
     } else if (key == "crash") {
       const auto fields = split_fields(value, 3);
-      plan.churn.push_back(CrashSpec{static_cast<PartyId>(parse_u64(fields[0])),
-                                     static_cast<std::size_t>(parse_u64(fields[1])),
-                                     static_cast<std::size_t>(parse_u64(fields[2]))});
+      plan.churn.push_back(
+          CrashSpec{parse_party(fields[0]), parse_size(fields[1]), parse_size(fields[2])});
     } else if (key == "link") {
       const auto fields = split_fields(value, 6);
-      plan.links.push_back(LinkFaultSpec{
-          static_cast<std::size_t>(parse_u64(fields[0])),
-          static_cast<std::size_t>(parse_u64(fields[1])), parse_double(fields[2]),
-          parse_double(fields[3]), parse_double(fields[4]),
-          static_cast<std::size_t>(parse_u64(fields[5]))});
+      plan.links.push_back(LinkFaultSpec{parse_size(fields[0]), parse_size(fields[1]),
+                                         parse_number(fields[2]), parse_number(fields[3]),
+                                         parse_number(fields[4]), parse_size(fields[5])});
     } else {
       MH_REQUIRE_MSG(false, "FaultPlan::deserialize: unknown token key");
     }

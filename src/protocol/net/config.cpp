@@ -1,7 +1,6 @@
 #include "protocol/net/config.hpp"
 
 #include "support/check.hpp"
-#include "support/env.hpp"
 
 namespace mh::net {
 
@@ -22,24 +21,6 @@ std::string NetConfig::describe() const {
   out += " / " + latency.describe();
   out += bandwidth == 0 ? " / bw=inf" : " / bw=" + std::to_string(bandwidth);
   return out;
-}
-
-NetConfig net_config_from_env(NetConfig base) {
-  NetConfig cfg = base;
-  static const char* const kTopologies[] = {"full-mesh", "random-k", "ring", "two-cluster"};
-  cfg.topology = static_cast<TopologyKind>(env::choice(
-      "MH_NET_TOPOLOGY", kTopologies, 4, static_cast<std::size_t>(base.topology)));
-  cfg.k = env::size("MH_NET_K", base.k, 1);
-  static const char* const kLaws[] = {"degenerate", "uniform", "geometric"};
-  cfg.latency.kind = static_cast<LatencyKind>(env::choice(
-      "MH_NET_LATENCY", kLaws, 3, static_cast<std::size_t>(base.latency.kind)));
-  cfg.latency.fixed = env::size("MH_NET_LATENCY_FIXED", base.latency.fixed);
-  cfg.latency.cap = env::size("MH_NET_LATENCY_CAP", base.latency.cap);
-  cfg.latency.p = env::positive_number("MH_NET_LATENCY_P", base.latency.p);
-  cfg.bandwidth = env::size("MH_NET_BANDWIDTH", base.bandwidth);
-  cfg.seed = env::size("MH_NET_SEED", static_cast<std::size_t>(base.seed));
-  cfg.latency.validate();  // rejects e.g. MH_NET_LATENCY_P=1.5 up front
-  return cfg;
 }
 
 }  // namespace mh::net

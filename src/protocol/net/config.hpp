@@ -47,17 +47,4 @@ struct NetConfig {
   friend bool operator==(const NetConfig&, const NetConfig&) = default;
 };
 
-/// Applies the strict MH_NET_* env knobs on top of `base`:
-///   MH_NET_TOPOLOGY       full-mesh | random-k | ring | two-cluster
-///   MH_NET_K              random-k out-degree (positive integer)
-///   MH_NET_LATENCY        degenerate | uniform | geometric
-///   MH_NET_LATENCY_FIXED  degenerate extra delay (slots)
-///   MH_NET_LATENCY_CAP    uniform/geometric inclusive draw bound (slots)
-///   MH_NET_LATENCY_P      geometric tail weight, strictly inside (0, 1)
-///   MH_NET_BANDWIDTH      per-party egress blocks per slot (0 = unlimited)
-///   MH_NET_SEED           link-stream seed namespace
-/// Malformed values throw std::invalid_argument naming variable and value;
-/// unset or empty keeps the `base` field.
-[[nodiscard]] NetConfig net_config_from_env(NetConfig base = {});
-
 }  // namespace mh::net

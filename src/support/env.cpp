@@ -74,20 +74,4 @@ double positive_number(const char* name, double fallback) {
   return *parsed;
 }
 
-std::size_t choice(const char* name, const char* const* choices, std::size_t count,
-                   std::size_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  const std::string v = lowered(raw);
-  for (std::size_t i = 0; i < count; ++i)
-    if (v == choices[i]) return i;
-  std::string expected = "one of {";
-  for (std::size_t i = 0; i < count; ++i) {
-    if (i != 0) expected += ", ";
-    expected += choices[i];
-  }
-  expected += "}";
-  reject(name, raw, expected.c_str());
-}
-
 }  // namespace mh::env

@@ -39,10 +39,4 @@ namespace mh::env {
 /// fully as a finite number > 0, else throws.
 [[nodiscard]] double positive_number(const char* name, double fallback);
 
-/// Enumerated-token knob: unset/"" -> fallback; otherwise the value must
-/// match one of the `count` tokens in `choices` (case-insensitive), else
-/// throws listing every accepted token. Returns the matched index.
-[[nodiscard]] std::size_t choice(const char* name, const char* const* choices,
-                                 std::size_t count, std::size_t fallback);
-
 }  // namespace mh::env

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <latch>
 #include <optional>
 #include <stdexcept>
+#include <thread>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -147,24 +150,104 @@ TEST(BlockTree, AdversarialOrderIsFirstArrivalSemantics) {
   EXPECT_EQ(tree.best_head(TieBreak::ConsistentHash), std::min(c.hash, d.hash));
 }
 
-TEST(BlockTree, AncestorAtLength) {
+TEST(BlockTree, AncestorsAlongOneChain) {
   BlockTree tree;
   const auto chain = fixtures::grow_chain(tree, genesis_block().hash, {1, 2, 5, 9});
-  EXPECT_EQ(tree.ancestor_at_length(chain.back().hash, 0), genesis_block().hash);
-  for (std::size_t len = 1; len <= chain.size(); ++len)
-    EXPECT_EQ(tree.ancestor_at_length(chain.back().hash, len), chain[len - 1].hash);
-  EXPECT_THROW(static_cast<void>(tree.ancestor_at_length(chain.front().hash, 2)),
-               std::invalid_argument);
+  const BlockHash tip = chain.back().hash;
+  EXPECT_EQ(tree.chain(tip).front(), genesis_block().hash);
+  EXPECT_EQ(tree.block_at_slot(tip, 0), std::nullopt);
+  for (std::size_t len = 1; len <= chain.size(); ++len) {
+    const Block& ancestor = chain[len - 1];
+    EXPECT_EQ(tree.chain(tip)[len], ancestor.hash);
+    EXPECT_EQ(tree.common_ancestor(tip, ancestor.hash), ancestor.hash);
+    // Every slot from this ancestor's up to the next one's resolves to it.
+    const std::uint64_t next = len < chain.size() ? chain[len].slot : ancestor.slot + 3;
+    for (std::uint64_t s = ancestor.slot; s < next; ++s)
+      EXPECT_EQ(tree.block_at_slot(tip, s), ancestor.hash) << "slot " << s;
+  }
+  EXPECT_THROW(static_cast<void>(tree.block_at_slot(12345, 1)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(tree.common_ancestor(tip, 12345)), std::invalid_argument);
 }
 
-TEST(BlockTree, LiftedQueriesMatchNaiveWalks) {
-  // Differential fuzz of the binary-lifting paths against parent-walk
-  // references on a random tree mixing long chains and wide forks.
+TEST(BlockTree, AncestryQueriesMatchNaiveWalks) {
+  // Differential fuzz of the parent-column walks against hash-level walks
+  // through block(h).parent, on two inputs: a random tree mixing long chains
+  // and wide forks, and one 1,100-deep chain with uneven slot gaps.
   Rng rng(0xb10c);
+  const auto check = [&rng](const BlockTree& tree, const std::vector<Block>& blocks) {
+    const auto naive_chain_up = [&](BlockHash h) {
+      std::vector<BlockHash> up{h};
+      while (up.back() != genesis_block().hash) up.push_back(tree.block(up.back()).parent);
+      return up;
+    };
+    const auto naive_meet = [&](BlockHash a, BlockHash b) {
+      std::vector<BlockHash> ua = naive_chain_up(a);
+      std::vector<BlockHash> ub = naive_chain_up(b);
+      const auto level = [](std::vector<BlockHash>& longer, std::size_t size) {
+        longer.erase(longer.begin(), longer.end() - static_cast<std::ptrdiff_t>(size));
+      };
+      if (ua.size() > ub.size()) level(ua, ub.size());
+      if (ub.size() > ua.size()) level(ub, ua.size());
+      for (std::size_t i = 0; i < ua.size(); ++i)
+        if (ua[i] == ub[i]) return ua[i];
+      return genesis_block().hash;
+    };
+    const auto naive_at_slot = [&](BlockHash head, std::uint64_t s) -> std::optional<BlockHash> {
+      for (BlockHash h = head; h != genesis_block().hash; h = tree.block(h).parent)
+        if (tree.block(h).slot <= s) return h;
+      return std::nullopt;
+    };
+
+    for (int trial = 0; trial < 300; ++trial) {
+      const Block& x = blocks[rng.below(blocks.size())];
+      const Block& y = blocks[rng.below(blocks.size())];
+      EXPECT_EQ(tree.common_ancestor(x.hash, y.hash), naive_meet(x.hash, y.hash));
+      const std::uint64_t s = rng.below(x.slot + 2);
+      EXPECT_EQ(tree.block_at_slot(x.hash, s), naive_at_slot(x.hash, s));
+    }
+
+    // The incremental head set matches a from-scratch arrival-order scan.
+    std::vector<BlockHash> scan;
+    for (BlockHash h : tree.arrival_order())
+      if (tree.length(h) == tree.best_length()) scan.push_back(h);
+    EXPECT_EQ(tree.max_length_heads(), scan);
+  };
+
+  {
+    BlockTree tree;
+    std::vector<Block> blocks{genesis_block()};
+    for (std::uint64_t i = 0; i < 500; ++i) {
+      // Bias towards recent parents so chains get deep; sometimes fork wide.
+      const std::size_t pick = rng.bernoulli(0.7) ? blocks.size() - 1 : rng.below(blocks.size());
+      const Block& parent = blocks[pick];
+      const Block b = make_block(parent.hash, parent.slot + 1 + rng.below(3), 0, i);
+      ASSERT_EQ(tree.try_add(b), BlockTree::AddResult::Added);
+      blocks.push_back(b);
+    }
+    check(tree, blocks);
+  }
+  {
+    BlockTree tree;
+    std::vector<Block> chain{genesis_block()};
+    for (std::size_t len = 1; len <= 1100; ++len) {
+      const Block b = make_block(chain.back().hash, chain.back().slot + 1 + len % 3, 0, len);
+      ASSERT_EQ(tree.try_add(b), BlockTree::AddResult::Added);
+      chain.push_back(b);
+    }
+    check(tree, chain);
+  }
+}
+
+TEST(BlockTree, ConcurrentReadersMatchASerialPass) {
+  // The const queries are plain reads of the columns, so readers may share a
+  // tree. Four threads query one tree that no query has touched yet, then a
+  // serial pass answers the same queries; every answer must match. Under
+  // ThreadSanitizer a write behind a const query (say, an index built on
+  // first use) reports as a race.
+  Rng rng(0x4ead);
   BlockTree tree;
   std::vector<Block> blocks{genesis_block()};
-  for (std::uint64_t i = 0; i < 500; ++i) {
-    // Bias towards recent parents so chains get deep; sometimes fork wide.
+  for (std::uint64_t i = 0; i < 3000; ++i) {
     const std::size_t pick = rng.bernoulli(0.7) ? blocks.size() - 1 : rng.below(blocks.size());
     const Block& parent = blocks[pick];
     const Block b = make_block(parent.hash, parent.slot + 1 + rng.below(3), 0, i);
@@ -172,42 +255,55 @@ TEST(BlockTree, LiftedQueriesMatchNaiveWalks) {
     blocks.push_back(b);
   }
 
-  const auto naive_chain_up = [&](BlockHash h) {
-    std::vector<BlockHash> up{h};
-    while (up.back() != genesis_block().hash) up.push_back(tree.block(up.back()).parent);
-    return up;
+  struct Query {
+    BlockHash x, y, probe;
+    std::uint64_t slot;
   };
-  const auto naive_meet = [&](BlockHash a, BlockHash b) {
-    std::vector<BlockHash> ua = naive_chain_up(a);
-    std::vector<BlockHash> ub = naive_chain_up(b);
-    while (ua.size() > ub.size()) ua.erase(ua.begin());
-    while (ub.size() > ua.size()) ub.erase(ub.begin());
-    for (std::size_t i = 0; i < ua.size(); ++i)
-      if (ua[i] == ub[i]) return ua[i];
-    return genesis_block().hash;
+  struct Answer {
+    BlockHash meet;
+    std::optional<BlockHash> at_slot;
+    std::vector<BlockHash> chain;
+    bool contains;
+    bool operator==(const Answer&) const = default;
   };
-  const auto naive_at_slot = [&](BlockHash head, std::uint64_t s) -> std::optional<BlockHash> {
-    for (BlockHash h = head; h != genesis_block().hash; h = tree.block(h).parent)
-      if (tree.block(h).slot <= s) return h;
-    return std::nullopt;
+  std::vector<Query> queries(1000);
+  for (Query& q : queries) {
+    const Block& x = blocks[rng.below(blocks.size())];
+    q.x = x.hash;
+    q.y = blocks[rng.below(blocks.size())].hash;
+    q.slot = rng.below(x.slot + 2);
+    q.probe = rng.bernoulli(0.5) ? blocks[rng.below(blocks.size())].hash : rng();
+  }
+  const auto answer = [](const BlockTree& t, const Query& q) {
+    return Answer{t.common_ancestor(q.x, q.y), t.block_at_slot(q.x, q.slot), t.chain(q.x),
+                  t.contains(q.probe)};
   };
 
-  for (int trial = 0; trial < 300; ++trial) {
-    const Block& x = blocks[rng.below(blocks.size())];
-    const Block& y = blocks[rng.below(blocks.size())];
-    EXPECT_EQ(tree.common_ancestor(x.hash, y.hash), naive_meet(x.hash, y.hash));
-    const std::uint64_t s = rng.below(x.slot + 2);
-    EXPECT_EQ(tree.block_at_slot(x.hash, s), naive_at_slot(x.hash, s));
-    const std::size_t len = rng.below(tree.length(x.hash) + 1);
-    const std::vector<BlockHash> up = naive_chain_up(x.hash);
-    EXPECT_EQ(tree.ancestor_at_length(x.hash, len), up[up.size() - 1 - len]);
+  // Each reader starts at its own offset, so the threads reach the same
+  // entries at different times.
+  constexpr std::size_t kReaders = 4;
+  const auto query_of = [&](std::size_t reader, std::size_t i) -> const Query& {
+    return queries[(i + reader * queries.size() / kReaders) % queries.size()];
+  };
+  std::vector<std::vector<Answer>> seen(kReaders);
+  {
+    const BlockTree& shared = tree;
+    std::latch start(kReaders);
+    std::vector<std::thread> readers;
+    for (std::size_t r = 0; r < kReaders; ++r)
+      readers.emplace_back([&, r] {
+        start.arrive_and_wait();
+        for (std::size_t i = 0; i < queries.size(); ++i)
+          seen[r].push_back(answer(shared, query_of(r, i)));
+      });
+    for (std::thread& reader : readers) reader.join();
   }
 
-  // The incremental head set matches a from-scratch arrival-order scan.
-  std::vector<BlockHash> scan;
-  for (BlockHash h : tree.arrival_order())
-    if (tree.length(h) == tree.best_length()) scan.push_back(h);
-  EXPECT_EQ(tree.max_length_heads(), scan);
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    ASSERT_EQ(seen[r].size(), queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i)
+      ASSERT_EQ(seen[r][i], answer(tree, query_of(r, i))) << "reader " << r << ", query " << i;
+  }
 }
 
 // A deliberately naive map-based tree retained as the differential reference
@@ -281,11 +377,6 @@ class ReferenceTree {
     return std::nullopt;
   }
 
-  [[nodiscard]] BlockHash ancestor_at_length(BlockHash head, std::size_t len) const {
-    const std::vector<BlockHash> c = chain(head);
-    return c.at(len);
-  }
-
   [[nodiscard]] const std::vector<BlockHash>& arrival_order() const { return arrival_; }
 
  private:
@@ -299,7 +390,7 @@ class ReferenceTree {
 
 TEST(BlockTree, DifferentialFuzzAgainstReferenceTree) {
   // Random interleavings of out-of-order delivery (via OrphanBuffer flushes),
-  // duplicates, tampered headers, stale slots, and lifted queries: the SoA
+  // duplicates, tampered headers, stale slots, and ancestry queries: the SoA
   // tree must agree with the naive reference on every outcome and view.
   Rng rng(0x50a50a);
   for (int round = 0; round < 8; ++round) {
@@ -349,14 +440,11 @@ TEST(BlockTree, DifferentialFuzzAgainstReferenceTree) {
       }
 
       if (rng.bernoulli(0.2)) {
-        // Lifted queries against the naive walks, mid-interleaving (this also
-        // exercises incremental lazy lift materialization between adds).
+        // Ancestry queries against the naive walks, mid-interleaving.
         const auto& arr = tree.arrival_order();
         const BlockHash x = arr[rng.below(arr.size())];
         const BlockHash y = arr[rng.below(arr.size())];
         ASSERT_EQ(tree.common_ancestor(x, y), ref.common_ancestor(x, y));
-        const std::size_t at = rng.below(tree.length(x) + 1);
-        ASSERT_EQ(tree.ancestor_at_length(x, at), ref.ancestor_at_length(x, at));
         const std::uint64_t s = rng.below(tree.block(x).slot + 2);
         ASSERT_EQ(tree.block_at_slot(x, s), ref.block_at_slot(x, s));
       }
@@ -547,37 +635,6 @@ TEST(TreeView, ALateColumnOverAGrownMatrixStartsAtGenesis) {
   EXPECT_EQ(late.best_head(), tip);
 }
 
-TEST(BlockTree, LiftPropertiesAtPowerOfTwoLengthBoundaries) {
-  // The CSR lift table of an entry owns bit_width(length) levels, so its
-  // width changes exactly when length crosses a power of two. Query at every
-  // such boundary (and its neighbors) while the chain grows, so the lazily
-  // materialized pool is extended across each width change.
-  BlockTree tree;
-  std::vector<BlockHash> by_length{genesis_block().hash};
-  BlockHash tip = genesis_block().hash;
-  std::uint64_t slot = 0;
-  for (std::size_t len = 1; len <= 1100; ++len) {
-    slot += 1 + (len % 3);
-    const Block b = make_block(tip, slot, 0, len);
-    ASSERT_EQ(tree.try_add(b), BlockTree::AddResult::Added);
-    tip = b.hash;
-    by_length.push_back(tip);
-
-    const bool boundary = (len & (len - 1)) == 0 || ((len + 1) & len) == 0;
-    if (!boundary && len % 97 != 0) continue;
-    // ancestor_at_length at the power-of-two jump distances and their
-    // neighbors, plus the full boundary set below the tip.
-    for (std::size_t j = 1; j <= len; j <<= 1) {
-      ASSERT_EQ(tree.ancestor_at_length(tip, len - j), by_length[len - j]);
-      if (j > 1) ASSERT_EQ(tree.ancestor_at_length(tip, len - j + 1), by_length[len - j + 1]);
-      if (len >= j + 1)
-        ASSERT_EQ(tree.ancestor_at_length(tip, len - j - 1), by_length[len - j - 1]);
-    }
-    ASSERT_EQ(tree.ancestor_at_length(tip, 0), genesis_block().hash);
-    ASSERT_EQ(tree.common_ancestor(tip, by_length[len / 2]), by_length[len / 2]);
-  }
-}
-
 TEST(BlockTree, CapacityGuardThrowsInsteadOfTruncating) {
   // Regression for the silent index truncation: at capacity, try_add must
   // throw (MH_REQUIRE -> std::invalid_argument) and leave the tree intact,
@@ -596,7 +653,7 @@ TEST(BlockTree, CapacityGuardThrowsInsteadOfTruncating) {
   EXPECT_EQ(tree.try_add(orphan), BlockTree::AddResult::Orphan);
   // The tree still works after the rejected insertion.
   EXPECT_EQ(tree.best_head(TieBreak::AdversarialOrder), chain.back().hash);
-  EXPECT_EQ(tree.ancestor_at_length(chain.back().hash, 1), chain.front().hash);
+  EXPECT_EQ(tree.block_at_slot(chain.back().hash, 1), chain.front().hash);
 }
 
 TEST(BlockTree, ZeroCapacityIsRejected) {
@@ -625,7 +682,8 @@ TEST(BlockTree, ArenaRecyclingIsSemanticallyInvisible) {
       const BlockHash x = blocks[rng.below(blocks.size())].hash;
       const BlockHash y = blocks[rng.below(blocks.size())].hash;
       view.push_back(tree.common_ancestor(x, y));
-      view.push_back(tree.ancestor_at_length(x, rng.below(tree.length(x) + 1)));
+      const auto at_slot = tree.block_at_slot(x, rng.below(tree.block(x).slot + 1));
+      view.push_back(at_slot.value_or(genesis_block().hash));
     }
     return view;
   };

@@ -12,9 +12,9 @@
 #include <cstdlib>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "engine/thread_pool.hpp"
-#include "protocol/net/config.hpp"
 
 namespace {
 
@@ -124,91 +124,6 @@ TEST_F(EnvTest, PositiveNumberParsesAndRejects) {
     set(v);
     EXPECT_THROW((void)mh::env::positive_number(kVar, 2.0), std::invalid_argument) << v;
   }
-}
-
-TEST_F(EnvTest, ChoiceMatchesTokensCaseInsensitivelyOrFallsBack) {
-  static const char* const kTokens[] = {"alpha", "beta", "gamma"};
-  ::unsetenv(kVar);
-  EXPECT_EQ(mh::env::choice(kVar, kTokens, 3, 1), 1u);
-  set("");
-  EXPECT_EQ(mh::env::choice(kVar, kTokens, 3, 2), 2u);
-  set("alpha");
-  EXPECT_EQ(mh::env::choice(kVar, kTokens, 3, 0), 0u);
-  set("GaMmA");
-  EXPECT_EQ(mh::env::choice(kVar, kTokens, 3, 0), 2u);
-}
-
-TEST_F(EnvTest, ChoiceRejectsUnknownTokensListingTheAccepted) {
-  static const char* const kTokens[] = {"alpha", "beta"};
-  set("alpha!");
-  try {
-    (void)mh::env::choice(kVar, kTokens, 2, 0);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find(kVar), std::string::npos) << what;
-    EXPECT_NE(what.find("alpha"), std::string::npos) << what;
-    EXPECT_NE(what.find("beta"), std::string::npos) << what;
-  }
-}
-
-// The MH_NET_* knob surface: every malformed value throws up front (never a
-// silently degenerate network), and well-formed values land in the config.
-class NetEnvTest : public ::testing::Test {
- protected:
-  void TearDown() override {
-    for (const char* v : {"MH_NET_TOPOLOGY", "MH_NET_K", "MH_NET_LATENCY",
-                          "MH_NET_LATENCY_FIXED", "MH_NET_LATENCY_CAP", "MH_NET_LATENCY_P",
-                          "MH_NET_BANDWIDTH", "MH_NET_SEED"})
-      ::unsetenv(v);
-  }
-};
-
-TEST_F(NetEnvTest, UnsetKnobsKeepTheBaseConfig) {
-  mh::net::NetConfig base;
-  base.topology = mh::net::TopologyKind::Ring;
-  base.bandwidth = 7;
-  const mh::net::NetConfig cfg = mh::net::net_config_from_env(base);
-  EXPECT_EQ(cfg, base);
-}
-
-TEST_F(NetEnvTest, WellFormedKnobsOverrideTheBase) {
-  ::setenv("MH_NET_TOPOLOGY", "two-cluster", 1);
-  ::setenv("MH_NET_LATENCY", "geometric", 1);
-  ::setenv("MH_NET_LATENCY_CAP", "4", 1);
-  ::setenv("MH_NET_LATENCY_P", "0.25", 1);
-  ::setenv("MH_NET_BANDWIDTH", "3", 1);
-  const mh::net::NetConfig cfg = mh::net::net_config_from_env();
-  EXPECT_EQ(cfg.topology, mh::net::TopologyKind::TwoClusterBridge);
-  EXPECT_EQ(cfg.latency.kind, mh::net::LatencyKind::Geometric);
-  EXPECT_EQ(cfg.latency.cap, 4u);
-  EXPECT_DOUBLE_EQ(cfg.latency.p, 0.25);
-  EXPECT_EQ(cfg.bandwidth, 3u);
-  EXPECT_TRUE(cfg.heterogeneous());
-}
-
-TEST_F(NetEnvTest, MalformedKnobsThrow) {
-  ::setenv("MH_NET_TOPOLOGY", "mesh!", 1);
-  EXPECT_THROW((void)mh::net::net_config_from_env(), std::invalid_argument);
-  ::unsetenv("MH_NET_TOPOLOGY");
-
-  ::setenv("MH_NET_K", "0", 1);  // below the min the parser enforces
-  EXPECT_THROW((void)mh::net::net_config_from_env(), std::invalid_argument);
-  ::setenv("MH_NET_K", "3x", 1);
-  EXPECT_THROW((void)mh::net::net_config_from_env(), std::invalid_argument);
-  ::unsetenv("MH_NET_K");
-
-  ::setenv("MH_NET_LATENCY", "poisson", 1);
-  EXPECT_THROW((void)mh::net::net_config_from_env(), std::invalid_argument);
-  ::unsetenv("MH_NET_LATENCY");
-
-  // A geometric tail weight outside (0, 1) is rejected at parse time, before
-  // any Network exists to trip over it.
-  ::setenv("MH_NET_LATENCY", "geometric", 1);
-  ::setenv("MH_NET_LATENCY_P", "1.5", 1);
-  EXPECT_THROW((void)mh::net::net_config_from_env(), std::invalid_argument);
-  ::setenv("MH_NET_LATENCY_P", "-0.5", 1);
-  EXPECT_THROW((void)mh::net::net_config_from_env(), std::invalid_argument);
 }
 
 // threads_from_env is the highest-traffic consumer (every bench): unset and

@@ -88,6 +88,15 @@ TEST(FaultPlan, SerializationRoundTripsEveryProfile) {
                std::invalid_argument);
   EXPECT_THROW(faults::FaultPlan::deserialize("mh-faultplan-v1 part=1:4"),
                std::invalid_argument);
+  // Numbers that used to parse into something else: a seed past 2^64 (it
+  // wrapped to 1), a party id past 2^32 (it truncated to party 1, which then
+  // passed validate(4, ...)), and a nan probability (a plan unequal to itself).
+  EXPECT_THROW(faults::FaultPlan::deserialize("mh-faultplan-v1 seed=18446744073709551617"),
+               std::invalid_argument);
+  EXPECT_THROW(faults::FaultPlan::deserialize("mh-faultplan-v1 crash=4294967297:1:3"),
+               std::invalid_argument);
+  EXPECT_THROW(faults::FaultPlan::deserialize("mh-faultplan-v1 link=1:3:nan:0:0:0"),
+               std::invalid_argument);
 }
 
 TEST(FaultPlan, SamplingIsPureAndNoneDrawsNothing) {
