@@ -3,8 +3,11 @@
 // watch the two maximal chains live and die slot by slot.
 //
 //   ./pos_network_sim [horizon [pA [pH [seed]]]]
+//
+// Exits 1 when the execution's fork violates (F1)-(F4), 2 on a bad argument.
 #include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "cli.hpp"
 #include "core/relative_margin.hpp"
@@ -35,14 +38,14 @@ int main(int argc, char** argv) {
   mh::BalanceAttacker adversary;
   mh::Simulation sim(schedule, mh::SimulationConfig{mh::TieBreak::AdversarialOrder, seed}, 0,
                      &adversary);
+  const std::vector<std::int64_t> margin = mh::margin_trajectory(w, 0);  // [t] = mu(w_1..t)
   for (std::size_t t = 1; t <= horizon; ++t) {
     sim.run_until(t);
     std::size_t best = 0;
     for (const mh::HonestNode& node : sim.nodes())
       best = std::max(best, node.best_length());
-    const std::int64_t mu = mh::relative_margin_recurrence(w.prefix(t), 0);
     std::printf("%4zu   %c   %5zu  %6lld  %s\n", t, mh::to_char(w.at(t)), best,
-                static_cast<long long>(mu),
+                static_cast<long long>(margin[t]),
                 sim.observed_settlement_violation(1) ? "YES (slot 1 unsettled)" : "no");
   }
 
@@ -52,5 +55,5 @@ int main(int argc, char** argv) {
               sim.all_blocks().size(), validation.ok ? "(F1)-(F4) hold" : "VIOLATED");
   std::printf("the margin column is the Theorem-5 recurrence: the attack can keep two\n");
   std::printf("maximal chains alive exactly while it stays >= 0.\n");
-  return 0;
+  return validation.ok ? 0 : 1;
 }

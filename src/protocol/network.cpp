@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "obs/obs.hpp"
 #include "protocol/faults/injector.hpp"
@@ -17,7 +18,8 @@ Network::Network(std::size_t parties, std::size_t delta, net::NetConfig config)
       hetero_(config.heterogeneous()),
       topology_(net::Topology::build(config.topology, parties, config.k, config.seed)),
       link_seeds_(config.seed),
-      events_(parties) {
+      events_(parties),
+      sent_(parties) {
   MH_REQUIRE_MSG(parties >= 1, "a network needs at least one party, got " +
                                    std::to_string(parties));
   config_.validate(parties);
@@ -63,93 +65,36 @@ const Block& Network::block(net::Ref ref) const {
 
 // --- the coverage rule -------------------------------------------------------
 
-Network::EntryTable::EntryTable() : keys_(16, kEmpty), dues_(16, 0) {}
-
-std::size_t Network::EntryTable::home(std::uint64_t key) const noexcept {
-  key *= 0x9e3779b97f4a7c15ULL;
-  return static_cast<std::size_t>(key ^ (key >> 32)) & (keys_.size() - 1);
-}
-
-std::size_t Network::EntryTable::slot_of(std::uint64_t key) const noexcept {
-  const std::size_t mask = keys_.size() - 1;
-  std::size_t i = home(key);
-  while (keys_[i] != kEmpty && keys_[i] != key) i = (i + 1) & mask;
-  return i;
-}
-
-std::uint32_t Network::EntryTable::find(PartyId recipient, std::uint32_t entry) const noexcept {
-  if (size_ == 0) return kNever;
-  const std::size_t i = slot_of(std::uint64_t{entry} << 32 | recipient);
-  return keys_[i] == kEmpty ? kNever : dues_[i];
-}
-
 void Network::EntryTable::lower(PartyId recipient, std::uint32_t entry, std::uint32_t due) {
-  if ((size_ + 1) * 8 >= keys_.size() * 7) rehash(keys_.size() * 2);
-  const std::uint64_t key = std::uint64_t{entry} << 32 | recipient;
-  const std::size_t i = slot_of(key);
-  if (keys_[i] == key) {
-    dues_[i] = std::min(dues_[i], due);
-    return;
+  if (entry >= row_of_.size()) row_of_.resize(entry + 1, kNever);
+  std::uint32_t& row = row_of_[entry];
+  if (row == kNever) {
+    if (free_.empty()) {
+      row = static_cast<std::uint32_t>(dues_.size() / parties_);
+      dues_.resize(dues_.size() + parties_, kNever);
+    } else {
+      row = free_.back();
+      free_.pop_back();
+    }
   }
-  keys_[i] = key;
-  dues_[i] = due;
-  ++size_;
-  if (entry >= holders_.size()) holders_.resize(entry + 1, 0);
-  ++holders_[entry];
-}
-
-void Network::EntryTable::erase_at(std::size_t index) {
-  // Backward shift: pull later keys of the probe run into the hole unless
-  // their home lies cyclically in (hole, position].
-  const std::size_t mask = keys_.size() - 1;
-  for (std::size_t j = (index + 1) & mask; keys_[j] != kEmpty; j = (j + 1) & mask) {
-    const std::size_t h = home(keys_[j]);
-    const bool stays = index <= j ? (index < h && h <= j) : (index < h || h <= j);
-    if (stays) continue;
-    keys_[index] = keys_[j];
-    dues_[index] = dues_[j];
-    index = j;
-  }
-  keys_[index] = kEmpty;
-  --size_;
+  std::uint32_t& cell = dues_[row * parties_ + recipient];
+  cell = std::min(cell, due);
 }
 
 void Network::EntryTable::erase_entry(std::uint32_t entry) {
-  if (entry >= holders_.size()) return;
-  for (PartyId r = 0; holders_[entry] != 0; ++r) {
-    const std::size_t i = slot_of(std::uint64_t{entry} << 32 | r);
-    if (keys_[i] == kEmpty) continue;
-    erase_at(i);
-    --holders_[entry];
-  }
+  if (entry >= row_of_.size() || row_of_[entry] == kNever) return;
+  std::fill_n(dues_.begin() + row_of_[entry] * parties_, parties_, kNever);
+  free_.push_back(std::exchange(row_of_[entry], kNever));
 }
 
 std::size_t Network::EntryTable::erase_recipient(PartyId recipient) {
+  // Freed rows hold kNever throughout, so every row's column can be read.
   std::size_t erased = 0;
-  for (std::size_t i = 0; i < keys_.size(); ++i) {
-    if (keys_[i] == kEmpty || static_cast<PartyId>(keys_[i]) != recipient) continue;
-    --holders_[keys_[i] >> 32];
-    ++erased;
-    keys_[i] = kEmpty;
+  for (std::size_t i = recipient; i < dues_.size(); i += parties_) {
+    erased += dues_[i] != kNever;
+    dues_[i] = kNever;
   }
-  size_ -= erased;
-  if (erased != 0) rehash(keys_.size());  // re-seat the runs the holes broke
   return erased;
-}
-
-void Network::EntryTable::rehash(std::size_t capacity) {
-  std::vector<std::uint64_t> keys(capacity, kEmpty);
-  std::vector<std::uint32_t> dues(capacity, 0);
-  keys.swap(keys_);
-  dues.swap(dues_);
-  const std::size_t mask = capacity - 1;
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    if (keys[i] == kEmpty) continue;
-    std::size_t j = home(keys[i]);
-    while (keys_[j] != kEmpty) j = (j + 1) & mask;
-    keys_[j] = keys[i];
-    dues_[j] = dues[i];
-  }
 }
 
 bool Network::covered_all(std::uint32_t entry, std::size_t due) const {
@@ -177,7 +122,7 @@ void Network::record_all(std::uint32_t entry, std::size_t due) {
   // The bound now answers for every recipient: a per-recipient entry adds at
   // most a tighter due, and dropping it costs at most a duplicate re-ship,
   // which first arrivals never see.
-  if (!sent_.empty()) sent_.erase_entry(entry);
+  sent_.erase_entry(entry);
 }
 
 void Network::fold(std::uint32_t entry, std::size_t due) {
@@ -365,11 +310,13 @@ void Network::broadcast_chain(const BlockTree& tree, const Block& block, std::si
   fold(entry, due);
 }
 
-void Network::relay(const BlockTree& tree, const Block& block, PartyId relayer,
-                    std::size_t slot) {
+void Network::relay(std::uint32_t entry, PartyId relayer, std::size_t slot) {
   require_party(relayer, "relay");
-  const std::size_t relayed = send_round(sent_entry(tree, block, slot), relayer, slot, {});
-  counts_.relayed += relayed;
+  MH_REQUIRE_MSG(store_ != nullptr && entry < store_->block_count(),
+                 "party " + std::to_string(relayer) + " relays store entry " +
+                     std::to_string(entry) + " at slot " + std::to_string(slot) +
+                     ", which the network's block store does not hold");
+  counts_.relayed += send_round(entry, relayer, slot, {});
 }
 
 void Network::inject_ref(net::Ref ref, PartyId recipient, std::size_t visible_slot) {

@@ -16,7 +16,9 @@
 // holds iff x is genesis, or x's all-recipient bound is <= d, or r's own entry
 // for x is <= d, and it means "r will hold x and its whole ancestry by the
 // onset of slot d". The all-recipient bound is a dense per-entry due array;
-// the per-recipient entries are one flat (recipient, entry) table. An entry is
+// the per-recipient entries are pooled per-entry rows of one due per party,
+// taken on an entry's first per-recipient write and freed when the bound
+// answers for the entry, so a lookup is two array reads. An entry is
 // written only for a chain-complete ship of a stored block (the parent
 // covered for r by the same due) and never claims more than will be
 // delivered, so skipping a covered block cannot leave a recipient holding a
@@ -102,8 +104,8 @@ class Network {
   void attach_faults(faults::FaultInjector* faults) noexcept { faults_ = faults; }
 
   /// Bind the block store every send is resolved against (once; the store
-  /// must outlive the Network). Unbound, the first broadcast_chain or relay
-  /// binds its tree; until then every block is a side-table block.
+  /// must outlive the Network). Unbound, the first broadcast_chain binds its
+  /// tree; until then every block is a side-table block.
   void bind_store(const BlockTree& store);
 
   /// Honest broadcast of a freshly forged block at slot `sent_slot`: one link
@@ -117,12 +119,13 @@ class Network {
   void broadcast_chain(const BlockTree& tree, const Block& block, std::size_t sent_slot,
                        const std::vector<std::size_t>& per_recipient_delay = {});
 
-  /// Gossip forwarding: `relayer` has just admitted `block` (so it holds the
-  /// whole ancestry, which the store `tree` contains) and sends it on at
-  /// `slot` to its out-neighbors through the same link path as a first hop,
-  /// with no adversarial hold-back. Issuer-blind: admitted adversarial blocks
-  /// relay too — delivering more is always within the model.
-  void relay(const BlockTree& tree, const Block& block, PartyId relayer, std::size_t slot);
+  /// Gossip forwarding: `relayer` has just admitted the block at store
+  /// `entry` (so it holds the whole ancestry) and sends it on at `slot` to
+  /// its out-neighbors through the same link path as a first hop, with no
+  /// adversarial hold-back. The store must be bound. Issuer-blind: admitted
+  /// adversarial blocks relay too — delivering more is always within the
+  /// model.
+  void relay(std::uint32_t entry, PartyId relayer, std::size_t slot);
 
   /// Adversarial targeted injection, visible to `recipient` at `visible_slot`
   /// (which cannot precede the block's own slot: the rushing adversary sees a
@@ -174,36 +177,35 @@ class Network {
   void flush_counts();
 
  private:
-  /// Per-recipient coverage entries: (recipient, store entry) -> due, in one
-  /// flat open-addressing table (linear probing, backward-shift erase), with
-  /// a per-entry count of recipients so erasing an entry stops early.
+  static constexpr std::uint32_t kNever = 0xffffffffu;
+
+  /// Per-recipient coverage entries: (recipient, store entry) -> due, as
+  /// pooled rows of one due per party (kNever = no entry). An entry takes a
+  /// row on its first write (the last freed row, if any) and keeps it until
+  /// erase_entry resets and frees it.
   class EntryTable {
    public:
-    EntryTable();
+    explicit EntryTable(std::size_t parties) : parties_(parties) {}
     /// The entry's due, or kNever.
-    [[nodiscard]] std::uint32_t find(PartyId recipient, std::uint32_t entry) const noexcept;
+    [[nodiscard]] std::uint32_t find(PartyId recipient, std::uint32_t entry) const noexcept {
+      const std::uint32_t row = entry < row_of_.size() ? row_of_[entry] : kNever;
+      return row == kNever ? kNever : dues_[row * parties_ + recipient];
+    }
     /// Insert, or keep the smaller due.
     void lower(PartyId recipient, std::uint32_t entry, std::uint32_t due);
     /// Erase `entry` for every recipient.
     void erase_entry(std::uint32_t entry);
     /// Erase every key of `recipient`; returns how many there were.
     std::size_t erase_recipient(PartyId recipient);
-    [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+    /// No entry holds a row.
+    [[nodiscard]] bool empty() const noexcept { return free_.size() * parties_ == dues_.size(); }
 
    private:
-    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-    [[nodiscard]] std::size_t home(std::uint64_t key) const noexcept;
-    [[nodiscard]] std::size_t slot_of(std::uint64_t key) const noexcept;
-    void erase_at(std::size_t index);
-    void rehash(std::size_t capacity);
-
-    std::vector<std::uint64_t> keys_;    ///< entry << 32 | recipient, or kEmpty
-    std::vector<std::uint32_t> dues_;
-    std::vector<std::uint32_t> holders_;  ///< per store entry: recipients with a key
-    std::size_t size_ = 0;
+    std::size_t parties_;
+    std::vector<std::uint32_t> row_of_;  ///< per store entry: its row, or kNever
+    std::vector<std::uint32_t> dues_;    ///< row-major, `parties_` dues a row
+    std::vector<std::uint32_t> free_;    ///< rows released by erase_entry
   };
-
-  static constexpr std::uint32_t kNever = 0xffffffffu;
 
   /// The coverage rule: will `recipient` hold `entry` with its whole
   /// ancestry by the onset of slot `due`?

@@ -133,7 +133,7 @@ void Simulation::ratchet_and_relay(PartyId node, std::uint32_t entry, std::size_
   }
   // Gossip: a node sends every block it admits on to its neighbors
   // (lockstep needs no relays: every party is a direct recipient).
-  if (hetero_) network_.relay(global_tree_, a, node, slot);
+  if (hetero_) network_.relay(entry, node, slot);
 }
 
 // Inlined into both delivery loops: it runs once per (node, delivered ref).

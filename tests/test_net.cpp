@@ -571,7 +571,7 @@ TEST(HeteroNetwork, RingGossipRelaysAcrossHopsWithoutDuplicates) {
         EXPECT_EQ(got.hash, b.hash);
         EXPECT_EQ(arrival[p], 0u) << "duplicate delivery to party " << p;
         arrival[p] = slot;
-        net.relay(tree, got, p, slot);
+        net.relay(tree.find_entry(got.hash), p, slot);
       }
   EXPECT_EQ(arrival[1], 2u);
   EXPECT_EQ(arrival[4], 2u);  // ring is bidirectional
@@ -595,7 +595,7 @@ TEST(HeteroNetwork, RelayShipsTheChainItsNeighborLacks) {
   net.bind_store(tree);  // the injection resolves against the store
   net.inject(a, 2, 2);
   (void)drain(net, 2, 2);
-  net.relay(tree, b, 1, 3);
+  net.relay(tree.find_entry(b.hash), 1, 3);
   const auto to0 = drain(net, 0, 4);
   ASSERT_EQ(to0.size(), 2u);
   EXPECT_EQ(to0[0].hash, a.hash);
@@ -623,8 +623,8 @@ TEST(HeteroNetwork, ATamperedCopyNeverCoversTheGenuineBlockForRelays) {
   net.broadcast_chain(tree, h, 1);
   EXPECT_EQ(drain(net, 1, 2), std::vector<Block>{h});
   EXPECT_EQ(drain(net, 3, 2), std::vector<Block>{h});
-  net.relay(tree, h, 1, 2);
-  net.relay(tree, h, 3, 2);
+  net.relay(tree.find_entry(h.hash), 1, 2);
+  net.relay(tree.find_entry(h.hash), 3, 2);
   EXPECT_EQ(drain(net, 2, 3), std::vector<Block>{h});  // once: the second relay is covered
 }
 

@@ -345,6 +345,25 @@ TEST(Network, ACrashBetweenSendAndDueDropsTheSharedCopy) {
   EXPECT_EQ(drain(net, 2, 4), std::vector<Block>{h});
 }
 
+TEST(Network, ACrashDropsTheCrashedRecipientsCoverage) {
+  // x is injected to party 0 alone (chain-complete, so it covers x there),
+  // then party 0 crashes: the queued copy and the coverage that claimed it
+  // would land are both lost. y, forged on x, must ship x again ahead of
+  // itself, or party 0 would hold y as an orphan.
+  Network net(3, 1);
+  BlockTree tree;
+  const Block x = make_block(genesis_block().hash, 1, kAdversary, 0);
+  const Block y = make_block(x.hash, 2, 1, 0);
+  tree.add(x);
+  tree.add(y);
+  net.bind_store(tree);
+  net.inject(x, 0, 2);
+  net.crash_recipient(0);
+  net.broadcast_chain(tree, y, 2, {1, 0, 0});
+  EXPECT_TRUE(drain(net, 0, 3).empty());
+  EXPECT_EQ(drain(net, 0, 4), (std::vector<Block>{x, y}));
+}
+
 TEST(Network, InjectAllAtACollectedSlotLandsAtTheNextCollect) {
   // Party 0 already collected slot 3 when the adversary injects to everyone
   // at visible slot 2: the injection still reaches party 0 at its next
@@ -420,14 +439,14 @@ class ReferenceNetwork {
         events_(parties) {}
 
   void attach_faults(faults::FaultInjector* faults) { faults_ = faults; }
-  void bind_store(const BlockTree& /*store*/) {}  // whole blocks need no store
+  void bind_store(const BlockTree& store) { store_ = &store; }
 
   void broadcast_chain(const BlockTree& tree, const Block& block, std::size_t slot,
                        const std::vector<std::size_t>& delay) {
     send_round(tree, block, block.issuer, slot, delay);
   }
-  void relay(const BlockTree& tree, const Block& block, PartyId relayer, std::size_t slot) {
-    send_round(tree, block, relayer, slot, {});
+  void relay(std::uint32_t entry, PartyId relayer, std::size_t slot) {
+    send_round(*store_, store_->entry_block(entry), relayer, slot, {});
   }
   void inject(const Block& block, PartyId recipient, std::size_t visible_slot) {
     if (faults_ != nullptr && faults_->is_down(recipient, visible_slot)) return;
@@ -473,6 +492,7 @@ class ReferenceNetwork {
   net::Topology topology_;
   engine::SeedSequence link_seeds_;
   faults::FaultInjector* faults_ = nullptr;
+  const BlockTree* store_ = nullptr;  ///< what relayed entries index
   BlockQueues events_;
 };
 
@@ -532,7 +552,7 @@ class Side {
         node.receive(b, &admitted);
         for (const Block& a : admitted) {
           record(node.id(), a);
-          if (hetero_) transport_.relay(store_, a, node.id(), slot);
+          if (hetero_) transport_.relay(store_.find_entry(a.hash), node.id(), slot);
         }
       }
     }

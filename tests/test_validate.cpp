@@ -2,10 +2,131 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "fork_fixtures.hpp"
 
 namespace mh {
 namespace {
+
+/// The validator before its one-pass form, kept as the fuzz reference: one
+/// vertex scan per label for (F3) and every pair of honest vertices for (F4).
+ValidationResult naive_validate_fork(const Fork& fork, const CharString& w, std::size_t delta) {
+  const auto fail = [](std::string msg) { return ValidationResult{false, std::move(msg)}; };
+  const std::size_t n = w.size();
+  if (fork.label(kRoot) != 0) return fail("(F1) root must be labeled 0");
+  for (VertexId v : fork.all_vertices()) {
+    if (fork.label(v) > n) return fail("(F2) label exceeds string length");
+    if (v != kRoot && fork.label(v) <= fork.label(fork.parent(v)))
+      return fail("(F2) labels must strictly increase along tines");
+  }
+  for (std::size_t i = 1; i <= n; ++i) {
+    const std::size_t count = fork.vertices_with_label(static_cast<std::uint32_t>(i)).size();
+    if (w.at(i) == Symbol::h && count != 1)
+      return fail("(F3) uniquely honest slot must label exactly one vertex");
+    if (w.at(i) == Symbol::H && count == 0)
+      return fail("(F3) multiply honest slot must label at least one vertex");
+  }
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> honest;  // (label, depth)
+  for (VertexId v : fork.all_vertices()) {
+    const std::uint32_t l = fork.label(v);
+    if (l >= 1 && w.honest(l)) honest.emplace_back(l, fork.depth(v));
+  }
+  std::sort(honest.begin(), honest.end());
+  for (std::size_t a = 0; a < honest.size(); ++a)
+    for (std::size_t b = a + 1; b < honest.size(); ++b)
+      if (honest[a].first + delta < honest[b].first && honest[a].second >= honest[b].second)
+        return fail("(F4) honest depths must strictly increase with slot labels");
+  return ValidationResult{};
+}
+
+/// A random fork for `w` that is valid at `delta` unless one mutation hits
+/// it: every honest vertex extends a vertex at least as deep as each honest
+/// vertex labeled more than `delta` slots before it, and adversarial slots
+/// label zero to two vertices anywhere. The mutations are a duplicate or a
+/// missing honest label, a vertex past the string, and an honest vertex at a
+/// depth equal to, or one below, an honest vertex exactly `delta` or
+/// `delta + 1` labels back.
+Fork random_fork(const CharString& w, std::size_t delta, Rng& rng) {
+  enum Mutation : std::uint64_t { kNone, kDuplicate, kMissing, kPastString, kEqual, kInverted };
+  const std::size_t n = w.size();
+  const std::uint64_t mutation = rng.bernoulli(0.3) ? kNone : 1 + rng.below(5);
+  const std::size_t target = 1 + rng.below(n);
+  const std::size_t gap = delta + rng.below(2);
+  Fork f;
+  std::vector<std::vector<VertexId>> by_label(n + 1);
+  by_label[0].push_back(kRoot);
+  // A random vertex labeled below `label`, at depth `need` or more.
+  const auto any_vertex = [&](std::uint32_t label, std::uint32_t need) {
+    std::vector<VertexId> deep;
+    for (VertexId v = 0; v < f.vertex_count(); ++v)
+      if (f.label(v) < label && f.depth(v) >= need) deep.push_back(v);
+    return deep[rng.below(deep.size())];
+  };
+  for (std::size_t i = 1; i <= n; ++i) {
+    const auto label = static_cast<std::uint32_t>(i);
+    if (!w.honest(i)) {
+      for (std::uint64_t c = rng.below(3); c-- > 0;)
+        by_label[i].push_back(f.add_vertex(any_vertex(label, 0), label));
+      continue;
+    }
+    std::uint32_t need = 0;
+    for (std::size_t l = 1; l + delta < i; ++l)
+      if (w.honest(l))
+        for (const VertexId u : by_label[l]) need = std::max(need, f.depth(u));
+    std::uint64_t copies = w.at(i) == Symbol::h ? 1 : 1 + rng.below(2);
+    if (i == target && mutation == kDuplicate) ++copies;
+    if (i == target && mutation == kMissing) copies = 0;
+    for (std::uint64_t c = 0; c < copies; ++c) {
+      VertexId parent = any_vertex(label, need);
+      if (i == target && (mutation == kEqual || mutation == kInverted) && gap < i &&
+          w.honest(i - gap) && !by_label[i - gap].empty()) {
+        const std::vector<VertexId>& back = by_label[i - gap];
+        parent = f.parent(back[rng.below(back.size())]);
+        if (mutation == kInverted && parent != kRoot) parent = f.parent(parent);
+      }
+      by_label[i].push_back(f.add_vertex(parent, label));
+    }
+  }
+  const auto past = static_cast<std::uint32_t>(n + 1);
+  if (mutation == kPastString) f.add_vertex(any_vertex(past, 0), past);
+  return f;
+}
+
+TEST(Validate, OnePassMatchesTheNaiveValidatorOnRandomForks) {
+  // Forks built valid at one Delta, some mutated, are checked at Delta in
+  // {0, ..., 3}: the one-pass validator must give the naive one's verdict
+  // and message on each. Every outcome must occur.
+  Rng rng(0xf04c);
+  std::size_t valid = 0, f2 = 0, f3 = 0, f4 = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::size_t n = 1 + rng.below(14);
+    std::vector<Symbol> symbols;
+    for (std::size_t i = 0; i < n; ++i)
+      symbols.push_back(rng.bernoulli(0.4) ? Symbol::A : rng.bernoulli(0.6) ? Symbol::h : Symbol::H);
+    const CharString w(symbols);
+    const std::size_t built_at = rng.below(4);
+    const Fork fork = random_fork(w, built_at, rng);
+    for (std::size_t delta = 0; delta <= 3; ++delta) {
+      const ValidationResult fast = validate_fork(fork, w, delta);
+      const ValidationResult naive = naive_validate_fork(fork, w, delta);
+      ASSERT_EQ(fast.ok, naive.ok) << "trial " << trial << ", " << w.to_string() << ", Delta "
+                                   << delta << ": " << naive.message;
+      ASSERT_EQ(fast.message, naive.message) << "trial " << trial << ", Delta " << delta;
+      valid += naive.ok;
+      f2 += naive.message.rfind("(F2)", 0) == 0;
+      f3 += naive.message.rfind("(F3)", 0) == 0;
+      f4 += naive.message.rfind("(F4)", 0) == 0;
+    }
+  }
+  EXPECT_GT(valid, 1000u);
+  EXPECT_GT(f2, 100u);
+  EXPECT_GT(f3, 100u);
+  EXPECT_GT(f4, 100u);
+}
 
 TEST(Validate, FigureForksAreValid) {
   fixtures::Fig1 fig1;
