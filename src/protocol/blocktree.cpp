@@ -318,7 +318,7 @@ BlockTree::AddResult TreeView::try_add(const Block& block, const Lookup& found,
                                        std::uint32_t* added) {
   using AddResult = BlockTree::AddResult;
   if (found.stored) {
-    const AddResult r = admit(found.entry);
+    const AddResult r = admit(resolve(*store_, found.entry));
     if (r == AddResult::Added && added) *added = found.entry;
     return r;
   }
@@ -331,14 +331,9 @@ BlockTree::AddResult TreeView::try_add(const Block& block, const Lookup& found,
   // entry under the same hash with other content would be a hash collision.
   MH_REQUIRE_MSG(found.entry == kNone, "block hash collision in the store");
   const std::uint32_t entry = store_->append(block, parent);
-  hold(entry);
+  admit(resolve(*store_, entry));  // Added: the parent is held
   if (added) *added = entry;
   return AddResult::Added;
-}
-
-void TreeView::add_rows(std::uint32_t entry) {
-  BlockTree::Storage& s = store_->s_;
-  s.member.resize((static_cast<std::size_t>(entry >> 6) + 1) * s.columns, 0);
 }
 
 bool TreeView::contains(BlockHash hash) const {

@@ -273,9 +273,13 @@ class OrphanBuffer {
 /// every view sets one bit in each of a run of consecutive words. A view owns
 /// its column, so it is movable but not copyable. A block whose content is
 /// identical to a stored one was header-checked when it entered the store, so
-/// only a bit test remains (admit); any other block gets the full check and,
+/// only bit tests remain (admit); any other block gets the full check and,
 /// on its first admission, is interned in the store (its parent is held,
 /// hence stored). The store must outlive the view.
+///
+/// What admission reads of a stored entry is the same for every view over
+/// the store, so a block delivered to N views is resolved once and admitted
+/// N times.
 class TreeView {
  public:
   explicit TreeView(BlockTree* store);
@@ -303,12 +307,44 @@ class TreeView {
   BlockTree::AddResult try_add(const Block& block, const Lookup& found,
                                std::uint32_t* added = nullptr);
   BlockTree::AddResult try_add(const Block& block) { return try_add(block, lookup(block)); }
-  /// try_add of the store's own entry `entry`: Duplicate if held, Orphan if
-  /// its parent is not, else Added. The store checked its header and slot.
-  BlockTree::AddResult admit(std::uint32_t entry) {
-    if (holds(entry)) return BlockTree::AddResult::Duplicate;
-    if (!holds(store_->s_.parents[entry])) return BlockTree::AddResult::Orphan;
-    hold(entry);
+
+  /// A store entry resolved for admission to any view over its store: the
+  /// matrix row offsets (row * columns) and bits of the entry and of its
+  /// parent, and the entry's length and hash. Valid only while the store
+  /// gains no view: add_column re-lays the matrix out, so a resolution made
+  /// before a view joins must be made again. The library admits each
+  /// resolution within the call that made it, and a Simulation creates its
+  /// views in its constructor, before any delivery.
+  struct Resolved {
+    std::uint32_t entry;
+    std::uint32_t length;
+    BlockHash hash;
+    std::size_t row;
+    std::uint64_t bit;
+    std::size_t parent_row;
+    std::uint64_t parent_bit;
+  };
+  /// Resolve the store's entry `entry`, and grow the matrix to hold its row
+  /// (the parent's row, below it, is held already), so admission needs no
+  /// bound check.
+  [[nodiscard]] static Resolved resolve(BlockTree& store, std::uint32_t entry) {
+    BlockTree::Storage& s = store.s_;
+    const std::uint32_t parent = s.parents[entry];
+    const std::size_t row = static_cast<std::size_t>(entry >> 6) * s.columns;
+    if (row + s.columns > s.member.size()) s.member.resize(row + s.columns, 0);
+    return {entry, s.lengths[entry], s.arrival[entry], row, std::uint64_t{1} << (entry & 63),
+            static_cast<std::size_t>(parent >> 6) * s.columns, std::uint64_t{1} << (parent & 63)};
+  }
+  /// try_add of a resolved store entry: Duplicate if held, Orphan if its
+  /// parent is not, else Added. The store checked its header and slot.
+  BlockTree::AddResult admit(const Resolved& r) {
+    std::vector<std::uint64_t>& member = store_->s_.member;
+    std::uint64_t& word = member[r.row + column_];
+    if ((word & r.bit) != 0) return BlockTree::AddResult::Duplicate;
+    if ((member[r.parent_row + column_] & r.parent_bit) == 0) return BlockTree::AddResult::Orphan;
+    word |= r.bit;
+    ++count_;
+    heads_.offer(r.entry, r.length, r.hash);
     return BlockTree::AddResult::Added;
   }
 
@@ -336,16 +372,6 @@ class TreeView {
     const std::size_t word = static_cast<std::size_t>(entry >> 6) * s.columns + column_;
     return word < s.member.size() && ((s.member[word] >> (entry & 63)) & 1u) != 0;
   }
-  void hold(std::uint32_t entry) {
-    BlockTree::Storage& s = store_->s_;
-    const std::size_t word = static_cast<std::size_t>(entry >> 6) * s.columns + column_;
-    if (word >= s.member.size()) add_rows(entry);
-    s.member[word] |= std::uint64_t{1} << (entry & 63);
-    ++count_;
-    heads_.offer(entry, s.lengths[entry], s.arrival[entry]);
-  }
-  /// Append zero rows to the matrix up to the one holding `entry`.
-  void add_rows(std::uint32_t entry);
 
   BlockTree* store_;
   std::uint32_t column_;   ///< this view's column of the store's matrix

@@ -33,17 +33,18 @@ class HonestNode {
   void receive(const Block& block, std::vector<Block>* accepted = nullptr);
   /// receive(), reporting admissions as entries of the view's store.
   void admit(const Block& block, std::vector<std::uint32_t>* accepted);
-  /// receive() of the store's own entry `entry`, whose issuance the caller
-  /// has checked against this node's schedule: its header was checked when
-  /// it entered the store, so a bit test, a bit set and a head offer remain.
-  [[gnu::always_inline]] void admit_stored(std::uint32_t entry,
-                                           std::vector<std::uint32_t>* accepted) {
-    const BlockTree::AddResult result = view_.admit(entry);
-    if (result == BlockTree::AddResult::Added && view_.orphans().size() == 0) {
-      if (accepted) accepted->push_back(entry);
-    } else if (result != BlockTree::AddResult::Duplicate) {
-      settle(result, entry, view_.store().entry_block(entry), accepted);
-    }
+  /// receive() of a resolved entry of the view's store, whose issuance the
+  /// caller has checked: its header was checked when it entered the store.
+  /// Returns true, appending nothing, when the entry was admitted and no
+  /// orphan waits: the common case. Otherwise every entry admitted (this
+  /// one, then the orphans it unblocked) is appended to `*accepted`.
+  [[nodiscard, gnu::always_inline]] bool admit_stored(const TreeView::Resolved& r,
+                                                      std::vector<std::uint32_t>* accepted) {
+    const BlockTree::AddResult result = view_.admit(r);
+    if (result == BlockTree::AddResult::Added && view_.orphans().size() == 0) return true;
+    if (result != BlockTree::AddResult::Duplicate)
+      settle(result, r.entry, view_.store().entry_block(r.entry), accepted);
+    return false;
   }
 
   /// Current longest-chain head under this node's tie-break rule.

@@ -107,11 +107,15 @@ bool Simulation::eligible_entry(std::uint32_t entry) {
   return (flags & kEligible) != 0;
 }
 
-void Simulation::admit(HonestNode& node, std::uint32_t entry) {
-  if (eligible_entry(entry))
-    node.admit_stored(entry, &accepted_);
-  else
-    node.admit(global_tree_.entry_block(entry), &accepted_);
+// admit and spread_accepted are inlined into the per-node collect loop, where
+// they run once per (node, delivered ref).
+[[gnu::always_inline]] inline void Simulation::admit(HonestNode& node, net::Ref ref, bool stored) {
+  // Admitting a foreign block may intern it and grow the store's columns:
+  // nothing here holds a reference into them across the admission.
+  if (!stored)
+    node.admit(network_.block(ref), &accepted_);
+  else if (node.admit_stored(TreeView::resolve(global_tree_, ref), &accepted_))
+    accepted_.push_back(ref);
 }
 
 void Simulation::ratchet_and_relay(PartyId node, std::uint32_t entry, std::size_t slot) {
@@ -136,21 +140,12 @@ void Simulation::ratchet_and_relay(PartyId node, std::uint32_t entry, std::size_
   if (hetero_) network_.relay(entry, node, slot);
 }
 
-// Inlined into both delivery loops: it runs once per (node, delivered ref).
-[[gnu::always_inline]] inline void Simulation::deliver(HonestNode& node, net::Ref ref, bool stored,
-                                                       std::size_t slot) {
-  // Admitting a foreign block may intern it and grow the store's columns:
-  // nothing here holds a reference into them across the admission.
-  accepted_.clear();
-  if (stored)
-    node.admit_stored(ref, &accepted_);
-  else
-    node.admit(network_.block(ref), &accepted_);
+[[gnu::always_inline]] inline void Simulation::spread_accepted(PartyId node, std::size_t slot) {
   // Every block the node admitted — including orphans unblocked by this
   // delivery — joins the public tree (the seed dropped flushed orphans,
   // hiding real public-fork disagreements).
   for (const std::uint32_t entry : accepted_) {
-    if (fault_active_ || hetero_) ratchet_and_relay(node.id(), entry, slot);
+    if (fault_active_ || hetero_) ratchet_and_relay(node, entry, slot);
     public_add(entry);
   }
 }
@@ -163,23 +158,38 @@ std::size_t Simulation::deliver_due(std::size_t slot) {
   std::size_t delivered = 0;
   // A crashed endpoint neither collects nor processes; its queue was wiped
   // at crash time and stays empty while it is down. With every node up and
-  // the same rounds due to each, the rounds are read once and each one's
-  // admission path is resolved once.
+  // the same rounds due to each, the rounds are read once and each one is
+  // resolved once, then admitted node by node: each node takes the rounds in
+  // the order per-node collection would hand them over.
   if (!(fault_active_ && faults_->any_down(slot)) && network_.sweep(slot, &rounds_)) {
-    round_stored_.clear();
-    for (const net::Round& round : rounds_) round_stored_.push_back(stored_path(round.ref));
+    swept_.clear();
+    for (const net::Round& round : rounds_) {
+      const bool stored = stored_path(round.ref);
+      swept_.push_back({stored ? TreeView::resolve(global_tree_, round.ref) : TreeView::Resolved{},
+                        round.ref, round.except, stored});
+    }
     for (HonestNode& node : nodes_)
-      for (std::size_t i = 0; i < rounds_.size(); ++i) {
-        if (rounds_[i].except == node.id()) continue;
+      for (const SweptRound& round : swept_) {
+        if (round.except == node.id()) continue;
         ++delivered;
-        deliver(node, rounds_[i].ref, round_stored_[i] != 0, slot);
+        accepted_.clear();
+        if (!round.stored) {
+          admit(node, round.ref, false);
+        } else if (node.admit_stored(round.resolved, &accepted_)) {
+          if (fault_active_ || hetero_) ratchet_and_relay(node.id(), round.ref, slot);
+          public_add(round.ref);
+          continue;
+        }
+        spread_accepted(node.id(), slot);
       }
   } else {
     for (HonestNode& node : nodes_) {
       if (fault_active_ && faults_->is_down(node.id(), slot)) continue;
       network_.collect(node.id(), slot, [&](net::Ref ref) {
         ++delivered;
-        deliver(node, ref, stored_path(ref), slot);
+        accepted_.clear();
+        admit(node, ref, stored_path(ref));
+        spread_accepted(node.id(), slot);
       });
     }
   }
@@ -249,9 +259,10 @@ void Simulation::step() {
   for (const Block& block : forged) {
     global_tree_.add(block);
     all_blocks_.push_back(block);
+    const std::uint32_t entry = global_tree_.find_entry(block.hash);
     accepted_.clear();
-    admit(nodes_[block.issuer], global_tree_.find_entry(block.hash));
-    for (const std::uint32_t entry : accepted_) public_add(entry);
+    admit(nodes_[block.issuer], entry, stored_path(entry));
+    for (const std::uint32_t admitted : accepted_) public_add(admitted);
     std::vector<std::size_t> delays;
     if (adversary_) delays = adversary_->delivery_delays(block, t, *this);
     network_.broadcast_chain(global_tree_, block, t, delays);
@@ -357,18 +368,19 @@ Block Simulation::mint_adversarial(BlockHash parent, std::size_t slot, std::uint
 
 bool Simulation::observed_settlement_violation(std::size_t s) const {
   const std::vector<BlockHash> heads = public_tree_.max_length_heads();
-  // What each maximal public chain says about slot s: its block labelled
-  // exactly s, or "the chain skips s" (nullopt). Any mismatch between two
-  // maximal chains is a settlement disagreement an observer could be shown.
-  std::vector<std::optional<BlockHash>> exact_at(heads.size());
-  for (std::size_t i = 0; i < heads.size(); ++i) {
-    const auto deepest = public_tree_.block_at_slot(heads[i], s);
-    if (deepest && public_tree_.block(*deepest).slot == s) exact_at[i] = deepest;
-  }
+  // What a maximal public chain says about slot s: its block labelled
+  // exactly s, or genesis for "the chain skips s". Two maximal chains that
+  // disagree are a settlement disagreement an observer could be shown. A
+  // pair meeting at or above slot s shares that block's answer, so the walk
+  // down to s is made only for a pair meeting below it.
+  const auto answer = [&](BlockHash head) {
+    const auto deepest = public_tree_.block_at_slot(head, s);
+    return deepest && public_tree_.block(*deepest).slot == s ? *deepest : genesis_block().hash;
+  };
   for (std::size_t a = 0; a < heads.size(); ++a)
     for (std::size_t b = a + 1; b < heads.size(); ++b) {
-      if (!exact_at[a] && !exact_at[b]) continue;  // both skip slot s
-      if (exact_at[a] != exact_at[b]) return true;
+      const BlockHash meet = public_tree_.common_ancestor(heads[a], heads[b]);
+      if (public_tree_.block(meet).slot < s && answer(heads[a]) != answer(heads[b])) return true;
     }
   return false;
 }

@@ -19,20 +19,22 @@
 // 32-bit store entries from send to admission: a block shipped to everyone is
 // one shared round that every node reads through its own cursor, and the
 // issuance ("signature") check of an entry runs once, at its first delivery,
-// and is cached. Per node and delivered entry there remain a parent bit
-// test, a bit set and a head offer on its column; blocks the store does not
-// hold byte-for-byte, and ineligible entries, take the full receive() path.
+// and is cached. Per node and delivered entry there remain a bit test, a
+// parent bit test, a bit set and a head offer on its column; blocks the store
+// does not hold byte-for-byte, and ineligible entries, take the full
+// receive() path.
 //
 // A delivery round is slot-batched when it can be: with every node up and
 // the event core able to sweep (no private delivery queued, every cursor
 // aligned, no round below a crash floor), the slot's due rounds are read
-// once, each round's admission path is resolved once, and the one list is
-// handed to every node in node order. Otherwise each node collects its own
-// merged deliveries. Both loops feed one per-(node, ref) body (admission,
-// observed Delta, public mirror, relay), and processing stays node-major in
-// both, so each node's acceptance sequence and the public arrival order are
-// those of per-node collection. A delivery round at a slot already swept,
-// with nothing scheduled since, is skipped outright (the round after the
+// once and each is resolved once (its admission path, and for a stored
+// entry the matrix words, bits, length and hash every view's admission
+// reads), and the one table is admitted node by node. Otherwise each node
+// collects its own merged deliveries. Both loops admit through one
+// stored-admission routine, and processing stays node-major in both, so each
+// node's acceptance sequence, relays and the public arrival order are those
+// of per-node collection. A delivery round at a slot already swept, with
+// nothing scheduled since, is skipped outright (the round after the
 // adversary's turn usually is), and an entry already mirrored into the
 // public tree costs a flag test, not a call.
 #pragma once
@@ -188,21 +190,22 @@ class Simulation {
   std::size_t deliver_due(std::size_t slot);
   /// Tally one slot's deliveries and self-receipts into counts_.
   void count_received(std::size_t delivered, std::size_t self_received);
-  /// One delivery of `ref` to `node` at the onset of `slot`, whichever loop
-  /// read it: admission (`stored`: see stored_path), then for every entry
-  /// the node admitted, ratchet_and_relay and the public mirror.
-  void deliver(HonestNode& node, net::Ref ref, bool stored, std::size_t slot);
+  /// The rest of a delivery to `node` at `slot`, for every entry in
+  /// accepted_ in order: ratchet_and_relay on faulted and gossip runs, then
+  /// the public mirror.
+  void spread_accepted(PartyId node, std::size_t slot);
   /// The faulted and gossip share of `node` admitting `entry` at `slot`: the
   /// observed-Delta ratchet, then, on gossip, the relay.
   void ratchet_and_relay(PartyId node, std::uint32_t entry, std::size_t slot);
   /// Is `ref` a stored entry whose issuance check passed? Its admission is
-  /// then a bit test; anything else takes the full receive() path.
+  /// then a few bit tests; anything else takes the full receive() path.
   [[nodiscard]] bool stored_path(net::Ref ref) {
     return !net::is_foreign(ref) && eligible_entry(ref);
   }
-  /// A forger's adoption of its own block, the global tree's entry `entry`:
-  /// admissions appended to accepted_.
-  void admit(HonestNode& node, std::uint32_t entry);
+  /// `node`'s admission of `ref` (`stored`: see stored_path), the stored
+  /// path resolving the entry for this one view: every entry admitted is
+  /// appended to accepted_.
+  void admit(HonestNode& node, net::Ref ref, bool stored);
   /// The schedule's issuance check of a stored entry, cached per entry.
   [[nodiscard]] bool eligible_entry(std::uint32_t entry);
   /// The flags of a global-tree entry (see EntryFlag).
@@ -255,7 +258,15 @@ class Simulation {
   enum EntryFlag : std::uint8_t { kChecked = 1, kEligible = 2, kMirrored = 4 };
   std::vector<std::uint8_t> entry_flags_;
   std::vector<net::Round> rounds_;             ///< a sweep's rounds, reused
-  std::vector<std::uint8_t> round_stored_;     ///< stored_path per swept round
+  /// One swept round, resolved once for every node. `resolved` is set when
+  /// the round takes the stored path.
+  struct SweptRound {
+    TreeView::Resolved resolved;
+    net::Ref ref;
+    PartyId except;
+    bool stored;
+  };
+  std::vector<SweptRound> swept_;              ///< a sweep's table, reused
   std::vector<std::uint32_t> accepted_;        ///< admitted entries, reused
   std::vector<std::pair<BlockHash, BlockHash>> prefixes_;  ///< (head, prefix) memo
   /// The slot loop's obs counters, added to the registry once per run_until:

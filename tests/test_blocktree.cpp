@@ -508,6 +508,29 @@ class ReferenceNode {
   const ScheduleSource& schedule_;
 };
 
+/// A node's view must agree with its reference node on the membership (over
+/// `universe`, and member by member), the head set, both tie-break rules and
+/// the orphan count.
+void expect_view_matches(const HonestNode& node, const ReferenceNode& reference,
+                         const std::vector<Block>& universe) {
+  const TreeView& view = node.tree();
+  const ReferenceTree& ref = reference.tree;
+  ASSERT_EQ(view.block_count(), ref.block_count());
+  ASSERT_EQ(view.best_length(), ref.best_length());
+  ASSERT_EQ(view.max_length_heads(), ref.max_length_heads());
+  ASSERT_EQ(view.best_head(TieBreak::AdversarialOrder), ref.best_head(TieBreak::AdversarialOrder));
+  ASSERT_EQ(view.best_head(TieBreak::ConsistentHash), ref.best_head(TieBreak::ConsistentHash));
+  ASSERT_EQ(node.buffered_orphans(), reference.orphans.size());
+  for (const Block& u : universe) ASSERT_EQ(view.contains(u.hash), ref.contains(u.hash));
+  // members() enumerates this view's column alone.
+  std::vector<BlockHash> members = view.members();
+  std::vector<BlockHash> want = ref.arrival_order();
+  ASSERT_EQ(members.size(), view.block_count());
+  std::sort(members.begin(), members.end());
+  std::sort(want.begin(), want.end());
+  ASSERT_EQ(members, want);
+}
+
 static_assert(!std::is_copy_constructible_v<TreeView> && !std::is_copy_assignable_v<TreeView>,
               "a view owns its column of the store's membership matrix");
 static_assert(std::is_nothrow_move_constructible_v<HonestNode>,
@@ -582,26 +605,118 @@ TEST(TreeView, DifferentialFuzzAgainstReferenceTree) {
         std::vector<Block> accepted;
         nodes[n].receive(b, &accepted);
         ASSERT_EQ(accepted, refs[n].receive(b)) << "round " << round << ", node " << n;
-        const TreeView& view = nodes[n].tree();
-        const ReferenceTree& ref = refs[n].tree;
-        ASSERT_EQ(view.block_count(), ref.block_count());
-        ASSERT_EQ(view.best_length(), ref.best_length());
-        ASSERT_EQ(view.max_length_heads(), ref.max_length_heads());
-        ASSERT_EQ(view.best_head(TieBreak::AdversarialOrder),
-                  ref.best_head(TieBreak::AdversarialOrder));
-        ASSERT_EQ(view.best_head(TieBreak::ConsistentHash), ref.best_head(TieBreak::ConsistentHash));
-        ASSERT_EQ(nodes[n].buffered_orphans(), refs[n].orphans.size());
-        for (const Block& u : universe) ASSERT_EQ(view.contains(u.hash), ref.contains(u.hash));
-        // members() enumerates this view's column alone.
-        std::vector<BlockHash> members = view.members();
-        std::vector<BlockHash> want = ref.arrival_order();
-        ASSERT_EQ(members.size(), view.block_count());
-        std::sort(members.begin(), members.end());
-        std::sort(want.begin(), want.end());
-        ASSERT_EQ(members, want);
+        ASSERT_NO_FATAL_FAILURE(expect_view_matches(nodes[n], refs[n], universe))
+            << "round " << round << ", node " << n;
       }
     }
   }
+}
+
+TEST(TreeView, OneResolutionAdmitsEveryView) {
+  // A delivery sweep resolves each of its stored entries once and admits the
+  // resolutions node by node. Here four nodes share a store holding a random
+  // fork, and take its entries in sweeps of 1 to 8: a store-order window,
+  // shuffled or reversed (so chains arrive orphan-first), with a tenth of the
+  // entries twice. Each node misses a tenth of a sweep's deliveries, which a
+  // second sweep right after brings it, so the views drift apart and see
+  // duplicates, orphans and orphan flushes, and orphans drain again. Halfway
+  // through a fifth node joins, which re-lays the matrix out; it is caught
+  // up in store order, and every later delivery is resolved again. After
+  // each admission the node must agree with its reference node on the
+  // accepted entries, the membership, the head set, both tie-break rules and
+  // the orphan count.
+  constexpr std::size_t kBlocks = 160;
+  constexpr std::size_t kHorizon = 2 * kBlocks + 2;
+  // Party 0 leads every slot, the adversary every third.
+  std::vector<SlotLeaders> slots(kHorizon);
+  for (std::size_t t = 1; t <= kHorizon; ++t) {
+    slots[t - 1].honest = {0};
+    slots[t - 1].adversarial = t % 3 == 0;
+  }
+  const LeaderSchedule schedule(std::move(slots), 1);
+
+  Rng rng(0x0e50);
+  std::size_t outcomes[3] = {0, 0, 0};  // admitted alone, nothing, with a flush
+  for (int round = 0; round < 8; ++round) {
+    BlockTree store;
+    std::vector<Block> universe{genesis_block()};
+    for (std::uint64_t i = 0; i < kBlocks; ++i) {
+      const std::size_t pick =
+          rng.bernoulli(0.6) ? universe.size() - 1 : rng.below(universe.size());
+      const Block parent = universe[pick];
+      const std::uint64_t slot = parent.slot + 1 + rng.below(2);
+      const PartyId issuer = slot % 3 == 0 && rng.bernoulli(0.3) ? kAdversary : 0;
+      universe.push_back(make_block(parent.hash, slot, issuer, i));
+      ASSERT_EQ(store.try_add(universe.back()), BlockTree::AddResult::Added);
+    }
+
+    std::vector<HonestNode> nodes;  // no reserve: the late joiner moves everyone
+    for (PartyId p = 0; p < 4; ++p)
+      nodes.emplace_back(p, p % 2 == 0 ? TieBreak::AdversarialOrder : TieBreak::ConsistentHash,
+                         &schedule, &store);
+    std::vector<ReferenceNode> refs(nodes.size() + 1, ReferenceNode(schedule));
+    // Admit one resolution to node n, and check it against the reference.
+    const auto admit = [&](std::size_t n, const TreeView::Resolved& resolved) {
+      const Block& b = store.entry_block(resolved.entry);
+      ASSERT_EQ(resolved.hash, b.hash);
+      ASSERT_EQ(resolved.length, store.length(b.hash));
+      std::vector<std::uint32_t> entries;
+      const bool alone = nodes[n].admit_stored(resolved, &entries);
+      if (alone) {
+        ASSERT_TRUE(entries.empty());
+        entries.push_back(resolved.entry);
+      }
+      ++outcomes[alone ? 0 : entries.empty() ? 1 : 2];
+      std::vector<Block> accepted;
+      for (const std::uint32_t e : entries) accepted.push_back(store.entry_block(e));
+      ASSERT_EQ(accepted, refs[n].receive(b)) << "round " << round << ", node " << n;
+      ASSERT_NO_FATAL_FAILURE(expect_view_matches(nodes[n], refs[n], universe))
+          << "round " << round << ", node " << n;
+    };
+
+    bool joined = false;
+    for (std::uint32_t next = 1; next < store.block_count();) {
+      if (!joined && next > kBlocks / 2) {
+        joined = true;
+        nodes.emplace_back(4, TieBreak::AdversarialOrder, &schedule, &store);
+        for (std::uint32_t e = 1; e < next; ++e)
+          ASSERT_NO_FATAL_FAILURE(admit(4, TreeView::resolve(store, e)));
+      }
+      std::vector<std::uint32_t> window;
+      for (const std::uint32_t end = std::min<std::uint32_t>(
+               next + 1 + static_cast<std::uint32_t>(rng.below(8)),
+               static_cast<std::uint32_t>(store.block_count()));
+           next < end; ++next) {
+        window.push_back(next);
+        if (rng.bernoulli(0.1)) window.push_back(next);
+      }
+      if (rng.bernoulli(0.5))
+        std::reverse(window.begin(), window.end());
+      else
+        for (std::size_t i = window.size() - 1; i > 0; --i)
+          std::swap(window[i], window[rng.below(i + 1)]);
+
+      std::vector<TreeView::Resolved> sweep;
+      for (const std::uint32_t entry : window) sweep.push_back(TreeView::resolve(store, entry));
+      std::vector<std::vector<TreeView::Resolved>> missed(nodes.size());
+      for (std::size_t n = 0; n < nodes.size(); ++n)
+        for (const TreeView::Resolved& resolved : sweep) {
+          if (rng.bernoulli(0.1))
+            missed[n].push_back(resolved);
+          else
+            ASSERT_NO_FATAL_FAILURE(admit(n, resolved));
+        }
+      for (std::size_t n = 0; n < nodes.size(); ++n)
+        for (const TreeView::Resolved& resolved : missed[n])
+          ASSERT_NO_FATAL_FAILURE(admit(n, resolved));
+    }
+    for (std::size_t n = 0; n < nodes.size(); ++n)
+      ASSERT_EQ(nodes[n].tree().block_count(), store.block_count()) << "round " << round;
+  }
+  // Every admission outcome occurred often enough to be compared.
+  for (const std::size_t seen : outcomes)
+    EXPECT_GT(seen, 1000u) << outcomes[0] << " alone, " << outcomes[1] << " none, " << outcomes[2]
+                          << " with a flush";
 }
 
 TEST(TreeView, ALateColumnOverAGrownMatrixStartsAtGenesis) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <type_traits>
+#include <vector>
 
 #include "chars/bernoulli.hpp"
 #include "oracle/characteristic.hpp"
@@ -210,6 +212,104 @@ TEST(Simulation, PublicTreeIsExactlyTheUnionOfNodeViews) {
       }
     EXPECT_EQ(sim.public_tree().block_count(), union_count) << "seed " << seed;
   }
+}
+
+// Slot 1: mints a1 on genesis and shows it to party 1 alone. Slot 2: mints
+// a2 on a1 and b2 on genesis and injects both to everyone, as two shared
+// rounds that one delivery sweep reads.
+class SplitViewInjector : public Adversary {
+ public:
+  void on_slot_begin(std::size_t slot, Simulation& sim) override {
+    if (slot == 1) {
+      a1 = sim.mint_adversarial(genesis_block().hash, 1, 1);
+      sim.network().inject(a1, 1, 1);
+    } else if (slot == 2) {
+      a2 = sim.mint_adversarial(a1.hash, 2, 2);
+      b2 = sim.mint_adversarial(genesis_block().hash, 2, 3);
+      sim.network().inject_all(a2, 2);
+      sim.network().inject_all(b2, 2);
+    }
+  }
+  Block a1, a2, b2;
+};
+
+TEST(Simulation, SweptRoundJoinsThePublicTreeAtItsFirstAdmission) {
+  // One sweep hands every party a2, then b2. Party 0 lacks a2's parent and
+  // buffers it, then admits b2; party 1 then admits a2. The public tree
+  // takes an entry at its first admission, never at an orphan's offer nor
+  // before the node loop: b2 arrives before a2, and a2 arrives although
+  // its round's first offer was an orphan.
+  std::vector<SlotLeaders> slots(3);
+  slots[0].adversarial = true;
+  slots[1].adversarial = true;
+  const LeaderSchedule schedule(std::move(slots), 3);
+  SplitViewInjector adversary;
+  Simulation sim(schedule, SimulationConfig{TieBreak::AdversarialOrder, 3}, 0, &adversary);
+  sim.run_until(2);
+  EXPECT_EQ(sim.nodes()[0].buffered_orphans(), 1u);
+  EXPECT_TRUE(sim.nodes()[1].tree().contains(adversary.a2.hash));
+  EXPECT_EQ(sim.nodes()[2].buffered_orphans(), 1u);
+  EXPECT_EQ(sim.public_tree().arrival_order(),
+            (std::vector<BlockHash>{genesis_block().hash, adversary.a1.hash, adversary.b2.hash,
+                                    adversary.a2.hash}));
+}
+
+/// The naive settlement check that observed_settlement_violation is fuzzed
+/// against: every maximal public head walks down to slot s, and two answers
+/// disagree unless they are equal or both skip s.
+bool all_heads_settlement_violation(const Simulation& sim, std::size_t s) {
+  const BlockTree& tree = sim.public_tree();
+  const std::vector<BlockHash> heads = tree.max_length_heads();
+  std::vector<std::optional<BlockHash>> exact_at(heads.size());
+  for (std::size_t i = 0; i < heads.size(); ++i) {
+    const auto deepest = tree.block_at_slot(heads[i], s);
+    if (deepest && tree.block(*deepest).slot == s) exact_at[i] = deepest;
+  }
+  for (std::size_t a = 0; a < heads.size(); ++a)
+    for (std::size_t b = a + 1; b < heads.size(); ++b) {
+      if (!exact_at[a] && !exact_at[b]) continue;  // both skip slot s
+      if (exact_at[a] != exact_at[b]) return true;
+    }
+  return false;
+}
+
+TEST(Simulation, SettlementCheckMatchesTheAllHeadsWalk) {
+  // observed_settlement_violation walks two maximal public heads down to
+  // slot s only when they meet below it. Over random executions (balance,
+  // randomized and private-chain strategies, both tie-break rules, Delta 0 to
+  // 2), after every slot, at s = 1 and at three random s up to a slot past
+  // the current one, it must agree with the all-heads walk. The executions
+  // must produce enough ties and verdicts of both kinds to bite.
+  std::size_t tied = 0;
+  std::size_t verdicts[2] = {0, 0};
+  for (std::uint64_t seed = 1; seed <= 48; ++seed) {
+    Rng rng(seed);
+    const double pa = 0.25 + 0.05 * static_cast<double>(seed % 4);
+    const SymbolLaw law{(1.0 - pa) / 2, (1.0 - pa) / 2, pa};
+    const std::size_t horizon = 80;
+    const LeaderSchedule schedule = LeaderSchedule::from_symbol_law(law, horizon, 4, rng);
+    BalanceAttacker balance;
+    RandomizedAdversary randomized(seed);
+    PrivateChainAdversary private_chain(2 + seed % 5, 3);
+    Adversary* const strategies[] = {&balance, &randomized, &private_chain};
+    const TieBreak rule = seed % 2 == 0 ? TieBreak::AdversarialOrder : TieBreak::ConsistentHash;
+    const std::size_t delta = seed / 3 % 3;
+    Simulation sim(schedule, SimulationConfig{rule, rng()}, delta, strategies[seed % 3]);
+    for (std::size_t t = 1; t <= horizon; ++t) {
+      sim.run_until(t);
+      tied += sim.public_tree().max_length_heads().size() > 1 ? 1 : 0;
+      for (int query = 0; query < 4; ++query) {
+        const std::size_t s = query == 0 ? 1 : rng.below(t + 2);
+        const bool want = all_heads_settlement_violation(sim, s);
+        ASSERT_EQ(sim.observed_settlement_violation(s), want)
+            << "seed " << seed << ", slot " << t << ", s = " << s;
+        ++verdicts[want ? 1 : 0];
+      }
+    }
+  }
+  EXPECT_GT(tied, 1000u);
+  EXPECT_GT(verdicts[0], 5000u);
+  EXPECT_GT(verdicts[1], 300u);
 }
 
 TEST(Simulation, RunUntilIsIncremental) {
