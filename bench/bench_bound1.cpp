@@ -50,7 +50,7 @@ void bound1_report() {
       const mh::Proportion mc = mh::mc_no_unique_catalan(law, k, opt);
       const long double tail = gf.smoothed_tail(k);
       table.add_row({std::to_string(k), mh::paper_scientific(tail),
-                     "[" + mh::paper_scientific(mc.lo) + ", " + mh::paper_scientific(mc.hi) + "]",
+                     mh::bench::interval(mh::paper_scientific(mc.lo), mh::paper_scientific(mc.hi)),
                      mh::paper_scientific(dp.violation[k])});
       xs.push_back(static_cast<double>(k));
       gf_tail.push_back(static_cast<double>(tail));

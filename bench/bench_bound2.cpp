@@ -39,8 +39,8 @@ void bound2_report() {
       const mh::Proportion mc = mh::mc_no_consecutive_catalan(law, k, opt);
       const long double tail = gf.smoothed_tail(k);
       table.add_row({std::to_string(k), mh::paper_scientific(tail),
-                     "[" + mh::paper_scientific(mc.lo) + ", " + mh::paper_scientific(mc.hi) +
-                         "]"});
+                     mh::bench::interval(mh::paper_scientific(mc.lo),
+                                         mh::paper_scientific(mc.hi))});
       xs.push_back(static_cast<double>(k));
       tails.push_back(static_cast<double>(tail));
     }

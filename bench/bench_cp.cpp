@@ -44,7 +44,7 @@ void cp_report() {
         });
     table.add_row({std::to_string(k),
                    mh::paper_scientific(mh::theorem8_bound(law, horizon, k)),
-                   "[" + mh::paper_scientific(mc.lo) + ", " + mh::paper_scientific(mc.hi) + "]",
+                   mh::bench::interval(mh::paper_scientific(mc.lo), mh::paper_scientific(mc.hi)),
                    std::to_string(violations) + "/" + std::to_string(fork_trials)});
   }
   std::printf("%s\n", table.render().c_str());

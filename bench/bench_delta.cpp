@@ -45,8 +45,8 @@ void delta_sweep() {
       const mh::Proportion mc = mh::mc_delta_settlement_failure(law, delta, k, opt);
       table.add_row({std::to_string(delta), std::to_string(k),
                      mh::paper_scientific(mh::theorem7_bound(law, delta, k)),
-                     "[" + mh::paper_scientific(mc.lo) + ", " + mh::paper_scientific(mc.hi) +
-                         "]"});
+                     mh::bench::interval(mh::paper_scientific(mc.lo),
+                                         mh::paper_scientific(mc.hi))});
     }
   }
   std::printf("%s\n", table.render().c_str());

@@ -104,7 +104,7 @@ bool chaos_band_report() {
     std::printf("ORACLE VIOLATION in cell %zu (%s %s Delta=%zu %s %s):\n", i,
                 mh::faults::fault_profile_name(cell.fault_profile), tie_name(cell.tie_break),
                 cell.delta, mh::oracle::strategy_name(cell.strategy),
-                laws[cell.law_index].name);
+                laws[cell.law_index].name.c_str());
     std::printf("  matrix seed : %llu\n", static_cast<unsigned long long>(config.seed));
     std::printf("  cell index  : %zu\n", i);
     if (cell.first_failure_run != SIZE_MAX) {

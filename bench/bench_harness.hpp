@@ -36,6 +36,18 @@
 
 namespace mh::bench {
 
+/// "[lo, hi]", the report tables' interval cell. Built by appends: GCC 12
+/// reports a false -Wrestrict overlap for a literal prepended to a
+/// temporary string ("[" + s).
+inline std::string interval(const std::string& lo, const std::string& hi) {
+  std::string out = "[";
+  out += lo;
+  out += ", ";
+  out += hi;
+  out += ']';
+  return out;
+}
+
 /// Median of the samples (average of the middle two for even sizes).
 inline double median(std::vector<double> samples) {
   MH_REQUIRE(!samples.empty());

@@ -67,7 +67,7 @@ void cross_validation() {
 
     table.add_row({mh::fixed(c.alpha, 2), mh::fixed(c.ratio, 2), std::to_string(c.k),
                    mh::paper_scientific(exact),
-                   "[" + mh::paper_scientific(mc.lo) + ", " + mh::paper_scientific(mc.hi) + "]",
+                   mh::bench::interval(mh::paper_scientific(mc.lo), mh::paper_scientific(mc.hi)),
                    mh::fixed(fork_freq, 4)});
   }
   std::printf("%s\n", table.render().c_str());

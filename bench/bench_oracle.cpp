@@ -64,8 +64,8 @@ bool print_matrix_report() {
     row.push_back(std::to_string(cell.analytic_allowed));
     row.push_back(mh::paper_scientific(cell.exact_pk));
     row.push_back(cell.mc_checked
-                      ? ("[" + mh::fixed(cell.recurrence_mc.lo, 4) + ", " +
-                         mh::fixed(cell.recurrence_mc.hi, 4) + "]")
+                      ? mh::bench::interval(mh::fixed(cell.recurrence_mc.lo, 4),
+                                            mh::fixed(cell.recurrence_mc.hi, 4))
                       : std::string("(skipped)"));
     row.push_back(std::to_string(cell.domination_failures));
     row.push_back(std::to_string(cell.fork_invalid));

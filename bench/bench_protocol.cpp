@@ -50,8 +50,8 @@ void attack_report() {
         table.add_row(
             {lc.name, attack == mh::AttackKind::Balance ? "balance" : "private-chain",
              rule == mh::TieBreak::AdversarialOrder ? "A0 (adv)" : "A0' (consistent)",
-             "[" + mh::fixed(result.settlement_violations.lo, 3) + ", " +
-                 mh::fixed(result.settlement_violations.hi, 3) + "]",
+             mh::bench::interval(mh::fixed(result.settlement_violations.lo, 3),
+                                 mh::fixed(result.settlement_violations.hi, 3)),
              mh::paper_scientific(exact), mh::fixed(result.mean_slot_divergence, 1)});
       }
     }

@@ -10,7 +10,7 @@ std::vector<SettlementSeries> sweep_settlement_series(const std::vector<SymbolLa
   for (const SymbolLaw& law : laws) law.validate();  // fail fast, before spawning workers
   std::vector<SettlementSeries> out(laws.size());
   engine::for_each_index(laws.size(), opt.threads, [&](std::size_t i) {
-    out[i] = exact_settlement_series(laws[i], k_max, opt.init, opt.precision);
+    out[i] = exact_settlement_series(laws[i], k_max, InitialReach::Stationary, opt.precision);
   });
   return out;
 }
@@ -23,7 +23,8 @@ std::vector<long double> sweep_eventual_insecurity(const std::vector<SymbolLaw>&
   engine::for_each_index(out.size(), opt.threads, [&](std::size_t cell) {
     const std::size_t i = cell / ks.size();
     const std::size_t j = cell % ks.size();
-    out[cell] = eventual_settlement_insecurity(laws[i], ks[j], opt.init, opt.precision);
+    out[cell] = eventual_settlement_insecurity(laws[i], ks[j], InitialReach::Stationary,
+                                               opt.precision);
   });
   return out;
 }

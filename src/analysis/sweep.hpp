@@ -20,7 +20,6 @@ namespace mh {
 struct SweepOptions {
   std::size_t threads = 0;  ///< engine parallelism; 0 = hardware concurrency
   DpPrecision precision = DpPrecision::Reference;
-  InitialReach init = InitialReach::Stationary;
 };
 
 /// One full settlement series P(0..k_max) per law (a single DP pass yields

@@ -21,7 +21,6 @@ struct SymbolLaw {
 
   /// epsilon with pA = (1-eps)/2, i.e. eps = 1 - 2 pA.
   [[nodiscard]] double epsilon() const noexcept { return 1.0 - 2.0 * pA; }
-  [[nodiscard]] double honest_mass() const noexcept { return ph + pH; }
 
   /// The paper's headline assumption ph + pH > pA.
   [[nodiscard]] bool honest_majority() const noexcept { return ph + pH > pA; }

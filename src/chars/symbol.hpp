@@ -20,13 +20,14 @@ enum class TetraSymbol : std::uint8_t { Bot = 0, h = 1, H = 2, A = 3 };
 constexpr bool is_honest(Symbol s) noexcept { return s != Symbol::A; }
 constexpr bool is_adversarial(Symbol s) noexcept { return s == Symbol::A; }
 constexpr bool is_uniquely_honest(Symbol s) noexcept { return s == Symbol::h; }
-constexpr bool is_multiply_honest(Symbol s) noexcept { return s == Symbol::H; }
 
 constexpr bool is_honest(TetraSymbol s) noexcept {
   return s == TetraSymbol::h || s == TetraSymbol::H;
 }
 constexpr bool is_adversarial(TetraSymbol s) noexcept { return s == TetraSymbol::A; }
 constexpr bool is_empty(TetraSymbol s) noexcept { return s == TetraSymbol::Bot; }
+/// The synchronous alphabet has no empty slot.
+constexpr bool is_empty(Symbol) noexcept { return false; }
 
 constexpr char to_char(Symbol s) noexcept {
   switch (s) {

@@ -25,7 +25,7 @@ VertexId trim_to_label(const Fork& fork, VertexId t, std::int64_t cutoff) {
 
 bool satisfies_k_cp_slot(const Fork& fork, const CharString& w, std::size_t k) {
   std::vector<VertexId> viable;
-  for (VertexId v : fork.all_vertices())
+  for (VertexId v = 0; v < fork.vertex_count(); ++v)
     if (is_viable_tine(fork, w, v)) viable.push_back(v);
 
   for (VertexId t1 : viable)
@@ -41,7 +41,7 @@ bool satisfies_k_cp_slot(const Fork& fork, const CharString& w, std::size_t k) {
 
 std::size_t slot_divergence(const Fork& fork, const CharString& w) {
   std::vector<VertexId> viable;
-  for (VertexId v : fork.all_vertices())
+  for (VertexId v = 0; v < fork.vertex_count(); ++v)
     if (is_viable_tine(fork, w, v)) viable.push_back(v);
 
   std::size_t best = 0;

@@ -89,13 +89,12 @@ void GreedyBalanceStrategy::augment(std::size_t slot, Fork& fork, const CharStri
   if (!w.adversarial(slot)) return;
   // Find the deepest tine and the deepest root-disjoint rival; extend the
   // rival with one block of this slot if it lags (or both if level).
-  const std::vector<VertexId> all = fork.all_vertices();
   VertexId deepest = kRoot;
-  for (VertexId v : all)
+  for (VertexId v = 0; v < fork.vertex_count(); ++v)
     if (fork.depth(v) > fork.depth(deepest)) deepest = v;
   VertexId rival = kNoVertex;
-  for (VertexId v : all) {
-    if (v == kRoot || fork.lca(v, deepest) != kRoot) continue;
+  for (VertexId v = 1; v < fork.vertex_count(); ++v) {
+    if (fork.lca(v, deepest) != kRoot) continue;
     if (rival == kNoVertex || fork.depth(v) > fork.depth(rival)) rival = v;
   }
   const auto slot32 = static_cast<std::uint32_t>(slot);

@@ -35,7 +35,7 @@ struct TinePair {
 /// minimal label distance, then maximal length(t1).
 std::optional<TinePair> select_pair(const Fork& fork, const CharString& w, std::size_t k) {
   std::vector<VertexId> viable;
-  for (VertexId v : fork.all_vertices())
+  for (VertexId v = 0; v < fork.vertex_count(); ++v)
     if (is_viable_tine(fork, w, v)) viable.push_back(v);
 
   std::optional<TinePair> best;
@@ -73,7 +73,7 @@ std::optional<Theorem9Witness> theorem9_balanced_fork(const Fork& fork, const Ch
 
   // The surgery needs u to be the unique deepest vertex among labels <= alpha
   // (Eq. (30)); guaranteed for divergence-maximal forks, checked here.
-  for (VertexId v : fork.all_vertices())
+  for (VertexId v = 0; v < fork.vertex_count(); ++v)
     if (fork.label(v) <= alpha && v != u && fork.depth(v) >= fork.depth(u))
       return std::nullopt;
 

@@ -1,47 +1,8 @@
 #include "delta/delta_fork.hpp"
 
-#include <algorithm>
-
 #include "support/check.hpp"
 
 namespace mh {
-
-ValidationResult validate_delta_fork(const Fork& fork, const TetraString& w,
-                                     std::size_t delta) {
-  const std::size_t n = w.size();
-  auto fail = [](std::string msg) { return ValidationResult{false, std::move(msg)}; };
-
-  if (fork.label(kRoot) != 0) return fail("(F1) root must be labeled 0");
-
-  for (VertexId v : fork.all_vertices()) {
-    const std::uint32_t l = fork.label(v);
-    if (l > n) return fail("(F2) label exceeds string length");
-    if (v != kRoot && l <= fork.label(fork.parent(v)))
-      return fail("(F2) labels must strictly increase along tines");
-    if (l >= 1 && is_empty(w.at(l))) return fail("empty slots cannot label blocks");
-  }
-
-  for (std::size_t i = 1; i <= n; ++i) {
-    const std::size_t count = fork.vertices_with_label(static_cast<std::uint32_t>(i)).size();
-    if (w.at(i) == TetraSymbol::h && count != 1)
-      return fail("(F3) uniquely honest slot must label exactly one vertex");
-    if (w.at(i) == TetraSymbol::H && count == 0)
-      return fail("(F3) multiply honest slot must label at least one vertex");
-  }
-
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> honest;
-  for (VertexId v : fork.all_vertices()) {
-    const std::uint32_t l = fork.label(v);
-    if (l >= 1 && is_honest(w.at(l))) honest.emplace_back(l, fork.depth(v));
-  }
-  std::sort(honest.begin(), honest.end());
-  for (std::size_t a = 0; a < honest.size(); ++a)
-    for (std::size_t b = a + 1; b < honest.size(); ++b)
-      if (honest[a].first + delta < honest[b].first && honest[a].second >= honest[b].second)
-        return fail("(F4_Delta) honest depths must increase across > Delta slot gaps");
-
-  return ValidationResult{};
-}
 
 Fork project_to_synchronous(const Fork& fork, const std::vector<std::size_t>& inverse) {
   Fork out;

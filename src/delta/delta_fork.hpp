@@ -1,4 +1,6 @@
 // Delta-forks (Definition 21) and (k, Delta)-settlement (Definition 23).
+// validate_fork (fork/validate.hpp) checks a Delta-fork for a semi-synchronous
+// string.
 //
 // A Delta-fork relaxes the synchronous honest-depth axiom: only honest labels
 // separated by more than Delta slots must have strictly increasing depths.
@@ -6,17 +8,11 @@
 // isomorphic to a synchronous fork for rho_Delta(w) after relabeling.
 #pragma once
 
-#include <string>
-
 #include "delta/semi_sync.hpp"
 #include "fork/fork.hpp"
 #include "fork/validate.hpp"
 
 namespace mh {
-
-/// Checks (F1)-(F3) and (F4_Delta) for F |-Delta w. Vertices may not be
-/// labeled with empty slots (no leader means no block).
-ValidationResult validate_delta_fork(const Fork& fork, const TetraString& w, std::size_t delta);
 
 /// Relabels a Delta-fork for w into the synchronous fork for rho_Delta(w)
 /// via the position bijection pi (Proposition 3).

@@ -10,7 +10,6 @@ Fork::Fork() {
   label_.push_back(0);
   parent_.push_back(kRoot);
   depth_.push_back(0);
-  children_.emplace_back();
 }
 
 VertexId Fork::add_vertex(VertexId parent, std::uint32_t label) {
@@ -20,10 +19,7 @@ VertexId Fork::add_vertex(VertexId parent, std::uint32_t label) {
   label_.push_back(label);
   parent_.push_back(parent);
   depth_.push_back(depth_[parent] + 1);
-  children_.emplace_back();
-  children_[parent].push_back(id);
   height_ = std::max(height_, depth_.back());
-  max_label_ = std::max(max_label_, label);
   return id;
 }
 
@@ -37,17 +33,10 @@ VertexId Fork::parent(VertexId v) const {
   return parent_[v];
 }
 
-const std::vector<VertexId>& Fork::children(VertexId v) const {
-  MH_REQUIRE(v < children_.size());
-  return children_[v];
-}
-
 std::uint32_t Fork::depth(VertexId v) const {
   MH_REQUIRE(v < depth_.size());
   return depth_[v];
 }
-
-bool Fork::is_leaf(VertexId v) const { return children(v).empty(); }
 
 std::vector<VertexId> Fork::path_to(VertexId v) const {
   MH_REQUIRE(v < parent_.size());
@@ -91,12 +80,6 @@ std::vector<VertexId> Fork::longest_tines() const {
   return out;
 }
 
-std::vector<VertexId> Fork::all_vertices() const {
-  std::vector<VertexId> out(vertex_count());
-  for (VertexId v = 0; v < out.size(); ++v) out[v] = v;
-  return out;
-}
-
 bool Fork::disjoint_over_suffix(VertexId u, VertexId v, std::size_t x_len) const {
   // Shared edges of the two tines terminate on the root-to-lca path, whose
   // largest label is the lca's. They share an edge labeled inside the suffix
@@ -113,7 +96,7 @@ std::optional<std::uint32_t> honest_depth(const Fork& fork, std::uint32_t label)
 
 std::uint32_t max_honest_depth_upto(const Fork& fork, const CharString& w, std::size_t slot) {
   std::uint32_t best = 0;  // the root (genesis) is honest with depth 0
-  for (VertexId v : fork.all_vertices()) {
+  for (VertexId v = 0; v < fork.vertex_count(); ++v) {
     const std::uint32_t l = fork.label(v);
     if (l >= 1 && l <= slot && l <= w.size() && w.honest(l))
       best = std::max(best, fork.depth(v));
@@ -130,7 +113,7 @@ std::vector<VertexId> viable_tines_at_onset(const Fork& fork, const CharString& 
                                             std::size_t s) {
   std::vector<VertexId> out;
   const std::uint32_t need = max_honest_depth_upto(fork, w, s - 1);
-  for (VertexId v : fork.all_vertices())
+  for (VertexId v = 0; v < fork.vertex_count(); ++v)
     if (fork.label(v) < s && fork.depth(v) >= need) out.push_back(v);
   return out;
 }
@@ -143,8 +126,11 @@ bool is_honest_vertex(const Fork& fork, const CharString& w, VertexId v) {
 }
 
 bool is_closed(const Fork& fork, const CharString& w) {
-  for (VertexId v : fork.all_vertices())
-    if (fork.is_leaf(v) && !is_honest_vertex(fork, w, v)) return false;
+  // A leaf is a vertex no other vertex names as its parent.
+  std::vector<bool> has_child(fork.vertex_count(), false);
+  for (VertexId v = 1; v < fork.vertex_count(); ++v) has_child[fork.parent(v)] = true;
+  for (VertexId v = 0; v < fork.vertex_count(); ++v)
+    if (!has_child[v] && !is_honest_vertex(fork, w, v)) return false;
   return true;
 }
 

@@ -2,6 +2,11 @@
 // with slot indices. A *tine* is a root-to-vertex path and is identified with its
 // terminal vertex, so VertexId doubles as a tine handle.
 //
+// A fork is three flat columns indexed by vertex id (label, parent, depth)
+// plus its height. Vertices are append-only and a parent always precedes its
+// children, so every subtree fact (leaves, subtree maxima) is one scan over
+// the parent column, with no per-vertex child lists.
+//
 // Forks do not own the characteristic string they were built for; structural
 // queries that need it (validation, reach, margin, viability) take the string as
 // a parameter. This keeps a single tree reusable as a "fork prefix" (Def. 10)
@@ -33,10 +38,8 @@ class Fork {
   [[nodiscard]] std::size_t vertex_count() const noexcept { return parent_.size(); }
   [[nodiscard]] std::uint32_t label(VertexId v) const;
   [[nodiscard]] VertexId parent(VertexId v) const;
-  [[nodiscard]] const std::vector<VertexId>& children(VertexId v) const;
   /// Depth of v = length of the tine ending at v (root has depth 0).
   [[nodiscard]] std::uint32_t depth(VertexId v) const;
-  [[nodiscard]] bool is_leaf(VertexId v) const;
 
   /// Length of the longest tine.
   [[nodiscard]] std::uint32_t height() const noexcept { return height_; }
@@ -57,25 +60,17 @@ class Fork {
   /// All vertices of maximum depth (the heads of all longest tines).
   [[nodiscard]] std::vector<VertexId> longest_tines() const;
 
-  /// Vertices in insertion order; useful for exhaustive scans.
-  [[nodiscard]] std::vector<VertexId> all_vertices() const;
-
   /// The x ~ y tine relation of Definition 16: the tines ending at u and v
   /// share an edge terminating at a vertex labeled > x_len. Self-pairs follow
   /// the same rule (a tine shares its own edges). `disjoint_over_suffix` is the
   /// paper's "u ~/~_x v".
   [[nodiscard]] bool disjoint_over_suffix(VertexId u, VertexId v, std::size_t x_len) const;
 
-  /// Largest label appearing in the fork.
-  [[nodiscard]] std::uint32_t max_label() const noexcept { return max_label_; }
-
  private:
   std::vector<std::uint32_t> label_;
   std::vector<VertexId> parent_;  // parent_[kRoot] = kRoot by convention
   std::vector<std::uint32_t> depth_;
-  std::vector<std::vector<VertexId>> children_;
   std::uint32_t height_ = 0;
-  std::uint32_t max_label_ = 0;
 };
 
 /// The honest depth function d(.) (Section 2): the largest depth of a vertex

@@ -17,32 +17,43 @@ struct SubtreeBest {
   VertexId arg = kRoot;
 };
 
-/// subtree_best[v] = (max reach in subtree of v, witnessing vertex).
-/// Children always carry larger ids than parents (append-only construction),
-/// so a reverse scan computes the aggregation without explicit recursion.
-std::vector<SubtreeBest> subtree_bests(const Fork& fork, const std::vector<std::int64_t>& reaches) {
-  std::vector<SubtreeBest> best(fork.vertex_count());
-  for (VertexId v = static_cast<VertexId>(fork.vertex_count()); v-- > 0;) {
-    best[v] = SubtreeBest{reaches[v], v};
-    for (VertexId c : fork.children(v))
-      if (best[c].reach > best[v].reach) best[v] = best[c];
+/// The best two of a vertex's child subtrees. Children are offered latest
+/// first, so `>=` lets the earliest child take a tie.
+struct ChildBests {
+  SubtreeBest top1, top2;
+
+  void offer(const SubtreeBest& b) {
+    if (b.reach >= top1.reach) {
+      top2 = top1;
+      top1 = b;
+    } else if (b.reach >= top2.reach) {
+      top2 = b;
+    }
   }
-  return best;
-}
+};
 
 }  // namespace
 
 MarginWitness relative_margin_witness(const Fork& fork, const CharString& w, std::size_t x_len) {
   MH_REQUIRE(x_len <= w.size());
   const std::vector<std::int64_t> reaches = all_reaches(fork, w);
-  const std::vector<SubtreeBest> best = subtree_bests(fork, reaches);
+  const auto n = static_cast<VertexId>(fork.vertex_count());
+
+  // Children carry larger ids than parents, so one reverse scan of the
+  // parent column finishes each subtree before offering its best (max reach,
+  // witness) to the parent. A vertex keeps a tie against its own subtrees.
+  std::vector<ChildBests> kids(n);
+  for (VertexId v = n; v-- > 1;) {
+    const SubtreeBest& b = kids[v].top1;
+    kids[fork.parent(v)].offer(b.reach > reaches[v] ? b : SubtreeBest{reaches[v], v});
+  }
 
   MarginWitness out{kRoot, kRoot, kNegInf};
   auto consider = [&](VertexId t1, VertexId t2, std::int64_t value) {
     if (value > out.value) out = MarginWitness{t1, t2, value};
   };
 
-  for (VertexId p : fork.all_vertices()) {
+  for (VertexId p = 0; p < n; ++p) {
     if (fork.label(p) > x_len) continue;
     // Self-pair (p, p): a tine whose head lies in x is disjoint from itself
     // over the suffix.
@@ -50,16 +61,7 @@ MarginWitness relative_margin_witness(const Fork& fork, const CharString& w, std
 
     // (p, u) with u strictly below p, and (u, v) below two distinct children:
     // both pairs have p as their deepest common vertex.
-    SubtreeBest top1, top2;
-    for (VertexId c : fork.children(p)) {
-      const SubtreeBest& b = best[c];
-      if (b.reach > top1.reach) {
-        top2 = top1;
-        top1 = b;
-      } else if (b.reach > top2.reach) {
-        top2 = b;
-      }
-    }
+    const auto& [top1, top2] = kids[p];
     if (top1.reach > kNegInf) consider(p, top1.arg, std::min(reaches[p], top1.reach));
     if (top2.reach > kNegInf) consider(top1.arg, top2.arg, std::min(top1.reach, top2.reach));
   }

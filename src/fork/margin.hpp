@@ -7,8 +7,9 @@
 // is disjoint from itself over the suffix), which is what makes
 // mu_x(eps) = rho(x) (Claim 3) come out of the single definition.
 //
-// The computation is a single DFS-free linear pass: a pair's deepest common
-// vertex p decides disjointness (label(p) <= |x|), so
+// The computation is linear, with no DFS: one reverse scan of the parent
+// column gives each vertex's two best child subtrees, and a pair's deepest
+// common vertex p decides disjointness (label(p) <= |x|), so
 //   mu_x(F) = max over p with label(p) <= |x| of
 //             best-two combination of subtree reaches below distinct children,
 //             or reach(p) paired with the best subtree reach, or reach(p) alone.

@@ -2,15 +2,19 @@
 
 #include <algorithm>
 
+#include "delta/semi_sync.hpp"
+
 namespace mh {
 
 namespace {
 
 ValidationResult fail(std::string msg) { return ValidationResult{false, std::move(msg)}; }
 
-}  // namespace
-
-ValidationResult validate_fork(const Fork& fork, const CharString& w, std::size_t delta) {
+/// Both alphabets' checker: their slot symbols share the names h and H, and
+/// only the semi-synchronous one has empty slots (is_empty).
+template <class String>
+ValidationResult validate(const Fork& fork, const String& w, std::size_t delta) {
+  using Sym = decltype(w.at(1));
   const std::size_t n = w.size();
   const std::size_t vertices = fork.vertex_count();
 
@@ -23,6 +27,7 @@ ValidationResult validate_fork(const Fork& fork, const CharString& w, std::size_
     if (fork.label(v) > n) return fail("(F2) label exceeds string length");
     if (v != kRoot && fork.label(v) <= fork.label(fork.parent(v)))
       return fail("(F2) labels must strictly increase along tines");
+    if (v != kRoot && is_empty(w.at(fork.label(v)))) return fail("empty slots cannot label blocks");
   }
 
   // (F3) Uniquely honest slots label exactly one vertex; multiply honest slots
@@ -31,9 +36,9 @@ ValidationResult validate_fork(const Fork& fork, const CharString& w, std::size_
   std::vector<std::size_t> count(n + 1, 0);
   for (VertexId v = 0; v < vertices; ++v) ++count[fork.label(v)];
   for (std::size_t i = 1; i <= n; ++i) {
-    if (w.at(i) == Symbol::h && count[i] != 1)
+    if (w.at(i) == Sym::h && count[i] != 1)
       return fail("(F3) uniquely honest slot must label exactly one vertex");
-    if (w.at(i) == Symbol::H && count[i] == 0)
+    if (w.at(i) == Sym::H && count[i] == 0)
       return fail("(F3) multiply honest slot must label at least one vertex");
   }
 
@@ -44,7 +49,7 @@ ValidationResult validate_fork(const Fork& fork, const CharString& w, std::size_
   std::vector<std::pair<std::uint32_t, std::uint32_t>> honest;  // (label, depth)
   for (VertexId v = 0; v < vertices; ++v) {
     const std::uint32_t l = fork.label(v);
-    if (l >= 1 && w.honest(l)) honest.emplace_back(l, fork.depth(v));
+    if (l >= 1 && is_honest(w.at(l))) honest.emplace_back(l, fork.depth(v));
   }
   std::sort(honest.begin(), honest.end());
   std::size_t below = 0;
@@ -57,6 +62,16 @@ ValidationResult validate_fork(const Fork& fork, const CharString& w, std::size_
   }
 
   return ValidationResult{};
+}
+
+}  // namespace
+
+ValidationResult validate_fork(const Fork& fork, const CharString& w, std::size_t delta) {
+  return validate(fork, w, delta);
+}
+
+ValidationResult validate_fork(const Fork& fork, const TetraString& w, std::size_t delta) {
+  return validate(fork, w, delta);
 }
 
 }  // namespace mh

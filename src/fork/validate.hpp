@@ -8,6 +8,8 @@
 
 namespace mh {
 
+class TetraString;
+
 struct ValidationResult {
   bool ok = true;
   std::string message;  ///< first violated axiom, empty when ok
@@ -19,5 +21,10 @@ struct ValidationResult {
 /// Delta-synchronous (F4_Delta): honest labels i + delta < j must have strictly
 /// increasing depths (all-pairs). delta = 0 recovers the synchronous axiom.
 ValidationResult validate_fork(const Fork& fork, const CharString& w, std::size_t delta = 0);
+
+/// The same axioms for a Delta-fork over the semi-synchronous alphabet
+/// (Definition 21), plus one rule: an empty slot labels no vertex (no leader
+/// means no block).
+ValidationResult validate_fork(const Fork& fork, const TetraString& w, std::size_t delta);
 
 }  // namespace mh

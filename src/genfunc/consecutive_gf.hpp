@@ -25,7 +25,6 @@ class ConsecutiveCatalanGF {
   ConsecutiveCatalanGF(const SymbolLaw& law, std::size_t order);
 
   [[nodiscard]] const PowerSeries& m_hat() const noexcept { return m_hat_; }
-  [[nodiscard]] const PowerSeries& m_smoothed() const noexcept { return m_smoothed_; }
 
   /// Upper bound on Pr[no consecutive Catalan pair starts in the first k slots].
   [[nodiscard]] long double tail(std::size_t k) const;

@@ -26,9 +26,8 @@ AnalyticProjection project_schedule(const LeaderSchedule& schedule, std::size_t 
   return view;
 }
 
-bool margin_allows_violation(const AnalyticProjection& view, std::size_t j_lo) {
-  MH_REQUIRE(j_lo >= 1);
-  for (std::size_t j = j_lo; j < view.margin.size(); ++j)
+bool margin_allows_violation(const AnalyticProjection& view) {
+  for (std::size_t j = 1; j < view.margin.size(); ++j)
     if (view.margin[j] >= 0) return true;
   return false;
 }

@@ -38,12 +38,11 @@ AnalyticProjection project_schedule(const LeaderSchedule& schedule, std::size_t 
 
 /// Does the analytic margin permit a settlement violation of the target slot
 /// anywhere in the observed window? True iff mu_{x'}(y'_j) >= 0 for some
-/// j >= j_lo (j_lo = 1 is the sound default: j = 0 is rho(x') >= 0 always and
-/// corresponds to no observation at all). When this returns false for
-/// j_lo = 1, the paper's Theorem 5 forbids EVERY adversary - simulated
-/// strategies included - from violating the slot within the horizon...
-/// except through the empty-window boundary case below.
-bool margin_allows_violation(const AnalyticProjection& view, std::size_t j_lo = 1);
+/// j >= 1 (j = 0 is rho(x') >= 0 always and corresponds to no observation at
+/// all). When this returns false, the paper's Theorem 5 forbids EVERY
+/// adversary - simulated strategies included - from violating the slot
+/// within the horizon... except through the empty-window boundary case below.
+bool margin_allows_violation(const AnalyticProjection& view);
 
 /// The boundary case the margin trajectory cannot see: when every slot in
 /// [target_slot, target_slot + k] is empty, the first settlement observation

@@ -34,11 +34,6 @@ struct EpochRunConfig : RunRecipe {
   std::vector<double> honest_stakes{};
   double adversarial_stake = 0.25;
   std::vector<consensus::StakeShiftSpec> shifts{};
-  /// Confidence of the per-epoch Clopper-Pearson frequency bands. Epochs are
-  /// short (R slots), so the band is an exactness check on the induced law's
-  /// location, not a power test; keep it wide enough that a clean lottery
-  /// essentially never trips it.
-  double band_confidence = 0.999999;
 };
 
 /// Per-epoch grading record.

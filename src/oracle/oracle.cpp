@@ -193,8 +193,7 @@ EpochVerdict check_epoch_execution(const EpochRunConfig& config, Rng& rng) {
                               cell.induced.pA};
     cell.law_within_band = true;
     for (std::size_t s = 0; s < 4; ++s)
-      if (!clopper_pearson_covers(cell.counts[s], cell.slots, masses[s],
-                                  config.band_confidence))
+      if (!clopper_pearson_covers(cell.counts[s], cell.slots, masses[s], kBandConfidence))
         cell.law_within_band = false;
     verdict.laws_within_band = verdict.laws_within_band && cell.law_within_band;
     verdict.cells.push_back(cell);

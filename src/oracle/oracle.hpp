@@ -60,6 +60,12 @@ enum class Strategy : std::uint8_t { PrivateChain = 0, Balance = 1, Randomized =
 
 const char* strategy_name(Strategy s) noexcept;
 
+/// Confidence of every Clopper-Pearson band the oracle grades against: the
+/// scenario matrix's recurrence and protocol bands and the epoch face's
+/// per-epoch frequency bands. The bands check location, not power, so this
+/// is wide enough that a clean run essentially never trips one.
+inline constexpr double kBandConfidence = 0.999999;
+
 /// The attack geometry both oracle faces share.
 struct RunRecipe {
   TieBreak tie_break = TieBreak::AdversarialOrder;

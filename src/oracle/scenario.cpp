@@ -113,8 +113,7 @@ CellVerdict run_cell(const MatrixConfig& config, const NamedLaw& named, std::siz
     mopt.seed = cell_seed ^ 0x5eedf00dULL;
     mopt.threads = 1;  // the matrix parallelizes over cells, not inside them
     const Proportion mc = mc_settlement_violation(reduced, rc.k, mopt);
-    out.recurrence_mc =
-        clopper_pearson_interval(mc.successes, mc.trials, config.band_confidence);
+    out.recurrence_mc = clopper_pearson_interval(mc.successes, mc.trials, kBandConfidence);
     out.mc_checked = true;
     out.mc_within_band = out.recurrence_mc.lo <= static_cast<double>(out.exact_pk) &&
                          static_cast<double>(out.exact_pk) <= out.recurrence_mc.hi;
@@ -122,7 +121,7 @@ CellVerdict run_cell(const MatrixConfig& config, const NamedLaw& named, std::siz
   }
 
   const Proportion protocol =
-      clopper_pearson_interval(out.simulated_violations, out.runs, config.band_confidence);
+      clopper_pearson_interval(out.simulated_violations, out.runs, kBandConfidence);
   out.protocol_within_ceiling = protocol.lo <= static_cast<double>(out.analytic_ceiling);
   return out;
 }

@@ -48,7 +48,6 @@ struct MatrixConfig {
   std::size_t honest_parties = 6;
   std::size_t runs = 24;          ///< executions per cell
   std::size_t mc_samples = 2000;  ///< recurrence Monte-Carlo per cell
-  double band_confidence = 0.999999;
   std::uint64_t seed = 2027;
   std::size_t threads = 0;  ///< engine parallelism over cells; 0 = hardware
 };

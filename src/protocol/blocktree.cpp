@@ -26,24 +26,24 @@ constexpr std::uint64_t index_mix(BlockHash key) noexcept {
 
 /// OrphanBuffer::flush against a tree or a view: retry every buffered block
 /// until a pass makes no progress. `admit` tries one block and reports an
-/// admission itself; Orphan blocks keep waiting, and Duplicate and Invalid
-/// ones are dropped — a buffered block whose parent arrived but whose labels
-/// are bad is permanently invalid, so it is not retried forever.
+/// admission itself; Orphan blocks keep waiting, compacted in place in their
+/// arrival order, and Duplicate and Invalid ones are dropped — a buffered
+/// block whose parent arrived but whose labels are bad is permanently
+/// invalid, so it is not retried forever.
 template <class Admit>
 void retry_orphans(std::vector<Block>& orphans, Admit admit) {
   bool progress = true;
   while (progress && !orphans.empty()) {
     progress = false;
-    std::vector<Block> still;
-    still.reserve(orphans.size());
-    for (const Block& b : orphans) {
-      switch (admit(b)) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < orphans.size(); ++i) {
+      switch (admit(orphans[i])) {
         case BlockTree::AddResult::Added:
           progress = true;
           MH_OBS_COUNT("protocol.node.orphans_flushed", 1);
           break;
         case BlockTree::AddResult::Orphan:
-          still.push_back(b);
+          orphans[kept++] = orphans[i];
           break;
         case BlockTree::AddResult::Duplicate:
         case BlockTree::AddResult::Invalid:
@@ -51,7 +51,7 @@ void retry_orphans(std::vector<Block>& orphans, Admit admit) {
           break;
       }
     }
-    orphans.swap(still);
+    orphans.resize(kept);
   }
 }
 

@@ -237,10 +237,10 @@ class BlockTree {
 
 class TreeView;
 
-/// The parent-unknown buffer shared by honest nodes' views and the
-/// simulation's public tree: deduplicated (re-delivery cannot grow it),
-/// retried against a tree or view until no progress, and permanently invalid
-/// blocks are dropped instead of retried forever.
+/// A parent-unknown buffer, one per honest node's view (flush(BlockTree&)
+/// serves a standalone tree): deduplicated (re-delivery cannot grow it),
+/// retried until no progress, and permanently invalid blocks are dropped
+/// instead of retried forever.
 class OrphanBuffer {
  public:
   /// Buffers the block unless an identical hash is already waiting. The

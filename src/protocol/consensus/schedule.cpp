@@ -125,10 +125,6 @@ const std::vector<double>& EpochSchedule::epoch_honest_shares(std::size_t epoch)
   return record(epoch).honest_shares;
 }
 
-double EpochSchedule::epoch_adversarial_share(std::size_t epoch) const {
-  return record(epoch).adversarial_share;
-}
-
 TetraLaw EpochSchedule::epoch_induced_law(std::size_t epoch) const {
   const EpochRecord& rec = record(epoch);
   return induced_law(config_.f, rec.honest_shares, rec.adversarial_share);

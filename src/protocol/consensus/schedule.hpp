@@ -90,7 +90,6 @@ class EpochSchedule final : public ScheduleSource {
   /// Nonce / stake snapshot / induced law of a materialized epoch.
   [[nodiscard]] std::uint64_t epoch_nonce(std::size_t epoch) const;
   [[nodiscard]] const std::vector<double>& epoch_honest_shares(std::size_t epoch) const;
-  [[nodiscard]] double epoch_adversarial_share(std::size_t epoch) const;
   [[nodiscard]] TetraLaw epoch_induced_law(std::size_t epoch) const;
 
   /// The materialized prefix as a pre-drawn schedule (for project_schedule,

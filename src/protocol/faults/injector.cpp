@@ -32,12 +32,6 @@ bool FaultInjector::any_down(std::size_t slot) const noexcept {
   return false;
 }
 
-bool FaultInjector::down_in_window(PartyId party, std::size_t lo, std::size_t hi) const noexcept {
-  for (const CrashSpec& c : plan_.churn)
-    if (c.party == party && c.crash <= hi && lo < c.restart) return true;
-  return false;
-}
-
 std::size_t FaultInjector::down_slots_in(PartyId party, std::size_t lo,
                                          std::size_t hi) const noexcept {
   std::size_t down = 0;

@@ -68,12 +68,6 @@ class FaultInjector {
   /// Is some party crashed at `slot`?
   [[nodiscard]] bool any_down(std::size_t slot) const noexcept;
 
-  /// Does a down-window of `party` intersect slots [lo, hi] (inclusive)?
-  /// (The non-delivery sweep's excusal; for observed-Delta use down_slots_in —
-  /// a binary excusal would let a crash far into the window mask a genuine
-  /// pre-crash delivery failure.)
-  [[nodiscard]] bool down_in_window(PartyId party, std::size_t lo, std::size_t hi) const noexcept;
-
   /// Number of slots in [lo, hi] (inclusive) during which `party` is down.
   /// Observed-Delta discounts exactly these: a crashed endpoint cannot
   /// receive, but every UP slot the block went undelivered is the network's.

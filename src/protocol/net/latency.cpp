@@ -6,15 +6,6 @@
 
 namespace mh::net {
 
-const char* latency_kind_name(LatencyKind kind) noexcept {
-  switch (kind) {
-    case LatencyKind::Degenerate: return "degenerate";
-    case LatencyKind::Uniform: return "uniform";
-    case LatencyKind::Geometric: return "geometric";
-  }
-  return "?";
-}
-
 std::size_t LatencyLaw::max_extra() const noexcept {
   return kind == LatencyKind::Degenerate ? fixed : cap;
 }

@@ -27,8 +27,6 @@ enum class LatencyKind : std::uint8_t {
   Geometric,       ///< truncated geometric min(G, cap), Pr[G = j] = (1-p) p^j
 };
 
-const char* latency_kind_name(LatencyKind kind) noexcept;
-
 struct LatencyLaw {
   LatencyKind kind = LatencyKind::Degenerate;
   std::size_t fixed = 0;  ///< Degenerate only: the constant extra delay

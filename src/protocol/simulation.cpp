@@ -70,25 +70,14 @@ void Simulation::count_received(std::size_t delivered, std::size_t self_received
 }
 
 void Simulation::mirror(std::uint32_t entry) {
-  // An entry offered once needs no second offer: it was Added (a repeat
-  // would be a Duplicate), is buffered until its parent lands (a repeat
-  // would be a deduplicated Orphan), or was Invalid (forever).
+  // Every admission is mirrored right after it, parents first, and a stored
+  // entry passed its header and slot checks when it entered the store, so a
+  // first offer always extends the public tree. A public block lost on the
+  // way fails here loudly instead of hiding a public-fork disagreement.
   entry_flags(entry) |= kMirrored;
-  const Block& block = global_tree_.entry_block(entry);
-  switch (public_tree_.try_add(block)) {
-    case BlockTree::AddResult::Added:
-      public_orphans_.flush(public_tree_, nullptr);
-      break;
-    case BlockTree::AddResult::Orphan:
-      // Unreachable while mirroring is synchronous and per-node acceptance is
-      // parent-first, but the public tree must never silently lose a block
-      // again: buffer and retry on progress instead of dropping.
-      public_orphans_.buffer(block);
-      break;
-    case BlockTree::AddResult::Duplicate:
-    case BlockTree::AddResult::Invalid:
-      break;
-  }
+  const BlockTree::AddResult result = public_tree_.try_add(global_tree_.entry_block(entry));
+  MH_REQUIRE_MSG(result == BlockTree::AddResult::Added,
+                 "a node-admitted entry must extend the public tree");
 }
 
 std::uint8_t& Simulation::entry_flags(std::uint32_t entry) {
@@ -335,7 +324,7 @@ DeliveryAudit Simulation::delivery_audit() const {
       if (!hetero_) {
         // Blocks delivered before a later crash persist in the tree, so only
         // windows intersecting down-time are excused.
-        if (faults_->down_in_window(node.id(), b.slot + 1, last_onset)) continue;
+        if (faults_->down_slots_in(node.id(), b.slot + 1, last_onset) != 0) continue;
         audit.delivery_unbounded = true;
         return audit;
       }

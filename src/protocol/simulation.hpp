@@ -218,8 +218,7 @@ class Simulation {
   void resync_node(PartyId party, std::size_t slot);
   void check_watches(std::size_t onset_slot);
   /// Mirror a node-accepted store entry into the public tree (once per
-  /// entry); out-of-order arrivals are buffered and flushed like a node's
-  /// own orphan set. An entry already offered costs only the flag test.
+  /// entry). An entry already offered costs only the flag test.
   void public_add(std::uint32_t entry) {
     if (entry >= entry_flags_.size() || (entry_flags_[entry] & kMirrored) == 0) mirror(entry);
   }
@@ -250,7 +249,6 @@ class Simulation {
   std::size_t observed_delta_ = 0;     ///< max counted honest acceptance delay
   std::vector<PartyId> fault_scratch_;  ///< crash/restart event list reuse
   BlockTree public_tree_;  ///< blocks accepted by at least one honest node
-  OrphanBuffer public_orphans_;
   std::vector<Block> all_blocks_;
   std::vector<Watch> watches_;
   /// Per global-tree entry: kChecked / kEligible cache the issuance check,

@@ -106,7 +106,7 @@ TEST(Randomized, DeltaDelaysStayWithinTheWindow) {
   Simulation sim(schedule, SimulationConfig{TieBreak::AdversarialOrder, 8}, delta, &adversary);
   sim.run();
   const ExecutionFork execution = fork_from_blocks(sim.all_blocks());
-  const auto result = validate_delta_fork(execution.fork, schedule.characteristic(), delta);
+  const auto result = validate_fork(execution.fork, schedule.characteristic(), delta);
   ASSERT_TRUE(result.ok) << result.message;
 }
 

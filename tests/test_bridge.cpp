@@ -74,11 +74,11 @@ TEST(Bridge, DelayedExecutionsYieldValidDeltaForks) {
                    &delayer);
     sim.run();
     const ExecutionFork ef = fork_from_blocks(sim.all_blocks());
-    const auto result = validate_delta_fork(ef.fork, schedule.characteristic(), delta);
+    const auto result = validate_fork(ef.fork, schedule.characteristic(), delta);
     ASSERT_TRUE(result.ok) << result.message;
     // Synchronous validation must generally fail... only if a delay actually
     // caused an equal-depth pair; do not assert it, just exercise the check.
-    validate_delta_fork(ef.fork, schedule.characteristic(), 0);
+    validate_fork(ef.fork, schedule.characteristic(), 0);
   }
 }
 

@@ -15,8 +15,8 @@ TEST(DeltaFork, ValidatesRelaxedDepths) {
   Fork f;
   f.add_vertex(kRoot, 1);
   f.add_vertex(kRoot, 2);
-  EXPECT_FALSE(validate_delta_fork(f, w, 0).ok);
-  EXPECT_TRUE(validate_delta_fork(f, w, 1).ok);
+  EXPECT_FALSE(validate_fork(f, w, 0).ok);
+  EXPECT_TRUE(validate_fork(f, w, 1).ok);
 }
 
 TEST(DeltaFork, EmptySlotsMayNotCarryBlocks) {
@@ -24,7 +24,7 @@ TEST(DeltaFork, EmptySlotsMayNotCarryBlocks) {
   Fork f;
   const VertexId a = f.add_vertex(kRoot, 1);
   f.add_vertex(a, 2);  // slot 2 is empty
-  const auto result = validate_delta_fork(f, w, 4);
+  const auto result = validate_fork(f, w, 4);
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.message.find("empty"), std::string::npos);
 }
@@ -32,7 +32,7 @@ TEST(DeltaFork, EmptySlotsMayNotCarryBlocks) {
 TEST(DeltaFork, F3StillEnforced) {
   const TetraString w = TetraString::parse("h.A");
   Fork f;  // missing the slot-1 honest vertex
-  EXPECT_FALSE(validate_delta_fork(f, w, 2).ok);
+  EXPECT_FALSE(validate_fork(f, w, 2).ok);
 }
 
 TEST(DeltaFork, ProjectionYieldsValidSynchronousFork) {
@@ -43,8 +43,8 @@ TEST(DeltaFork, ProjectionYieldsValidSynchronousFork) {
   Fork f;
   f.add_vertex(kRoot, 1);
   f.add_vertex(kRoot, 4);
-  ASSERT_TRUE(validate_delta_fork(f, w, 3).ok);
-  ASSERT_FALSE(validate_delta_fork(f, w, 2).ok);
+  ASSERT_TRUE(validate_fork(f, w, 3).ok);
+  ASSERT_FALSE(validate_fork(f, w, 2).ok);
 
   // Project through rho_Delta with Delta = 3: both honest slots map to A
   // (each within Delta of the other? slot 1's window {2,3,4} contains slot 4:

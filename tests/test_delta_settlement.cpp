@@ -135,7 +135,7 @@ TEST(DeltaSettlement, FiniteDecompositionMatchesFullStringEnumeration) {
   // the exact finite reach law X_{|x|}. This exercises the ReachPmf entry
   // point of the DP end to end against the Theorem-5 recurrence itself.
   const SymbolLaw law = bernoulli_condition(0.35, 0.3);
-  for (const auto [n, k] : {std::pair<std::size_t, std::size_t>{9, 4}, {12, 6}}) {
+  for (const auto& [n, k] : {std::pair<std::size_t, std::size_t>{9, 4}, {12, 6}}) {
     const std::size_t x_len = n - k;
     const long double p[3] = {law.ph, law.pH, law.pA};
     long double brute = 0.0L;

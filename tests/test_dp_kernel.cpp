@@ -346,8 +346,8 @@ std::vector<SymbolLaw> sweep_grid() {
 TEST(Sweep, SeriesInvariantUnderThreadCount) {
   const std::vector<SymbolLaw> laws = sweep_grid();
   for (DpPrecision precision : {DpPrecision::Reference, DpPrecision::Fast}) {
-    SweepOptions serial{1, precision, InitialReach::Stationary};
-    SweepOptions pooled{5, precision, InitialReach::Stationary};
+    SweepOptions serial{1, precision};
+    SweepOptions pooled{5, precision};
     const auto a = sweep_settlement_series(laws, 120, serial);
     const auto b = sweep_settlement_series(laws, 120, pooled);
     ASSERT_EQ(a.size(), b.size());
@@ -359,7 +359,7 @@ TEST(Sweep, SeriesInvariantUnderThreadCount) {
 
 TEST(Sweep, SeriesMatchesDirectCalls) {
   const std::vector<SymbolLaw> laws = sweep_grid();
-  SweepOptions opt{4, DpPrecision::Reference, InitialReach::Stationary};
+  SweepOptions opt{4, DpPrecision::Reference};
   const auto swept = sweep_settlement_series(laws, 80, opt);
   for (std::size_t i = 0; i < laws.size(); ++i) {
     const SettlementSeries direct = exact_settlement_series(laws[i], 80);
@@ -371,8 +371,8 @@ TEST(Sweep, SeriesMatchesDirectCalls) {
 TEST(Sweep, EventualInvariantUnderThreadCount) {
   const std::vector<SymbolLaw> laws = sweep_grid();
   const std::vector<std::size_t> ks{20, 60};
-  SweepOptions serial{1, DpPrecision::Reference, InitialReach::Stationary};
-  SweepOptions pooled{6, DpPrecision::Reference, InitialReach::Stationary};
+  SweepOptions serial{1, DpPrecision::Reference};
+  SweepOptions pooled{6, DpPrecision::Reference};
   const auto a = sweep_eventual_insecurity(laws, ks, serial);
   const auto b = sweep_eventual_insecurity(laws, ks, pooled);
   ASSERT_EQ(a.size(), laws.size() * ks.size());

@@ -134,8 +134,8 @@ TEST(FaultInjector, QueriesArePureAndWindowed) {
   EXPECT_TRUE(inj.is_down(1, 4));
   EXPECT_TRUE(inj.is_down(1, 6));
   EXPECT_FALSE(inj.is_down(1, 7));  // restart slot: up again
-  EXPECT_FALSE(inj.down_in_window(1, 1, 3));
-  EXPECT_TRUE(inj.down_in_window(1, 5, 9));
+  EXPECT_EQ(inj.down_slots_in(1, 1, 3), 0u);
+  EXPECT_EQ(inj.down_slots_in(1, 5, 9), 2u);
 
   EXPECT_TRUE(inj.link_verdict(0, 1, 2).drop);
   EXPECT_FALSE(inj.link_verdict(0, 1, 9).drop);           // window closed
@@ -157,7 +157,8 @@ TEST(FaultInjector, QueriesArePureAndWindowed) {
 TEST(FaultInjector, DownSlotDiscountCountsOnlyDownSlots) {
   // down_slots_in is the observed-Delta discount: it must count exactly the
   // down slots inside the window, never round a partial overlap up to the
-  // whole window (the regression down_in_window's binary answer invited).
+  // whole window (the regression a binary "down in the window" answer
+  // invited).
   faults::FaultPlan plan;
   plan.seed = 7;
   plan.churn.push_back({4, 122, 127});  // down during [122, 126]
@@ -171,9 +172,9 @@ TEST(FaultInjector, DownSlotDiscountCountsOnlyDownSlots) {
   EXPECT_EQ(inj.down_slots_in(4, 1, 121), 0u);    // ends before the crash
   EXPECT_EQ(inj.down_slots_in(4, 127, 139), 0u);  // restart slot is up
   EXPECT_EQ(inj.down_slots_in(1, 122, 126), 0u);  // wrong party
-  // Consistency with the binary query: nonzero count iff the window is hit.
-  EXPECT_TRUE(inj.down_in_window(4, 23, 127));
-  EXPECT_FALSE(inj.down_in_window(4, 127, 139));
+  // A window that only touches a crash's first or last down slot.
+  EXPECT_EQ(inj.down_slots_in(4, 100, 122), 1u);
+  EXPECT_EQ(inj.down_slots_in(4, 126, 130), 1u);
 }
 
 TEST(FaultInjector, EffectiveScheduleRemovesDownLeaders) {

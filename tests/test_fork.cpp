@@ -13,7 +13,8 @@ TEST(Fork, TrivialForkIsJustGenesis) {
   EXPECT_EQ(f.label(kRoot), 0u);
   EXPECT_EQ(f.depth(kRoot), 0u);
   EXPECT_EQ(f.height(), 0u);
-  EXPECT_TRUE(f.is_leaf(kRoot));
+  // The genesis is its only leaf, and it is honest.
+  EXPECT_TRUE(is_closed(f, CharString::parse("A")));
 }
 
 TEST(Fork, AddVertexTracksDepthAndHeight) {
@@ -25,9 +26,6 @@ TEST(Fork, AddVertexTracksDepthAndHeight) {
   EXPECT_EQ(f.depth(b), 2u);
   EXPECT_EQ(f.depth(c), 1u);
   EXPECT_EQ(f.height(), 2u);
-  EXPECT_EQ(f.max_label(), 7u);
-  EXPECT_FALSE(f.is_leaf(a));
-  EXPECT_TRUE(f.is_leaf(b));
 }
 
 TEST(Fork, RejectsNonIncreasingLabels) {
@@ -131,6 +129,28 @@ TEST(Fork, ClosednessAndHonesty) {
 
   // A fork whose only leaves are honest is closed.
   EXPECT_TRUE(is_closed(fixtures::chain_fork({1, 2}), CharString::parse("Ah")));
+}
+
+TEST(Fork, ClosedIffEveryLeafIsHonest) {
+  const CharString w = CharString::parse("hAHA");
+  // An adversarial vertex with an honest child is no leaf: closed.
+  Fork f;
+  const VertexId h1 = f.add_vertex(kRoot, 1);
+  const VertexId a2 = f.add_vertex(h1, 2);
+  const VertexId h3 = f.add_vertex(a2, 3);
+  EXPECT_TRUE(is_closed(f, w));
+  // A second honest leaf of the H slot, on the genesis, keeps it closed.
+  Fork two_tines = f;
+  two_tines.add_vertex(kRoot, 3);
+  EXPECT_TRUE(is_closed(two_tines, w));
+  // An adversarial leaf beside the honest tine opens it...
+  Fork side = f;
+  side.add_vertex(h1, 4);
+  EXPECT_FALSE(is_closed(side, w));
+  // ...as does one at the head of the only tine.
+  Fork tip = f;
+  tip.add_vertex(h3, 4);
+  EXPECT_FALSE(is_closed(tip, w));
 }
 
 TEST(Fork, CopySemanticsIndependent) {

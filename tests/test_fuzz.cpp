@@ -96,7 +96,7 @@ TEST_P(ChaosFuzz, InvariantsSurviveChaos) {
       const auto result = validate_fork(ef.fork, w);
       ASSERT_TRUE(result.ok) << result.message;
     } else {
-      const auto result = validate_delta_fork(ef.fork, schedule.characteristic(), delta);
+      const auto result = validate_fork(ef.fork, schedule.characteristic(), delta);
       ASSERT_TRUE(result.ok) << result.message;
     }
 

@@ -855,7 +855,9 @@ TEST(HeteroOracle, EveryTopologyGradesWithoutUngradedViolations) {
       EXPECT_NE(code, '!') << net::topology_kind_name(topology) << " run " << r;
       EXPECT_NE(code, 'u') << net::topology_kind_name(topology) << " run " << r
                            << " (strongly connected gossip must stay bounded)";
-      if (v.degraded) EXPECT_TRUE(v.recovery_checked);
+      if (v.degraded) {
+        EXPECT_TRUE(v.recovery_checked);
+      }
     }
   }
 }

@@ -112,7 +112,9 @@ TEST(ObsMetrics, HistogramBucketBoundaries) {
   for (const std::uint64_t v : {1u, 2u, 3u, 5u, 16u, 1000u, (1u << 30)}) {
     const std::size_t b = H::bucket_of(v);
     EXPECT_LE(H::bucket_lo(b), v);
-    if (b + 1 < H::kBuckets) EXPECT_GT(H::bucket_lo(b + 1), v);
+    if (b + 1 < H::kBuckets) {
+      EXPECT_GT(H::bucket_lo(b + 1), v);
+    }
   }
 }
 

@@ -29,7 +29,7 @@ TEST(Pinch, RedirectsOneDepthLevel) {
   EXPECT_EQ(pinched.parent(d), a);
   EXPECT_EQ(pinched.parent(c), kRoot);
   // Depths are preserved.
-  for (VertexId v : f.all_vertices()) EXPECT_EQ(pinched.depth(v), f.depth(v));
+  for (VertexId v = 0; v < f.vertex_count(); ++v) EXPECT_EQ(pinched.depth(v), f.depth(v));
 }
 
 TEST(Pinch, RejectsLabelInversion) {

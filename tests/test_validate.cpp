@@ -3,37 +3,46 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "delta/semi_sync.hpp"
 #include "fork_fixtures.hpp"
 
 namespace mh {
 namespace {
 
-/// The validator before its one-pass form, kept as the fuzz reference: one
-/// vertex scan per label for (F3) and every pair of honest vertices for (F4).
-ValidationResult naive_validate_fork(const Fork& fork, const CharString& w, std::size_t delta) {
+/// The validator before its one-pass form, kept as the fuzz reference for
+/// both alphabets: one vertex scan per label for (F3) and every pair of
+/// honest vertices for (F4). Over {Bot, h, H, A} it is the all-pairs Delta-fork
+/// check that validate_fork replaced.
+template <class String>
+ValidationResult naive_validate_fork(const Fork& fork, const String& w, std::size_t delta) {
+  using Sym = decltype(w.at(1));
   const auto fail = [](std::string msg) { return ValidationResult{false, std::move(msg)}; };
   const std::size_t n = w.size();
   if (fork.label(kRoot) != 0) return fail("(F1) root must be labeled 0");
-  for (VertexId v : fork.all_vertices()) {
+  for (VertexId v = 0; v < fork.vertex_count(); ++v) {
     if (fork.label(v) > n) return fail("(F2) label exceeds string length");
     if (v != kRoot && fork.label(v) <= fork.label(fork.parent(v)))
       return fail("(F2) labels must strictly increase along tines");
+    if (fork.label(v) >= 1 && is_empty(w.at(fork.label(v))))
+      return fail("empty slots cannot label blocks");
   }
   for (std::size_t i = 1; i <= n; ++i) {
     const std::size_t count = fork.vertices_with_label(static_cast<std::uint32_t>(i)).size();
-    if (w.at(i) == Symbol::h && count != 1)
+    if (w.at(i) == Sym::h && count != 1)
       return fail("(F3) uniquely honest slot must label exactly one vertex");
-    if (w.at(i) == Symbol::H && count == 0)
+    if (w.at(i) == Sym::H && count == 0)
       return fail("(F3) multiply honest slot must label at least one vertex");
   }
   std::vector<std::pair<std::uint32_t, std::uint32_t>> honest;  // (label, depth)
-  for (VertexId v : fork.all_vertices()) {
+  for (VertexId v = 0; v < fork.vertex_count(); ++v) {
     const std::uint32_t l = fork.label(v);
-    if (l >= 1 && w.honest(l)) honest.emplace_back(l, fork.depth(v));
+    if (l >= 1 && is_honest(w.at(l))) honest.emplace_back(l, fork.depth(v));
   }
   std::sort(honest.begin(), honest.end());
   for (std::size_t a = 0; a < honest.size(); ++a)
@@ -45,15 +54,21 @@ ValidationResult naive_validate_fork(const Fork& fork, const CharString& w, std:
 
 /// A random fork for `w` that is valid at `delta` unless one mutation hits
 /// it: every honest vertex extends a vertex at least as deep as each honest
-/// vertex labeled more than `delta` slots before it, and adversarial slots
-/// label zero to two vertices anywhere. The mutations are a duplicate or a
-/// missing honest label, a vertex past the string, and an honest vertex at a
-/// depth equal to, or one below, an honest vertex exactly `delta` or
-/// `delta + 1` labels back.
-Fork random_fork(const CharString& w, std::size_t delta, Rng& rng) {
-  enum Mutation : std::uint64_t { kNone, kDuplicate, kMissing, kPastString, kEqual, kInverted };
+/// vertex labeled more than `delta` slots before it, adversarial slots label
+/// zero to two vertices anywhere, and empty slots label none. The mutations
+/// are a duplicate or a missing honest label, a vertex past the string, an
+/// honest vertex at a depth equal to, or one below, an honest vertex exactly
+/// `delta` or `delta + 1` labels back, and (over {Bot, h, H, A}) a vertex
+/// labeled with an empty slot.
+template <class String>
+Fork random_fork(const String& w, std::size_t delta, Rng& rng) {
+  using Sym = decltype(w.at(1));
+  enum Mutation : std::uint64_t {
+    kNone, kDuplicate, kMissing, kPastString, kEqual, kInverted, kEmptyLabel
+  };
+  const std::uint64_t mutations = std::is_same_v<String, TetraString> ? 6 : 5;
   const std::size_t n = w.size();
-  const std::uint64_t mutation = rng.bernoulli(0.3) ? kNone : 1 + rng.below(5);
+  const std::uint64_t mutation = rng.bernoulli(0.3) ? kNone : 1 + rng.below(mutations);
   const std::size_t target = 1 + rng.below(n);
   const std::size_t gap = delta + rng.below(2);
   Fork f;
@@ -66,24 +81,26 @@ Fork random_fork(const CharString& w, std::size_t delta, Rng& rng) {
       if (f.label(v) < label && f.depth(v) >= need) deep.push_back(v);
     return deep[rng.below(deep.size())];
   };
+  const auto honest = [&](std::size_t slot) { return is_honest(w.at(slot)); };
   for (std::size_t i = 1; i <= n; ++i) {
     const auto label = static_cast<std::uint32_t>(i);
-    if (!w.honest(i)) {
+    if (is_empty(w.at(i))) continue;
+    if (!honest(i)) {
       for (std::uint64_t c = rng.below(3); c-- > 0;)
         by_label[i].push_back(f.add_vertex(any_vertex(label, 0), label));
       continue;
     }
     std::uint32_t need = 0;
     for (std::size_t l = 1; l + delta < i; ++l)
-      if (w.honest(l))
+      if (honest(l))
         for (const VertexId u : by_label[l]) need = std::max(need, f.depth(u));
-    std::uint64_t copies = w.at(i) == Symbol::h ? 1 : 1 + rng.below(2);
+    std::uint64_t copies = w.at(i) == Sym::h ? 1 : 1 + rng.below(2);
     if (i == target && mutation == kDuplicate) ++copies;
     if (i == target && mutation == kMissing) copies = 0;
     for (std::uint64_t c = 0; c < copies; ++c) {
       VertexId parent = any_vertex(label, need);
       if (i == target && (mutation == kEqual || mutation == kInverted) && gap < i &&
-          w.honest(i - gap) && !by_label[i - gap].empty()) {
+          honest(i - gap) && !by_label[i - gap].empty()) {
         const std::vector<VertexId>& back = by_label[i - gap];
         parent = f.parent(back[rng.below(back.size())]);
         if (mutation == kInverted && parent != kRoot) parent = f.parent(parent);
@@ -93,39 +110,74 @@ Fork random_fork(const CharString& w, std::size_t delta, Rng& rng) {
   }
   const auto past = static_cast<std::uint32_t>(n + 1);
   if (mutation == kPastString) f.add_vertex(any_vertex(past, 0), past);
+  if (mutation == kEmptyLabel)
+    for (std::size_t i = target; i <= n; ++i)
+      if (is_empty(w.at(i))) {
+        const auto label = static_cast<std::uint32_t>(i);
+        f.add_vertex(any_vertex(label, 0), label);
+        break;
+      }
   return f;
 }
 
-TEST(Validate, OnePassMatchesTheNaiveValidatorOnRandomForks) {
-  // Forks built valid at one Delta, some mutated, are checked at Delta in
-  // {0, ..., 3}: the one-pass validator must give the naive one's verdict
-  // and message on each. Every outcome must occur.
-  Rng rng(0xf04c);
-  std::size_t valid = 0, f2 = 0, f3 = 0, f4 = 0;
+/// Fuzzes validate_fork against the naive reference at Delta in {0, ..., 3}
+/// on forks built valid at a random Delta, some mutated, over strings that
+/// `draw` returns. The verdict and message must agree on every fork; returns
+/// how often each outcome occurred, keyed by its axiom tag.
+template <class Draw>
+std::map<std::string, std::size_t> fuzz_against_naive(std::uint64_t seed, Draw draw) {
+  Rng rng(seed);
+  std::map<std::string, std::size_t> outcomes;
   for (int trial = 0; trial < 3000; ++trial) {
-    const std::size_t n = 1 + rng.below(14);
-    std::vector<Symbol> symbols;
-    for (std::size_t i = 0; i < n; ++i)
-      symbols.push_back(rng.bernoulli(0.4) ? Symbol::A : rng.bernoulli(0.6) ? Symbol::h : Symbol::H);
-    const CharString w(symbols);
+    const auto w = draw(1 + rng.below(14), rng);
     const std::size_t built_at = rng.below(4);
     const Fork fork = random_fork(w, built_at, rng);
     for (std::size_t delta = 0; delta <= 3; ++delta) {
       const ValidationResult fast = validate_fork(fork, w, delta);
       const ValidationResult naive = naive_validate_fork(fork, w, delta);
-      ASSERT_EQ(fast.ok, naive.ok) << "trial " << trial << ", " << w.to_string() << ", Delta "
+      EXPECT_EQ(fast.ok, naive.ok) << "trial " << trial << ", " << w.to_string() << ", Delta "
                                    << delta << ": " << naive.message;
-      ASSERT_EQ(fast.message, naive.message) << "trial " << trial << ", Delta " << delta;
-      valid += naive.ok;
-      f2 += naive.message.rfind("(F2)", 0) == 0;
-      f3 += naive.message.rfind("(F3)", 0) == 0;
-      f4 += naive.message.rfind("(F4)", 0) == 0;
+      EXPECT_EQ(fast.message, naive.message) << "trial " << trial << ", Delta " << delta;
+      if (fast.ok != naive.ok || fast.message != naive.message) return outcomes;
+      ++outcomes[naive.ok ? "valid" : naive.message.substr(0, naive.message.find(' '))];
     }
   }
-  EXPECT_GT(valid, 1000u);
-  EXPECT_GT(f2, 100u);
-  EXPECT_GT(f3, 100u);
-  EXPECT_GT(f4, 100u);
+  return outcomes;
+}
+
+TEST(Validate, OnePassMatchesTheNaiveValidatorOnRandomForks) {
+  // Every outcome must occur.
+  auto outcomes = fuzz_against_naive(0xf04c, [](std::size_t n, Rng& rng) {
+    std::vector<Symbol> symbols;
+    for (std::size_t i = 0; i < n; ++i)
+      symbols.push_back(rng.bernoulli(0.4)   ? Symbol::A
+                        : rng.bernoulli(0.6) ? Symbol::h
+                                             : Symbol::H);
+    return CharString(symbols);
+  });
+  EXPECT_GT(outcomes["valid"], 1000u);
+  EXPECT_GT(outcomes["(F2)"], 100u);
+  EXPECT_GT(outcomes["(F3)"], 100u);
+  EXPECT_GT(outcomes["(F4)"], 100u);
+}
+
+TEST(Validate, DeltaForksMatchTheNaiveValidatorOnRandomForks) {
+  // The same fuzz over {Bot, h, H, A}: the empty-slot rule joins (F1)-(F4_Delta),
+  // and every outcome must occur.
+  auto outcomes = fuzz_against_naive(0xde17a, [](std::size_t n, Rng& rng) {
+    std::vector<TetraSymbol> symbols;
+    for (std::size_t i = 0; i < n; ++i)
+      symbols.push_back(rng.bernoulli(0.3)   ? TetraSymbol::Bot
+                        : rng.bernoulli(0.4) ? TetraSymbol::A
+                        : rng.bernoulli(0.6) ? TetraSymbol::h
+                                             : TetraSymbol::H);
+    return TetraString(symbols);
+  });
+  EXPECT_GT(outcomes["valid"], 1000u);
+  EXPECT_GT(outcomes["(F2)"], 100u);
+  EXPECT_GT(outcomes["(F3)"], 100u);
+  EXPECT_GT(outcomes["(F4)"], 100u);
+  EXPECT_GT(outcomes["empty"], 100u);
 }
 
 TEST(Validate, FigureForksAreValid) {
