@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "fork/balanced.hpp"
 #include "fork/reach.hpp"
 #include "support/check.hpp"
 
@@ -64,32 +65,19 @@ std::vector<VertexId> astar_extension_plan(const Fork& fork, const CharString& p
   return {z1, z1};
 }
 
-void AStarAdversary::extend_conservatively(VertexId tine, std::uint32_t target_length,
-                                           std::uint32_t label) {
-  // Pad with adversarial vertices drawn from the tine's reserve (the first
-  // adversarial slots after its head), then place the honest leaf. Reserves
-  // are per-tine rights, so concurrent extensions may reuse slot labels.
-  MH_ASSERT(fork_.depth(tine) < target_length);
-  std::uint32_t pads = target_length - 1 - fork_.depth(tine);
-  VertexId head = tine;
-  for (std::size_t slot = fork_.label(tine) + 1; slot <= w_.size() && pads > 0; ++slot) {
-    if (!w_.adversarial(slot)) continue;
-    head = fork_.add_vertex(head, static_cast<std::uint32_t>(slot));
-    --pads;
-  }
-  MH_ASSERT_MSG(pads == 0, "conservative extension requires reach >= 0");
-  fork_.add_vertex(head, label);
-}
-
 void AStarAdversary::step(Symbol b) {
   const auto slot = static_cast<std::uint32_t>(w_.size() + 1);
   if (b == Symbol::A) {
     w_.push_back(b);
     return;
   }
-  const std::uint32_t target = fork_.height() + 1;
+  // Conservative extensions: pad each planned tine from its own reserve (the
+  // first adversarial slots after its head) to height(F), then place the
+  // honest leaf. Reserves are per-tine rights, so concurrent extensions may
+  // reuse slot labels.
+  const std::uint32_t height = fork_.height();
   for (VertexId tine : astar_extension_plan(fork_, w_, b))
-    extend_conservatively(tine, target, slot);
+    fork_.add_vertex(pad_with_adversarial(fork_, w_, tine, height), slot);
   w_.push_back(b);
 }
 

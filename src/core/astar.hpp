@@ -37,8 +37,6 @@ class AStarAdversary {
   [[nodiscard]] const CharString& processed() const noexcept { return w_; }
 
  private:
-  void extend_conservatively(VertexId tine, std::uint32_t target_length, std::uint32_t label);
-
   Fork fork_;
   CharString w_;
 };

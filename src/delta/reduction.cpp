@@ -6,7 +6,14 @@
 
 namespace mh {
 
-ReductionResult reduce(const TetraString& w, std::size_t delta) {
+namespace {
+
+/// The shared map: an honest slot survives iff the `delta` slots after it
+/// exist and none of them ends its survival window. Truncated windows at the
+/// end of the string translate to A, matching the paper's remark that the
+/// last Delta symbols are distorted adversarially.
+template <class EndsWindow>
+ReductionResult reduce_with(const TetraString& w, std::size_t delta, EndsWindow ends_window) {
   const std::size_t n = w.size();
   ReductionResult out;
   out.inverse.assign(n, 0);
@@ -19,14 +26,9 @@ ReductionResult reduce(const TetraString& w, std::size_t delta) {
     if (is_adversarial(b)) {
       translated = Symbol::A;
     } else {
-      // Honest slot survives iff the next `delta` slots exist and contain no
-      // honest slot ("{Bot, A}^Delta is a prefix of the rest", Definition 22;
-      // truncated windows at the end of the string translate to A, matching
-      // the paper's remark that the last Delta symbols are distorted
-      // adversarially).
       bool clear = t + delta <= n;
       for (std::size_t j = t + 1; j <= t + delta && clear; ++j)
-        if (is_honest(w.at(j))) clear = false;
+        if (ends_window(w.at(j))) clear = false;
       translated = clear ? (b == TetraSymbol::h ? Symbol::h : Symbol::H) : Symbol::A;
     }
     reduced.push_back(translated);
@@ -37,30 +39,16 @@ ReductionResult reduce(const TetraString& w, std::size_t delta) {
   return out;
 }
 
-ReductionResult reduce_conservative(const TetraString& w, std::size_t delta) {
-  const std::size_t n = w.size();
-  ReductionResult out;
-  out.inverse.assign(n, 0);
+}  // namespace
 
-  std::vector<Symbol> reduced;
-  for (std::size_t t = 1; t <= n; ++t) {
-    const TetraSymbol b = w.at(t);
-    if (is_empty(b)) continue;
-    Symbol translated;
-    if (is_adversarial(b)) {
-      translated = Symbol::A;
-    } else {
-      bool run_of_empty = t + delta <= n;  // truncated windows translate to A
-      for (std::size_t j = t + 1; j <= n && j <= t + delta && run_of_empty; ++j)
-        if (!is_empty(w.at(j))) run_of_empty = false;
-      translated = run_of_empty ? (b == TetraSymbol::h ? Symbol::h : Symbol::H) : Symbol::A;
-    }
-    reduced.push_back(translated);
-    out.pi.push_back(t);
-    out.inverse[t - 1] = reduced.size();
-  }
-  out.reduced = CharString(std::move(reduced));
-  return out;
+ReductionResult reduce(const TetraString& w, std::size_t delta) {
+  // "{Bot, A}^Delta is a prefix of the rest" (Definition 22).
+  return reduce_with(w, delta, [](TetraSymbol s) { return is_honest(s); });
+}
+
+ReductionResult reduce_conservative(const TetraString& w, std::size_t delta) {
+  // Only a run of empty slots keeps the honest slot.
+  return reduce_with(w, delta, [](TetraSymbol s) { return !is_empty(s); });
 }
 
 SymbolLaw reduced_law(const TetraLaw& law, std::size_t delta) {

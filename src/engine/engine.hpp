@@ -41,11 +41,9 @@ constexpr std::size_t auto_chunk_size(std::size_t n_samples) noexcept {
   return std::clamp<std::size_t>(n_samples / 256, 1, 4096);
 }
 
-/// Sharded sweep with an explicit reduction over the per-chunk partials.
-/// `fold(partials)` sees the partials in chunk order and returns the total.
-template <typename Partial, typename Task, typename Fold>
-Partial run_sharded(std::size_t n_samples, const EngineOptions& opt, Task&& task,
-                    Fold&& fold) {
+/// Sharded sweep; the per-chunk partials fold in chunk order (engine::Reduce).
+template <typename Partial, typename Task>
+Partial run_sharded(std::size_t n_samples, const EngineOptions& opt, Task&& task) {
   const std::size_t chunk = opt.chunk_size != 0 ? opt.chunk_size : auto_chunk_size(n_samples);
   const std::size_t n_chunks = n_samples == 0 ? 0 : (n_samples + chunk - 1) / chunk;
   const SeedSequence seeds(opt.seed);
@@ -69,16 +67,7 @@ Partial run_sharded(std::size_t n_samples, const EngineOptions& opt, Task&& task
     ThreadPool pool(threads);
     pool.for_each_chunk(n_chunks, run_chunk);
   }
-  return std::forward<Fold>(fold)(partials);
-}
-
-/// Sharded sweep with the default ordered reduction (engine::Reduce).
-template <typename Partial, typename Task>
-Partial run_sharded(std::size_t n_samples, const EngineOptions& opt, Task&& task) {
-  return run_sharded<Partial>(n_samples, opt, std::forward<Task>(task),
-                              [](const std::vector<Partial>& partials) {
-                                return Reduce::fold(partials);
-                              });
+  return Reduce::fold(partials);
 }
 
 }  // namespace mh::engine

@@ -61,18 +61,11 @@ long double CatalanGF::radius() const {
   const long double r1 = walk_.composite_radius();
   // F is increasing and convex on [0, r1); R2 solves F(z) = 1 if the root lies
   // inside the domain, otherwise the radius is the domain edge R1.
-  const std::optional<long double> f_at_r1 = f_eval(r1);
-  if (f_at_r1 && *f_at_r1 < 1.0L) return r1;
-  long double lo = 1.0L, hi = r1;
-  for (int iter = 0; iter < 200; ++iter) {
-    const long double mid = 0.5L * (lo + hi);
-    const std::optional<long double> f = f_eval(mid);
-    if (f && *f < 1.0L)
-      lo = mid;
-    else
-      hi = mid;
-  }
-  return lo;
+  auto below_one = [&](long double z) {
+    const std::optional<long double> f = f_eval(z);
+    return f && *f < 1.0L;
+  };
+  return below_one(r1) ? r1 : bisect_last(1.0L, r1, below_one);
 }
 
 }  // namespace mh

@@ -53,18 +53,11 @@ std::optional<long double> ConsecutiveCatalanGF::e_hat_eval(long double z) const
 
 long double ConsecutiveCatalanGF::radius() const {
   const long double r1 = walk_.composite_radius();
-  const std::optional<long double> e_at_r1 = e_hat_eval(r1);
-  if (e_at_r1 && (1.0L - eps_) * *e_at_r1 < 1.0L) return r1;
-  long double lo = 1.0L, hi = r1;
-  for (int iter = 0; iter < 200; ++iter) {
-    const long double mid = 0.5L * (lo + hi);
-    const std::optional<long double> e = e_hat_eval(mid);
-    if (e && (1.0L - eps_) * *e < 1.0L)
-      lo = mid;
-    else
-      hi = mid;
-  }
-  return lo;
+  auto below_one = [&](long double z) {
+    const std::optional<long double> e = e_hat_eval(z);
+    return e && (1.0L - eps_) * *e < 1.0L;
+  };
+  return below_one(r1) ? r1 : bisect_last(1.0L, r1, below_one);
 }
 
 }  // namespace mh

@@ -68,23 +68,14 @@ std::optional<long double> WalkGF::ascent_of_zd_eval(long double z) const {
 long double WalkGF::composite_radius() const {
   // Bisect for the largest z with both discriminants nonnegative. The
   // composite discriminant 1 - 4pq (z D(z))^2 is decreasing in z on [0, R_walk].
-  long double lo = 1.0L;          // A(Z D(Z)) converges at 1 (D(1) = 1, A(1) = p/q)
-  long double hi = walk_radius();
   auto in_domain = [&](long double z) {
     const std::optional<long double> d = descent_eval(z);
     if (!d) return false;
     const long double u = z * *d;
     return 1.0L - 4.0L * p * q * u * u >= 0.0L;
   };
-  MH_ASSERT(in_domain(lo));
-  for (int iter = 0; iter < 200; ++iter) {
-    const long double mid = 0.5L * (lo + hi);
-    if (in_domain(mid))
-      lo = mid;
-    else
-      hi = mid;
-  }
-  return lo;
+  MH_ASSERT(in_domain(1.0L));  // A(Z D(Z)) converges at 1 (D(1) = 1, A(1) = p/q)
+  return bisect_last(1.0L, walk_radius(), in_domain);
 }
 
 }  // namespace mh

@@ -46,4 +46,19 @@ struct WalkGF {
   [[nodiscard]] long double composite_radius() const;
 };
 
+/// The edge of a test that holds on [lo, edge) and fails past it: 200
+/// halvings of [lo, hi], each keeping the half whose lower end passes.
+/// Returns the last passing point; `holds(lo)` is the caller's to ensure.
+template <class Holds>
+[[nodiscard]] long double bisect_last(long double lo, long double hi, Holds holds) {
+  for (int iter = 0; iter < 200; ++iter) {
+    const long double mid = 0.5L * (lo + hi);
+    if (holds(mid))
+      lo = mid;
+    else
+      hi = mid;
+  }
+  return lo;
+}
+
 }  // namespace mh

@@ -196,12 +196,10 @@ std::vector<NamedLaw> default_matrix_laws() {
 
 std::size_t cell_index(const MatrixConfig& config, std::size_t tie_i, std::size_t delta_i,
                        std::size_t strategy_i, std::size_t law_i, std::size_t fault_i) {
-  const std::size_t n_laws =
-      config.laws.empty() ? default_matrix_laws().size() : config.laws.size();
   return (((fault_i * config.tie_breaks.size() + tie_i) * config.deltas.size() + delta_i) *
               config.strategies.size() +
           strategy_i) *
-             n_laws +
+             default_matrix_laws().size() +
          law_i;
 }
 
@@ -223,9 +221,7 @@ MatrixResult run_scenario_matrix(const MatrixConfig& config) {
   MH_REQUIRE(!config.tie_breaks.empty() && !config.deltas.empty() &&
              !config.strategies.empty());
   MH_REQUIRE(config.runs >= 1);
-  const std::vector<NamedLaw> laws =
-      config.laws.empty() ? default_matrix_laws() : config.laws;
-  for (const NamedLaw& named : laws) named.law.validate();
+  const std::vector<NamedLaw> laws = default_matrix_laws();
 
   // An empty profile list degenerates to the single un-faulted band.
   const std::vector<faults::FaultProfile> profiles =

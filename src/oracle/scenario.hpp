@@ -29,12 +29,12 @@ struct NamedLaw {
   TetraLaw law;
 };
 
+/// The axes of a matrix; its laws are always default_matrix_laws().
 struct MatrixConfig {
   std::vector<TieBreak> tie_breaks{TieBreak::AdversarialOrder, TieBreak::ConsistentHash};
   std::vector<std::size_t> deltas{0, 1, 2};
   std::vector<Strategy> strategies{Strategy::PrivateChain, Strategy::Balance,
                                    Strategy::Randomized};
-  std::vector<NamedLaw> laws;  ///< default_matrix_laws() when empty
   /// The fault band: one matrix copy per profile, outermost axis. The default
   /// single None keeps the pre-fault index geometry, cell seeds and golden
   /// pins bit-identical. Faulted cells draw one FaultPlan per run from a

@@ -33,7 +33,6 @@ class PrivateChainAdversary : public Adversary {
   void on_slot_begin(std::size_t slot, Simulation& sim) override;
 
   [[nodiscard]] bool released() const noexcept { return released_; }
-  [[nodiscard]] std::size_t private_length() const noexcept { return private_length_; }
 
  private:
   std::size_t target_slot_;

@@ -7,6 +7,14 @@
 
 namespace mh::consensus {
 
+namespace {
+
+/// Head rule for the canonical chain the fold walks. ConsistentHash (A0')
+/// keeps the nonce independent of delivery-order ties.
+constexpr TieBreak kNonceTie = TieBreak::ConsistentHash;
+
+}  // namespace
+
 void EpochConfig::validate() const {
   MH_REQUIRE_MSG(epoch_length >= 1, "epoch length must be >= 1 slot");
   MH_REQUIRE_MSG(nonce_window <= epoch_length,
@@ -55,7 +63,7 @@ std::uint64_t EpochManager::fold_nonce(std::size_t epoch, const BlockTree& view)
   // ascending slot order (chains list parents first on the fold).
   std::vector<BlockHash> window_blocks;
   const BlockHash genesis = genesis_block().hash;
-  for (BlockHash h = view.best_head(config_.nonce_tie); h != genesis;
+  for (BlockHash h = view.best_head(kNonceTie); h != genesis;
        h = view.block(h).parent) {
     const std::uint64_t slot = view.block(h).slot;
     if (slot < window_lo) break;  // labels increase along chains: done

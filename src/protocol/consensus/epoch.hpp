@@ -30,9 +30,6 @@ struct EpochConfig {
   /// Leading slots of the previous epoch whose chain blocks fold into the
   /// nonce; 0 resolves to floor(2R/3) with a floor of 1.
   std::size_t nonce_window = 0;
-  /// Head rule for the canonical chain the fold walks. ConsistentHash (A0')
-  /// keeps the nonce independent of delivery-order ties.
-  TieBreak nonce_tie = TieBreak::ConsistentHash;
 
   void validate() const;
   /// The resolved window length (never 0, never above epoch_length).

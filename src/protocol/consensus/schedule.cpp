@@ -90,26 +90,21 @@ const SlotLeaders& EpochSchedule::leaders(std::size_t slot) const {
   if (slot == 0) return genesis_slot_leaders();  // genesis is not issued
   MH_REQUIRE_MSG(slot <= horizon_, "slot " + std::to_string(slot) + " is past the horizon " +
                                        std::to_string(horizon_));
+  return revealed(slot);
+}
+
+bool EpochSchedule::eligible(PartyId party, std::size_t slot) const {
+  if (slot == 0 || slot > horizon_) return false;  // genesis / beyond the run
+  return revealed(slot).includes(party);
+}
+
+const SlotLeaders& EpochSchedule::revealed(std::size_t slot) const {
   MH_REQUIRE_MSG(slot <= slots_.size(),
                  "slot " + std::to_string(slot) +
                      " is not materialized yet (epoch-driven schedules reveal slots per "
                      "epoch; frontier is slot " +
                      std::to_string(slots_.size()) + ")");
   return slots_[slot - 1];
-}
-
-bool EpochSchedule::eligible(PartyId party, std::size_t slot) const {
-  if (slot == 0 || slot > horizon_) return false;  // genesis / beyond the run
-  MH_REQUIRE_MSG(slot <= slots_.size(),
-                 "slot " + std::to_string(slot) +
-                     " is not materialized yet (epoch-driven schedules reveal slots per "
-                     "epoch; frontier is slot " +
-                     std::to_string(slots_.size()) + ")");
-  const SlotLeaders& l = slots_[slot - 1];
-  if (party == kAdversary) return l.adversarial;
-  for (PartyId p : l.honest)
-    if (p == party) return true;
-  return false;
 }
 
 const EpochSchedule::EpochRecord& EpochSchedule::record(std::size_t epoch) const {

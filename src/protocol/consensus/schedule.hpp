@@ -105,6 +105,9 @@ class EpochSchedule final : public ScheduleSource {
 
   void open_epoch(const BlockTree& public_view) const;
   const EpochRecord& record(std::size_t epoch) const;
+  /// Leaders of a slot in [1, horizon]; throws naming the frontier unless its
+  /// epoch has been revealed.
+  const SlotLeaders& revealed(std::size_t slot) const;
 
   ConsensusConfig config_;
   mutable StakeRegistry registry_;

@@ -12,6 +12,13 @@ TetraSymbol slot_symbol(const SlotLeaders& leaders) noexcept {
   return leaders.honest.size() == 1 ? TetraSymbol::h : TetraSymbol::H;
 }
 
+bool SlotLeaders::includes(PartyId party) const noexcept {
+  if (party == kAdversary) return adversarial;
+  for (PartyId p : honest)
+    if (p == party) return true;
+  return false;
+}
+
 const SlotLeaders& genesis_slot_leaders() noexcept {
   static const SlotLeaders kGenesis{};
   return kGenesis;
@@ -34,7 +41,7 @@ std::string law_text(double ph, double pH, double pA) {
   return buf;
 }
 
-/// Entry-point check shared by both generators: a law that can draw H slots
+/// Entry-point check of the generator: a law that can draw H slots
 /// needs two distinct honest parties to materialize them. Checked up front —
 /// naming the law and the party count — instead of aborting mid-generation
 /// when the first H happens to be sampled.
@@ -70,22 +77,6 @@ SlotLeaders materialize(TetraSymbol symbol, std::size_t honest_parties, Rng& rng
 
 }  // namespace
 
-LeaderSchedule LeaderSchedule::from_symbol_law(const SymbolLaw& law, std::size_t horizon,
-                                               std::size_t honest_parties, Rng& rng) {
-  law.validate();
-  require_parties_for(law.ph, law.pH, law.pA, honest_parties);
-  std::vector<SlotLeaders> slots;
-  slots.reserve(horizon);
-  for (std::size_t t = 0; t < horizon; ++t) {
-    const Symbol s = law.sample(rng);
-    const TetraSymbol tetra = s == Symbol::h   ? TetraSymbol::h
-                              : s == Symbol::H ? TetraSymbol::H
-                                               : TetraSymbol::A;
-    slots.push_back(materialize(tetra, honest_parties, rng));
-  }
-  return LeaderSchedule(std::move(slots), honest_parties);
-}
-
 LeaderSchedule LeaderSchedule::from_tetra_law(const TetraLaw& law, std::size_t horizon,
                                               std::size_t honest_parties, Rng& rng) {
   law.validate();
@@ -97,6 +88,13 @@ LeaderSchedule LeaderSchedule::from_tetra_law(const TetraLaw& law, std::size_t h
   return LeaderSchedule(std::move(slots), honest_parties);
 }
 
+LeaderSchedule LeaderSchedule::from_symbol_law(const SymbolLaw& law, std::size_t horizon,
+                                               std::size_t honest_parties, Rng& rng) {
+  // With pBot = 0 both samplers compare one uniform against the same sums in
+  // the same order, so the schedule and the generator state are unchanged.
+  return from_tetra_law(TetraLaw{0.0, law.ph, law.pH, law.pA}, horizon, honest_parties, rng);
+}
+
 const SlotLeaders& LeaderSchedule::leaders(std::size_t slot) const {
   if (slot == 0) return genesis_slot_leaders();  // genesis is not issued
   MH_REQUIRE_MSG(slot <= slots_.size(), "slot " + std::to_string(slot) +
@@ -106,13 +104,8 @@ const SlotLeaders& LeaderSchedule::leaders(std::size_t slot) const {
 }
 
 bool LeaderSchedule::eligible(PartyId party, std::size_t slot) const {
-  if (slot == 0) return false;  // genesis is not issued
-  if (slot > slots_.size()) return false;
-  const SlotLeaders& l = slots_[slot - 1];
-  if (party == kAdversary) return l.adversarial;
-  for (PartyId p : l.honest)
-    if (p == party) return true;
-  return false;
+  // Genesis is not issued, and nothing past the horizon is.
+  return slot != 0 && slot <= slots_.size() && slots_[slot - 1].includes(party);
 }
 
 TetraString LeaderSchedule::characteristic() const {

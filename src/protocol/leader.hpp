@@ -28,6 +28,9 @@ class BlockTree;
 struct SlotLeaders {
   std::vector<PartyId> honest;  ///< honest leaders of the slot (possibly several)
   bool adversarial = false;     ///< the coalition holds at least one leadership
+
+  /// Does `party` (kAdversary for the coalition) lead this slot?
+  [[nodiscard]] bool includes(PartyId party) const noexcept;
 };
 
 /// The slot's Definition-20 symbol: A when the coalition leads, else Bot, h
@@ -74,10 +77,11 @@ class LeaderSchedule : public ScheduleSource {
   /// adversary, cf. the settlement game granting A the choice of multiplicity).
   /// Laws with pH > 0 require honest_parties >= 2, checked here (naming the
   /// law and the party count) rather than aborting mid-generation.
-  static LeaderSchedule from_symbol_law(const SymbolLaw& law, std::size_t horizon,
-                                        std::size_t honest_parties, Rng& rng);
   static LeaderSchedule from_tetra_law(const TetraLaw& law, std::size_t horizon,
                                        std::size_t honest_parties, Rng& rng);
+  /// from_tetra_law with pBot = 0: the same draws, slot for slot.
+  static LeaderSchedule from_symbol_law(const SymbolLaw& law, std::size_t horizon,
+                                        std::size_t honest_parties, Rng& rng);
 
   [[nodiscard]] std::size_t horizon() const noexcept override { return slots_.size(); }
   [[nodiscard]] std::size_t honest_parties() const noexcept override { return honest_parties_; }

@@ -12,7 +12,6 @@ namespace {
 std::unique_ptr<Adversary> make_adversary(AttackKind kind, std::size_t target_slot,
                                           std::size_t k) {
   switch (kind) {
-    case AttackKind::None: return nullptr;
     case AttackKind::PrivateChain: return std::make_unique<PrivateChainAdversary>(target_slot, k);
     case AttackKind::Balance: return std::make_unique<BalanceAttacker>();
   }
@@ -34,10 +33,11 @@ struct RunTally {
   }
 };
 
-template <typename ScheduleFactory>
-ProtocolExperimentResult run_impl(ScheduleFactory&& make_schedule, AttackKind attack,
-                                  std::size_t target_slot, std::size_t k,
-                                  const ProtocolExperimentConfig& config) {
+}  // namespace
+
+ProtocolExperimentResult run_protocol_experiment_delta(const TetraLaw& law, AttackKind attack,
+                                                       std::size_t target_slot, std::size_t k,
+                                                       const ProtocolExperimentConfig& config) {
   MH_REQUIRE(target_slot + k <= config.horizon);
   engine::EngineOptions eopt;
   eopt.threads = config.threads;
@@ -46,7 +46,8 @@ ProtocolExperimentResult run_impl(ScheduleFactory&& make_schedule, AttackKind at
 
   const RunTally tally = engine::run_sharded<RunTally>(
       config.runs, eopt, [&](std::uint64_t /*run*/, Rng& rng, RunTally& partial) {
-        const LeaderSchedule schedule = make_schedule(rng);
+        const LeaderSchedule schedule =
+            LeaderSchedule::from_tetra_law(law, config.horizon, config.honest_parties, rng);
         const std::unique_ptr<Adversary> adversary = make_adversary(attack, target_slot, k);
         SimulationConfig sim_config{config.tie_break, rng()};
         Simulation sim(schedule, sim_config, config.delta, adversary.get());
@@ -74,26 +75,12 @@ ProtocolExperimentResult run_impl(ScheduleFactory&& make_schedule, AttackKind at
   return result;
 }
 
-}  // namespace
-
 ProtocolExperimentResult run_protocol_experiment(const SymbolLaw& law, AttackKind attack,
                                                  std::size_t target_slot, std::size_t k,
                                                  const ProtocolExperimentConfig& config) {
-  return run_impl(
-      [&](Rng& rng) {
-        return LeaderSchedule::from_symbol_law(law, config.horizon, config.honest_parties, rng);
-      },
-      attack, target_slot, k, config);
-}
-
-ProtocolExperimentResult run_protocol_experiment_delta(const TetraLaw& law, AttackKind attack,
-                                                       std::size_t target_slot, std::size_t k,
-                                                       const ProtocolExperimentConfig& config) {
-  return run_impl(
-      [&](Rng& rng) {
-        return LeaderSchedule::from_tetra_law(law, config.horizon, config.honest_parties, rng);
-      },
-      attack, target_slot, k, config);
+  // The synchronous law is the semi-synchronous one with no empty slots.
+  return run_protocol_experiment_delta(TetraLaw{0.0, law.ph, law.pH, law.pA}, attack,
+                                       target_slot, k, config);
 }
 
 }  // namespace mh

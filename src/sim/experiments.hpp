@@ -22,7 +22,7 @@ struct ProtocolExperimentConfig {
   std::size_t threads = 0;
 };
 
-enum class AttackKind { None, PrivateChain, Balance };
+enum class AttackKind { PrivateChain, Balance };
 
 struct ProtocolExperimentResult {
   Proportion settlement_violations;  ///< slot-s violations observed at s + k

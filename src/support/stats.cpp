@@ -32,8 +32,6 @@ double RunningStats::variance() const noexcept {
   return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_ - 1);
 }
 
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
 double RunningStats::stderror() const noexcept {
   return n_ == 0 ? 0.0 : std::sqrt(variance() / static_cast<double>(n_));
 }

@@ -21,7 +21,6 @@ class RunningStats {
   [[nodiscard]] double mean() const noexcept { return mean_; }
   /// Unbiased sample variance; 0 for fewer than two observations.
   [[nodiscard]] double variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
   /// Standard error of the mean.
   [[nodiscard]] double stderror() const noexcept;
 
