@@ -49,16 +49,15 @@ CellVerdict run_cell(const MatrixConfig& config, const NamedLaw& named, std::siz
 
   const bool faulted_cell = profile != faults::FaultProfile::None;
   const engine::SeedSequence streams(cell_seed);
-  // Plans draw from their own derived stream, never from the run's rng: a
-  // None cell consumes exactly the draws of the pre-fault matrix, keeping the
-  // golden pins, and a plan is a pure function of (cell seed, run index).
-  const engine::SeedSequence plan_streams(cell_seed ^ 0xfa01c0defa01c0deULL);
   for (std::size_t r = 0; r < config.runs; ++r) {
     Rng rng = streams.stream(r);
     MH_OBS_COUNT("oracle.executions", 1);
     faults::FaultPlan plan;
     if (faulted_cell) {
-      Rng plan_rng = plan_streams.stream(r);
+      // Plans draw from their own keyed stream, never from the run's rng: a
+      // None cell consumes exactly the draws of the pre-fault matrix, keeping
+      // the golden pins, and a plan is a pure function of (cell seed, run).
+      Rng plan_rng = streams.stream(engine::StreamDomain::FaultPlan, r);
       plan = faults::sample_fault_plan(profile, rc.honest_parties, rc.horizon, rc.delta,
                                        plan_rng);
     }
@@ -110,7 +109,7 @@ CellVerdict run_cell(const MatrixConfig& config, const NamedLaw& named, std::siz
 
     McOptions mopt;
     mopt.samples = config.mc_samples;
-    mopt.seed = cell_seed ^ 0x5eedf00dULL;
+    mopt.seed = streams.derive(engine::StreamDomain::RecurrenceMc);
     mopt.threads = 1;  // the matrix parallelizes over cells, not inside them
     const Proportion mc = mc_settlement_violation(reduced, rc.k, mopt);
     out.recurrence_mc = clopper_pearson_interval(mc.successes, mc.trials, kBandConfidence);

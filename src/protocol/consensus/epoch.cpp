@@ -2,8 +2,8 @@
 
 #include <vector>
 
+#include "engine/seed_sequence.hpp"
 #include "support/check.hpp"
-#include "support/random.hpp"
 
 namespace mh::consensus {
 
@@ -51,10 +51,11 @@ std::size_t EpochManager::epochs_covering(std::size_t horizon) const noexcept {
 }
 
 std::uint64_t EpochManager::fold_nonce(std::size_t epoch, const BlockTree& view) const {
-  // Base mix: genesis seed x epoch index through splitmix64, so epochs whose
-  // windows are empty (no block landed in them) still draw distinct lotteries.
-  std::uint64_t counter = genesis_seed_ ^ (0x9e3779b97f4a7c15ULL * (epoch + 1));
-  std::uint64_t nonce = splitmix64(counter);
+  // Base value: the genesis seed's EpochNonce stream keyed by the epoch, so
+  // epochs whose windows are empty (no block landed in them) still draw
+  // distinct lotteries.
+  std::uint64_t nonce =
+      engine::SeedSequence(genesis_seed_).derive(engine::StreamDomain::EpochNonce, epoch);
   if (epoch == 0) return nonce;
 
   const std::size_t window_lo = epoch_start(epoch - 1);

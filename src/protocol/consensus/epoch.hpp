@@ -5,10 +5,11 @@
 // slots: epoch e covers slots [eR + 1, (e+1)R]. The nonce of epoch e seeds
 // that epoch's leader lottery:
 //
-//   * epoch 0 has no chain history; its nonce is a pure mix of the genesis
-//     seed (so schedules stay a function of the seed alone until blocks
-//     exist);
-//   * epoch e >= 1 folds, over the same genesis mix, the header hashes of the
+//   * every epoch's base value is the genesis seed's derivation in the
+//     EpochNonce stream domain, keyed by the epoch index;
+//   * epoch 0 has no chain history; its nonce is its base value (so
+//     schedules stay a function of the seed alone until blocks exist);
+//   * epoch e >= 1 folds, over its base value, the header hashes of the
 //     canonical chain's blocks whose slots lie in the NONCE WINDOW of epoch
 //     e-1 — its leading `nonce_window` slots (default 2R/3, the Ouroboros
 //     Praos proportion), ascending slot order.

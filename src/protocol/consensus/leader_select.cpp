@@ -24,14 +24,10 @@ SlotLeaderSelection::SlotLeaderSelection(double f, std::uint64_t root_seed)
 bool SlotLeaderSelection::eligible(std::uint64_t epoch_nonce, std::size_t slot, PartyId party,
                                    double share) const {
   MH_REQUIRE_MSG(slot >= 1, "slot 0 is genesis and holds no lottery");
-  MH_REQUIRE_MSG(slot < (std::size_t{1} << 32),
-                 "lottery keys pack the slot into 32 bits, got slot " + std::to_string(slot));
   // One stream per (nonce, slot, party); the single uniform draw below is the
   // simulated VRF output, thresholded at phi(share).
-  const engine::SeedSequence streams(root_seed_ ^ epoch_nonce);
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(slot) << 32) | static_cast<std::uint64_t>(party);
-  Rng rng = streams.stream(key);
+  Rng rng = engine::SeedSequence(root_seed_)
+                .stream(engine::StreamDomain::Lottery, epoch_nonce, slot, party);
   return rng.uniform() < phi(f_, share);
 }
 

@@ -4,9 +4,10 @@
 // Party p with relative stake s wins slot t of an epoch with nonce eta with
 // probability phi(s) = 1 - (1-f)^s, independently across (eta, t, p). Each
 // trial is ONE uniform draw from the counter-based engine::SeedSequence
-// stream keyed (eta, t, p): the outcome is a pure function of the key, so
-// schedules are invariant to query order, query repetition, and thread count
-// — the same purity contract the fault injector established for its draws.
+// stream keyed (eta, t, p) in the Lottery domain: the outcome is a pure
+// function of the key, so schedules are invariant to query order, query
+// repetition, and thread count — the same purity contract the fault injector
+// established for its draws.
 #pragma once
 
 #include <cstdint>
@@ -29,9 +30,8 @@ class SlotLeaderSelection {
 
   [[nodiscard]] double f() const noexcept { return f_; }
 
-  /// One Bernoulli(phi(share)) trial from the stream keyed
-  /// (epoch_nonce, slot, party). Slots must fit 32 bits (the key packs
-  /// (slot << 32) | party injectively).
+  /// One Bernoulli(phi(share)) trial from the Lottery stream keyed
+  /// (epoch_nonce, slot, party) under the root seed.
   [[nodiscard]] bool eligible(std::uint64_t epoch_nonce, std::size_t slot, PartyId party,
                               double share) const;
 

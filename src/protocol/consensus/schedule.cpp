@@ -59,9 +59,6 @@ EpochSchedule::EpochSchedule(ConsensusConfig config, StakeRegistry registry, std
       selection_(config.f, seed) {
   config_.validate();
   MH_REQUIRE_MSG(horizon_ >= 1, "epoch schedules need a horizon of at least one slot");
-  MH_REQUIRE_MSG(horizon_ < (std::size_t{1} << 32),
-                 "lottery keys pack the slot into 32 bits; horizon " + std::to_string(horizon_) +
-                     " does not fit");
 }
 
 void EpochSchedule::open_epoch(const BlockTree& public_view) const {

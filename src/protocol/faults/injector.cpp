@@ -1,6 +1,5 @@
 #include "protocol/faults/injector.hpp"
 
-#include "protocol/net/link_key.hpp"
 #include "support/check.hpp"
 
 namespace mh::faults {
@@ -52,7 +51,7 @@ bool FaultInjector::severed(PartyId sender, PartyId recipient, std::size_t slot)
 }
 
 LinkVerdict FaultInjector::link_verdict(PartyId sender, PartyId recipient,
-                                        std::size_t slot) const {
+                                        std::size_t slot) const noexcept {
   LinkVerdict verdict;
   if (sender == kAdversary || sender == recipient) return verdict;
   for (const LinkFaultSpec& l : plan_.links) {
@@ -60,7 +59,7 @@ LinkVerdict FaultInjector::link_verdict(PartyId sender, PartyId recipient,
     // One counter-based stream per (slot, sender, recipient): draws do not
     // depend on how many links faulted before this one, so any evaluation
     // order reproduces the same execution.
-    Rng rng = link_streams_.stream(net::link_stream_key(slot, sender, recipient, parties_));
+    Rng rng = link_streams_.stream(engine::StreamDomain::LinkFault, slot, sender, recipient);
     if (rng.bernoulli(l.drop)) {
       verdict.drop = true;
       return verdict;  // a lost ship has no duplicate and no delay

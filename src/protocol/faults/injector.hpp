@@ -1,8 +1,8 @@
 // The runtime query side of a FaultPlan: Network and Simulation consult a
 // FaultInjector at every transport decision point. All link-level randomness
-// is counter-based (engine::SeedSequence keyed on (slot, sender, recipient)),
-// so a verdict is a pure function of the plan — independent of query order,
-// repetition, and thread count.
+// is counter-based (an engine::SeedSequence stream in the LinkFault domain,
+// keyed on (slot, sender, recipient)), so a verdict is a pure function of the
+// plan — independent of query order, repetition, and thread count.
 //
 // The injector also owns the execution's fault accounting (FaultStats): the
 // transport and the driver report drops, wipes and re-ships here so the
@@ -80,10 +80,9 @@ class FaultInjector {
   [[nodiscard]] bool severed(PartyId sender, PartyId recipient, std::size_t slot) const noexcept;
 
   /// The loss/dup/extra-delay draw for one honest chain-ship. Pure in
-  /// (plan.seed, slot, sender, recipient); throws where the link's stream
-  /// key would not fit in 64 bits (net::link_stream_key).
+  /// (plan.seed, slot, sender, recipient).
   [[nodiscard]] LinkVerdict link_verdict(PartyId sender, PartyId recipient,
-                                         std::size_t slot) const;
+                                         std::size_t slot) const noexcept;
 
   /// Parties whose crash window begins exactly at `slot`.
   void crashes_at(std::size_t slot, std::vector<PartyId>* out) const;

@@ -3,9 +3,10 @@
 // A LatencyLaw describes the EXTRA delay, in whole slots, that one link send
 // suffers beyond the model's minimum one-slot hop (and beyond any adversarial
 // hold-back). Draws are counter-based: the Network derives one Rng per
-// (slot, sender, recipient) from the NetConfig seed's engine::SeedSequence and
-// hands it to draw(), so a link's delay is a pure function of the scenario
-// spec — independent of query order, repetition, and thread count.
+// (slot, sender, recipient) from the NetConfig seed's engine::SeedSequence, in
+// the LinkLatency stream domain, and hands it to draw(), so a link's delay is
+// a pure function of the scenario spec — independent of query order,
+// repetition, and thread count.
 //
 // Every law is CAPPED: max_extra() bounds every draw, so a heterogeneous
 // execution realizes a finite per-hop delay and Delta-synchrony is always

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <string>
 
+#include "engine/seed_sequence.hpp"
 #include "support/check.hpp"
-#include "support/random.hpp"
 
 namespace mh::net {
 
@@ -61,7 +61,7 @@ Topology Topology::build(TopologyKind kind, std::size_t parties, std::size_t k,
       // Ring backbone first: the i -> i+1 edge guarantees strong connectivity
       // regardless of what the shortcut draws land on. Shortcuts come from
       // one seeded stream in party order, so the graph is pure in (seed, n, k).
-      Rng rng(seed ^ 0x746f706f6c6f6779ULL);  // "topology"
+      Rng rng = engine::SeedSequence(seed).stream(engine::StreamDomain::Topology);
       for (PartyId p = 0; p < parties; ++p) {
         auto& row = adj[p];
         row.push_back(static_cast<PartyId>((p + 1) % parties));

@@ -6,7 +6,6 @@
 
 #include "obs/obs.hpp"
 #include "protocol/faults/injector.hpp"
-#include "protocol/net/link_key.hpp"
 #include "support/check.hpp"
 
 namespace mh {
@@ -193,11 +192,13 @@ std::size_t Network::egress_take(PartyId sender, std::size_t slot, std::size_t b
   return egress.slot;
 }
 
-std::size_t Network::link_extra(std::size_t slot, PartyId sender, PartyId recipient) const {
+std::size_t Network::link_extra(std::size_t slot, PartyId sender,
+                                PartyId recipient) const noexcept {
   if (config_.latency.kind == net::LatencyKind::Degenerate) return config_.latency.fixed;
   // One draw per (slot, link): the link's delay at that slot, pure in the
-  // scenario spec (same keying as the fault layer's link verdicts).
-  Rng rng = link_seeds_.stream(net::link_stream_key(slot, sender, recipient, parties_));
+  // scenario spec (keyed like the fault layer's link verdicts, in a domain of
+  // its own, so equal net and fault seeds draw independently).
+  Rng rng = link_seeds_.stream(engine::StreamDomain::LinkLatency, slot, sender, recipient);
   return config_.latency.draw(rng);
 }
 

@@ -60,12 +60,13 @@
 //     the run at (see Simulation::delivery_audit).
 //
 // Fault layer: with a faults::FaultInjector attached, every honest link send
-// consults it with the same (slot, sender, recipient) keying. A fault window
-// disables the batched form, shared injections and the fold (a dropped link
-// means the round did not cover everyone), a lost ship records nothing, and a
-// crash wipes the recipient's queued deliveries (its private ones and, through
-// its floor seq, every shared round already pushed), its coverage entries and
-// the whole all-recipient bound, forcing a re-sync (resync_ship) on restart.
+// consults it with the same (slot, sender, recipient) key, drawn in a stream
+// domain of its own. A fault window disables the batched form, shared
+// injections and the fold (a dropped link means the round did not cover
+// everyone), a lost ship records nothing, and a crash wipes the recipient's
+// queued deliveries (its private ones and, through its floor seq, every
+// shared round already pushed), its coverage entries and the whole
+// all-recipient bound, forcing a re-sync (resync_ship) on restart.
 // With no injector attached no fault is ever consulted. Adversarial
 // injections and re-sync ships are direct channels: they bypass topology,
 // latency, and bandwidth in every mode.
@@ -255,10 +256,11 @@ class Network {
   /// rolling (slot, used) counter suffices.
   std::size_t egress_take(PartyId sender, std::size_t slot, std::size_t blocks);
   /// The capped extra delay of (sender -> recipient) at `slot`: one
-  /// counter-based draw keyed (slot, sender, recipient) — a property of the
-  /// link and slot, pure in the scenario spec.
+  /// counter-based draw keyed (slot, sender, recipient) in the LinkLatency
+  /// stream domain — a property of the link and slot, pure in the scenario
+  /// spec.
   [[nodiscard]] std::size_t link_extra(std::size_t slot, PartyId sender,
-                                       PartyId recipient) const;
+                                       PartyId recipient) const noexcept;
 
   std::size_t parties_;
   std::size_t delta_;

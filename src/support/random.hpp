@@ -67,9 +67,6 @@ class Rng {
     }
   }
 
-  /// Derive an independent child generator (for per-thread / per-experiment streams).
-  constexpr Rng split() noexcept { return Rng((*this)() ^ 0x9e3779b97f4a7c15ULL); }
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));

@@ -13,7 +13,9 @@
 #include "engine/seed_sequence.hpp"
 #include "engine/thread_pool.hpp"
 #include "oracle/epoch.hpp"
+#include "protocol/adversary.hpp"
 #include "protocol/blocktree.hpp"
+#include "protocol/simulation.hpp"
 #include "support/stats.hpp"
 
 namespace mh::consensus {
@@ -305,6 +307,30 @@ TEST(EpochSchedule, StakeShiftChangesTheEpochLaw) {
   EXPECT_NE(law0.ph, law1.ph);
   // Epoch nonces stay distinct across the boundary (fresh lottery keys).
   EXPECT_NE(sched.epoch_nonce(0), sched.epoch_nonce(1));
+}
+
+TEST(EpochSchedule, SpotlightScheduleAndNoncesArePinned) {
+  // The E19 spotlight cell (shift-adv/private): six equal honest parties and
+  // a 0.25 coalition, party 0 and the coalition buying in at epoch 1, three
+  // 32-slot epochs at f = 1/2 under a private-chain attack, at seed 1904.
+  // The tests above compare schedules with each other; this pins the
+  // lottery's draws and the nonce fold's values. '.' marks an empty slot.
+  const ConsensusConfig config{.f = 0.5, .epoch = EpochConfig{.epoch_length = 32}};
+  StakeRegistry registry = StakeRegistry::uniform(6, 0.25);
+  registry.add_shift({1, 0, 0.0625});
+  registry.add_shift({1, kAdversary, 0.3125});
+  const EpochSchedule schedule(config, std::move(registry), 96, 1904);
+  PrivateChainAdversary adversary(2, 6);
+  Simulation sim(schedule, SimulationConfig{TieBreak::AdversarialOrder, 1904}, 0, &adversary);
+  sim.run();
+  EXPECT_EQ(schedule.realized().characteristic().to_string(),
+            ".h.HAA.AhAhhhA...hH..h...hh..A.H"
+            "...HA.hhA..h.hhHh..hHAhh...AA..."
+            "AAh.H...A.hhA.AH.hhA...h..A...H.");
+  ASSERT_EQ(schedule.materialized_epochs(), 3u);
+  EXPECT_EQ(schedule.epoch_nonce(0), 0x9bee3fa7130051c9ULL);
+  EXPECT_EQ(schedule.epoch_nonce(1), 0xfc9441ba036fab00ULL);
+  EXPECT_EQ(schedule.epoch_nonce(2), 0xf182b84d3246b368ULL);
 }
 
 // --- the party-level lottery against its induced law ------------------------

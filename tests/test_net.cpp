@@ -16,13 +16,15 @@
 #include "engine/thread_pool.hpp"
 #include "obs/obs.hpp"
 #include "oracle/oracle.hpp"
+#include "protocol/consensus/schedule.hpp"
+#include "protocol/faults/injector.hpp"
 #include "protocol/net/event_core.hpp"
 #include "protocol/net/latency.hpp"
-#include "protocol/net/link_key.hpp"
 #include "protocol/net/topology.hpp"
 #include "protocol/network.hpp"
 #include "protocol/simulation.hpp"
 #include "protocol/transport_probe.hpp"
+#include "support/stats.hpp"
 
 namespace mh {
 namespace {
@@ -512,28 +514,32 @@ TEST(NetConfig, ValidateNamesTheOffendingKnob) {
   }
 }
 
-TEST(LinkStreamKey, PacksSlotSenderRecipientAndRefusesToWrap) {
-  EXPECT_EQ(net::link_stream_key(0, 0, 0, 1), 0u);
-  EXPECT_EQ(net::link_stream_key(7, 2, 5, 10), 725u);
-  // For 10^6 parties the keys of slot 18446744 start at 18446744 * 10^12 and
-  // run past 2^64: the link (73709, 551615) lands exactly on 2^64 - 1, and
-  // every later link, and every later slot, would wrap.
-  constexpr std::uint64_t kParties = 1000000;
-  constexpr std::uint64_t kSlot = 18446744;
-  constexpr std::uint64_t kMax = ~std::uint64_t{0};
-  EXPECT_EQ(net::link_stream_key(kSlot - 1, 999999, 999999, kParties), kSlot * 1000000000000 - 1);
-  EXPECT_EQ(net::link_stream_key(kSlot, 73709, 551615, kParties), kMax);
-  EXPECT_THROW((void)net::link_stream_key(kSlot, 73709, 551616, kParties), std::invalid_argument);
-  EXPECT_THROW((void)net::link_stream_key(kSlot, 73710, 0, kParties), std::invalid_argument);
-  EXPECT_THROW((void)net::link_stream_key(kSlot + 1, 0, 0, kParties), std::invalid_argument);
-  try {
-    (void)net::link_stream_key(kSlot + 1, 3, 4, kParties);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("slot 18446745"), std::string::npos) << what;
-    EXPECT_NE(what.find("1000000 parties"), std::string::npos) << what;
-  }
+TEST(KeyedStreams, LinkAndLotteryKeysPastTheOldPackingLimitsDerive) {
+  // Link streams were keyed (slot * parties + sender) * parties + recipient,
+  // which leaves 64 bits past slot ~1.8 * 10^7 at 10^6 parties, and lottery
+  // streams (slot << 32) | party. A keyed stream packs nothing, so both draw.
+  constexpr std::size_t kParties = 1'000'000;
+  constexpr std::size_t kLinkSlot = 20'000'000;
+  faults::FaultPlan plan;
+  plan.seed = 11;
+  plan.links.push_back({kLinkSlot, kLinkSlot + 1, 0.5, 0.5, 0.5, 2});
+  const faults::FaultInjector injector(plan, kParties, kLinkSlot);
+  faults::LinkVerdict link;
+  EXPECT_NO_THROW(link = injector.link_verdict(999'999, 999'998, kLinkSlot));
+  const faults::LinkVerdict again = injector.link_verdict(999'999, 999'998, kLinkSlot);
+  EXPECT_EQ(link.drop, again.drop);
+  EXPECT_EQ(link.duplicate, again.duplicate);
+  EXPECT_EQ(link.extra_delay, again.extra_delay);
+
+  constexpr std::size_t kLotterySlot = std::size_t{1} << 32;
+  const consensus::SlotLeaderSelection selection(0.5, 11);
+  bool won = false;
+  EXPECT_NO_THROW(won = selection.eligible(0x1234, kLotterySlot, 3, 0.25));
+  EXPECT_EQ(selection.eligible(0x1234, kLotterySlot, 3, 0.25), won);
+  // The schedule no longer bounds its horizon by the packing either.
+  EXPECT_NO_THROW((consensus::EpochSchedule(consensus::ConsensusConfig{},
+                                            consensus::StakeRegistry::uniform(4, 0.25),
+                                            kLotterySlot + 1, 11)));
 }
 
 // ---------------------------------------------------------------------------
@@ -551,6 +557,40 @@ TEST(HeteroNetwork, FixedLatencyShiftsEveryDelivery) {
   EXPECT_TRUE(drain(net, 1, 3).empty());       // the lockstep due is slot 2...
   EXPECT_EQ(drain(net, 1, 4).size(), 1u);      // ...plus the fixed 2 slots
   EXPECT_EQ(drain(net, 2, 4).size(), 1u);
+}
+
+TEST(HeteroNetwork, EqualNetAndFaultSeedsDrawLatencyAndDropsIndependently) {
+  // A fresh block reaches a recipient at latency 0 when its ship survives the
+  // drop (probability 1/2) and its geometric draw is 0 (1 - p = 1/2). Drawn
+  // from one stream, the two events are one: every ship the latency law would
+  // land at once is a dropped one, and none arrives. Drawn independently,
+  // a quarter of the (slot, recipient) pairs arrive at once.
+  constexpr std::uint64_t kSeed = 2024;
+  constexpr std::size_t kParties = 8;
+  constexpr std::size_t kSlots = 400;
+  NetConfig cfg;
+  cfg.latency = {LatencyKind::Geometric, 0, 3, 0.5};
+  cfg.seed = kSeed;
+  faults::FaultPlan plan;
+  plan.seed = kSeed;
+  plan.links.push_back({1, kSlots + 1, 0.5, 0.0, 0.0, 0});
+  faults::FaultInjector injector(plan, kParties, kSlots);
+  Network net(kParties, 0, cfg);
+  net.attach_faults(&injector);
+  BlockTree tree;
+  std::size_t pairs = 0, prompt = 0;
+  for (std::size_t slot = 1; slot <= kSlots; ++slot) {
+    const Block b = test_block(slot, slot, static_cast<PartyId>(slot % kParties));
+    tree.add(b);
+    net.broadcast_chain(tree, b, slot);
+    for (PartyId r = 0; r < kParties; ++r) {
+      if (r == b.issuer) continue;
+      ++pairs;
+      for (const Block& got : drain(net, r, slot + 1)) prompt += got.hash == b.hash ? 1 : 0;
+    }
+  }
+  EXPECT_TRUE(clopper_pearson_covers(prompt, pairs, 0.25, oracle::kBandConfidence))
+      << prompt << " of " << pairs << " fresh blocks arrived at latency 0";
 }
 
 TEST(HeteroNetwork, RingGossipRelaysAcrossHopsWithoutDuplicates) {

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "protocol/faults/injector.hpp"
-#include "protocol/net/link_key.hpp"
 #include "protocol/node.hpp"
 
 namespace mh {
@@ -484,7 +483,7 @@ class ReferenceNetwork {
   }
   [[nodiscard]] std::size_t extra(std::size_t slot, PartyId sender, PartyId recipient) const {
     if (config_.latency.kind == net::LatencyKind::Degenerate) return config_.latency.fixed;
-    Rng rng = link_seeds_.stream(net::link_stream_key(slot, sender, recipient, topology_.parties()));
+    Rng rng = link_seeds_.stream(engine::StreamDomain::LinkLatency, slot, sender, recipient);
     return config_.latency.draw(rng);
   }
 

@@ -5,6 +5,7 @@
 // in the repo. These tests pin
 //
 //   * the derived seeds and first 8 draws of streams {0, 1, 17} at root 42;
+//   * the keyed derivation of every StreamDomain at root 42;
 //   * the first-execution verdict code of every scenario-matrix cell at the
 //     default matrix seed,
 //
@@ -56,6 +57,36 @@ TEST(SeedStability, SeedSequenceStreamsArePinned) {
   }
 }
 
+struct GoldenKeyed {
+  engine::StreamDomain domain;
+  std::uint64_t a, b, c;
+  std::uint64_t derived;
+  std::uint64_t first_draw;
+};
+
+// Root seed 42, one key per domain in its own key words. LinkLatency and
+// LinkFault share a key: only the domain tells their streams apart.
+constexpr GoldenKeyed kGoldenKeyed[] = {
+    {engine::StreamDomain::LinkLatency, 17, 3, 5, 0xf1e96cfb0ca02aeeULL, 0xa9fcfd7e43c1d131ULL},
+    {engine::StreamDomain::LinkFault, 17, 3, 5, 0xad5359acda174843ULL, 0xa8af38d81f16ce3fULL},
+    {engine::StreamDomain::Topology, 0, 0, 0, 0xe73f81d34eb6d06aULL, 0x6086d138168041d3ULL},
+    {engine::StreamDomain::Lottery, 0x1234, 17, 3, 0x61882c6ab770b539ULL, 0x35977010478514c9ULL},
+    {engine::StreamDomain::EpochNonce, 2, 0, 0, 0x3298849d9c8c379cULL, 0x1345b2b994b5b4f1ULL},
+    {engine::StreamDomain::FaultPlan, 5, 0, 0, 0x9825de45096bd7ebULL, 0xb7bbfc005e50a6ffULL},
+    {engine::StreamDomain::RecurrenceMc, 0, 0, 0, 0x454fe73cb676c405ULL, 0x85e5846631b786e4ULL},
+};
+
+TEST(SeedStability, KeyedStreamsArePinned) {
+  const engine::SeedSequence seq(42);
+  for (const GoldenKeyed& golden : kGoldenKeyed) {
+    const auto domain = static_cast<std::uint64_t>(golden.domain);
+    EXPECT_EQ(seq.derive(golden.domain, golden.a, golden.b, golden.c), golden.derived)
+        << "domain " << domain;
+    Rng rng = seq.stream(golden.domain, golden.a, golden.b, golden.c);
+    EXPECT_EQ(rng(), golden.first_draw) << "domain " << domain;
+  }
+}
+
 TEST(SeedStability, ScenarioMatrixFirstVerdictsArePinned) {
   // One verdict character per cell, row-major in (tie, delta, strategy, law)
   // at the default matrix seed 2027. '.' = quiet run, 'a' = margin allows but
@@ -80,8 +111,8 @@ TEST(SeedStability, FaultBandFirstVerdictsArePinned) {
   config.mc_samples = 500;
   const oracle::MatrixResult result = oracle::run_scenario_matrix(config);
   EXPECT_EQ(first_run_codes(result),
-            "aV.aVVaa.aaaaaaaad.dadad.dadaddaaaaaaaaaaaaaaaaa"
-            "uuaudVaduuduuuau.VdddVddddddaddd.uduuuuddududuuu");
+            "aV.aVVaa.aaaaaaaddddddad.aadadadaaaaaaaaaaaaaaaa"
+            "dduuuuuuuuauaudu.dddaVaddaddadddudddduddudduduau");
 }
 
 }  // namespace
