@@ -7,14 +7,6 @@
 
 namespace mh::consensus {
 
-namespace {
-
-/// Head rule for the canonical chain the fold walks. ConsistentHash (A0')
-/// keeps the nonce independent of delivery-order ties.
-constexpr TieBreak kNonceTie = TieBreak::ConsistentHash;
-
-}  // namespace
-
 void EpochConfig::validate() const {
   MH_REQUIRE_MSG(epoch_length >= 1, "epoch length must be >= 1 slot");
   MH_REQUIRE_MSG(nonce_window <= epoch_length,
@@ -61,10 +53,12 @@ std::uint64_t EpochManager::fold_nonce(std::size_t epoch, const BlockTree& view)
   const std::size_t window_lo = epoch_start(epoch - 1);
   const std::size_t window_hi = window_lo + config_.window() - 1;  // inclusive
   // Collect the canonical chain's window blocks head-to-genesis, then fold in
-  // ascending slot order (chains list parents first on the fold).
+  // ascending slot order (chains list parents first on the fold). The head
+  // rule is ConsistentHash (A0'): it keeps the nonce independent of
+  // delivery-order ties.
   std::vector<BlockHash> window_blocks;
   const BlockHash genesis = genesis_block().hash;
-  for (BlockHash h = view.best_head(kNonceTie); h != genesis;
+  for (BlockHash h = view.best_head(TieBreak::ConsistentHash); h != genesis;
        h = view.block(h).parent) {
     const std::uint64_t slot = view.block(h).slot;
     if (slot < window_lo) break;  // labels increase along chains: done

@@ -514,10 +514,11 @@ TEST(NetConfig, ValidateNamesTheOffendingKnob) {
   }
 }
 
-TEST(KeyedStreams, LinkAndLotteryKeysPastTheOldPackingLimitsDerive) {
-  // Link streams were keyed (slot * parties + sender) * parties + recipient,
-  // which leaves 64 bits past slot ~1.8 * 10^7 at 10^6 parties, and lottery
-  // streams (slot << 32) | party. A keyed stream packs nothing, so both draw.
+TEST(KeyedStreams, LinkAndLotteryKeysTooLargeToPackDerive) {
+  // Both keys are past what a packed 64-bit key could hold: a link key
+  // (slot * parties + sender) * parties + recipient overflows past slot
+  // ~1.8 * 10^7 at 10^6 parties, and a lottery key (slot << 32) | party at
+  // slot 2^32. Keyed streams pack nothing, so both derive.
   constexpr std::size_t kParties = 1'000'000;
   constexpr std::size_t kLinkSlot = 20'000'000;
   faults::FaultPlan plan;
@@ -536,7 +537,7 @@ TEST(KeyedStreams, LinkAndLotteryKeysPastTheOldPackingLimitsDerive) {
   bool won = false;
   EXPECT_NO_THROW(won = selection.eligible(0x1234, kLotterySlot, 3, 0.25));
   EXPECT_EQ(selection.eligible(0x1234, kLotterySlot, 3, 0.25), won);
-  // The schedule no longer bounds its horizon by the packing either.
+  // An epoch schedule takes a horizon past 2^32 slots too.
   EXPECT_NO_THROW((consensus::EpochSchedule(consensus::ConsensusConfig{},
                                             consensus::StakeRegistry::uniform(4, 0.25),
                                             kLotterySlot + 1, 11)));
