@@ -9,7 +9,6 @@
 #include "core/astar.hpp"
 #include "core/catalan.hpp"
 #include "core/relative_margin.hpp"
-#include "core/uvp.hpp"
 #include "fork/ascii.hpp"
 #include "fork/margin.hpp"
 
@@ -33,8 +32,9 @@ int main(int argc, char** argv) {
   for (std::size_t s = 1; s <= w.size(); ++s)
     std::printf("%3c", flags.catalan[s - 1] ? '*' : '.');
   std::printf("   (* = Catalan slot: a barrier for the adversary)\nUVP  : ");
+  // Theorem 3: a uniquely honest slot has the UVP exactly when it is Catalan.
   for (std::size_t s = 1; s <= w.size(); ++s)
-    std::printf("%3c", w.uniquely_honest(s) && mh::has_uvp_catalan(w, s) ? 'U' : '.');
+    std::printf("%3c", w.uniquely_honest(s) && flags.catalan[s - 1] ? 'U' : '.');
   std::printf("   (U = every future viable chain passes this block)\n\n");
 
   std::printf("margin trajectory mu_eps(w_1..t) (slot 1 is settled while < 0):\n  t  : ");

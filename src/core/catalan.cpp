@@ -23,22 +23,6 @@ CatalanFlags catalan_flags(const CharString& w) {
   return flags;
 }
 
-CatalanFlags catalan_flags_bruteforce(const CharString& w) {
-  const std::size_t n = w.size();
-  CatalanFlags flags;
-  flags.left.assign(n, true);
-  flags.right.assign(n, true);
-  flags.catalan.assign(n, false);
-  for (std::size_t s = 1; s <= n; ++s) {
-    for (std::size_t l = 1; l <= s; ++l)
-      if (!w.hH_heavy(l, s)) flags.left[s - 1] = false;
-    for (std::size_t r = s; r <= n; ++r)
-      if (!w.hH_heavy(s, r)) flags.right[s - 1] = false;
-    flags.catalan[s - 1] = flags.left[s - 1] && flags.right[s - 1];
-  }
-  return flags;
-}
-
 bool is_left_catalan(const CharString& w, std::size_t s) {
   const CharWalk walk(w);
   return walk.strict_new_minimum(s);

@@ -21,9 +21,6 @@ struct CatalanFlags {
 /// O(n) detection of all left-/right-/full Catalan slots of w.
 CatalanFlags catalan_flags(const CharString& w);
 
-/// Reference O(n^2) implementation straight from Definition 11; test oracle.
-CatalanFlags catalan_flags_bruteforce(const CharString& w);
-
 /// Convenience point queries (1-indexed slots).
 bool is_catalan(const CharString& w, std::size_t s);
 bool is_left_catalan(const CharString& w, std::size_t s);

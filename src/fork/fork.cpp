@@ -104,20 +104,6 @@ std::uint32_t max_honest_depth_upto(const Fork& fork, const CharString& w, std::
   return best;
 }
 
-bool viable_at_onset(const Fork& fork, const CharString& w, VertexId v, std::size_t s) {
-  if (fork.label(v) >= s) return false;
-  return fork.depth(v) >= max_honest_depth_upto(fork, w, s - 1);
-}
-
-std::vector<VertexId> viable_tines_at_onset(const Fork& fork, const CharString& w,
-                                            std::size_t s) {
-  std::vector<VertexId> out;
-  const std::uint32_t need = max_honest_depth_upto(fork, w, s - 1);
-  for (VertexId v = 0; v < fork.vertex_count(); ++v)
-    if (fork.label(v) < s && fork.depth(v) >= need) out.push_back(v);
-  return out;
-}
-
 bool is_honest_vertex(const Fork& fork, const CharString& w, VertexId v) {
   const std::uint32_t l = fork.label(v);
   if (l == 0) return true;

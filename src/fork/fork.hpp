@@ -81,13 +81,6 @@ std::optional<std::uint32_t> honest_depth(const Fork& fork, std::uint32_t label)
 /// honest chain observed by slot `slot` is guaranteed to have reached.
 std::uint32_t max_honest_depth_upto(const Fork& fork, const CharString& w, std::size_t slot);
 
-/// A tine is *viable at the onset of slot s* if its label is < s and its length
-/// is >= the depth of every honest vertex labeled < s (longest-chain rule).
-bool viable_at_onset(const Fork& fork, const CharString& w, VertexId v, std::size_t s);
-
-/// All viable tines at the onset of slot s.
-std::vector<VertexId> viable_tines_at_onset(const Fork& fork, const CharString& w, std::size_t s);
-
 /// A fork is closed (Definition 12) iff every leaf is honest (the trivial fork
 /// is closed).
 bool is_closed(const Fork& fork, const CharString& w);

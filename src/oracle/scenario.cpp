@@ -251,11 +251,4 @@ MatrixResult run_scenario_matrix(const MatrixConfig& config) {
   return result;
 }
 
-std::string first_run_codes(const MatrixResult& result) {
-  std::string codes;
-  codes.reserve(result.cells.size());
-  for (const CellVerdict& c : result.cells) codes.push_back(c.first_run);
-  return codes;
-}
-
 }  // namespace mh::oracle

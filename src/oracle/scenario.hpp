@@ -136,8 +136,4 @@ MatrixConfig fault_band_config();
 /// Runs the full matrix; cells fan across engine::for_each_index.
 MatrixResult run_scenario_matrix(const MatrixConfig& config);
 
-/// The concatenated first-run codes of all cells (the golden seed-stability
-/// fingerprint: any RNG or simulator drift shows up here immediately).
-std::string first_run_codes(const MatrixResult& result);
-
 }  // namespace mh::oracle

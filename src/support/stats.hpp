@@ -1,6 +1,5 @@
 // Small statistics toolkit for Monte-Carlo experiments: streaming moments,
-// binomial confidence intervals, chi-square goodness of fit, and least-squares
-// decay-rate fits (used to measure the e^{-Theta(k)} slopes the paper predicts).
+// binomial confidence intervals, and least-squares decay-rate fits (used to measure the e^{-Theta(k)} slopes the paper predicts).
 #pragma once
 
 #include <cstddef>
@@ -69,16 +68,6 @@ bool clopper_pearson_covers(std::size_t successes, std::size_t trials, double p,
 /// Regularized incomplete beta function I_x(a, b) (continued fraction), the
 /// primitive behind the Clopper-Pearson endpoints; exposed for tests.
 double regularized_incomplete_beta(double a, double b, double x);
-
-/// Pearson chi-square statistic for observed counts against expected probabilities.
-/// Expects sum(expected_probs) ~ 1; bins with expected count < 5 are merged into
-/// their predecessor to keep the statistic well behaved.
-double chi_square_statistic(std::span<const std::size_t> observed,
-                            std::span<const double> expected_probs);
-
-/// Upper critical value of the chi-square distribution via the Wilson-Hilferty
-/// normal approximation; good to a few percent for df >= 3 (sufficient for tests).
-double chi_square_critical(std::size_t degrees_of_freedom, double significance = 0.01);
 
 /// Ordinary least squares fit y = a + b*x. Returns {a, b}.
 struct LinearFit {

@@ -1,9 +1,42 @@
-#include "fork/enumerate.hpp"
+// Exhaustive enumeration of forks for tiny characteristic strings.
+//
+// This is a *test oracle*: margins, settlement predicates, UVP and Catalan
+// characterizations are all defined as maxima over all forks, and for strings
+// of length <= 6 we can simply visit the fork space and take the maximum
+// directly. The space is infinite in principle (adversarial slots may label
+// any number of vertices), so the enumeration bounds per-slot multiplicities;
+// upper-bound checks (Proposition 1) are exact regardless, and the matching
+// lower bounds come from the A* adversary.
+#pragma once
 
 #include <algorithm>
+#include <cstddef>
+#include <functional>
 #include <limits>
 
+#include "fork/fork.hpp"
 #include "support/check.hpp"
+
+namespace mh {
+
+struct EnumerationOptions {
+  std::size_t max_adversarial_per_slot = 2;  ///< vertices added per A slot (0..max)
+  std::size_t max_honest_per_H_slot = 2;     ///< vertices added per H slot (1..max)
+  bool closed_only = true;                   ///< visit only closed forks
+  std::size_t max_visits = 5'000'000;        ///< safety valve; throws when exceeded
+};
+
+/// Visits every fork for w realizable under the multiplicity bounds. Forks are
+/// constructed respecting (F1)-(F4); the visitor receives each fork by const
+/// reference (copies are the visitor's business).
+void enumerate_forks(const CharString& w, const EnumerationOptions& options,
+                     const std::function<void(const Fork&)>& visit);
+
+/// Convenience: max of a statistic over all (closed) forks for w.
+std::int64_t max_over_forks(const CharString& w, const EnumerationOptions& options,
+                            const std::function<std::int64_t(const Fork&)>& statistic);
+
+}  // namespace mh
 
 namespace mh {
 
@@ -85,12 +118,12 @@ class Enumerator {
 
 }  // namespace
 
-void enumerate_forks(const CharString& w, const EnumerationOptions& options,
+inline void enumerate_forks(const CharString& w, const EnumerationOptions& options,
                      const std::function<void(const Fork&)>& visit) {
   Enumerator(w, options, visit).run();
 }
 
-std::int64_t max_over_forks(const CharString& w, const EnumerationOptions& options,
+inline std::int64_t max_over_forks(const CharString& w, const EnumerationOptions& options,
                             const std::function<std::int64_t(const Fork&)>& statistic) {
   std::int64_t best = std::numeric_limits<std::int64_t>::min();
   enumerate_forks(w, options, [&](const Fork& f) { best = std::max(best, statistic(f)); });

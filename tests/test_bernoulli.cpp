@@ -4,7 +4,7 @@
 
 #include <array>
 
-#include "support/stats.hpp"
+#include "checkers/chi_square.hpp"
 
 namespace mh {
 namespace {

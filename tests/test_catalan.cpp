@@ -6,6 +6,24 @@
 #include "support/random.hpp"
 
 namespace mh {
+
+/// Reference O(n^2) implementation straight from Definition 11; test oracle.
+CatalanFlags catalan_flags_bruteforce(const CharString& w) {
+  const std::size_t n = w.size();
+  CatalanFlags flags;
+  flags.left.assign(n, true);
+  flags.right.assign(n, true);
+  flags.catalan.assign(n, false);
+  for (std::size_t s = 1; s <= n; ++s) {
+    for (std::size_t l = 1; l <= s; ++l)
+      if (!w.hH_heavy(l, s)) flags.left[s - 1] = false;
+    for (std::size_t r = s; r <= n; ++r)
+      if (!w.hH_heavy(s, r)) flags.right[s - 1] = false;
+    flags.catalan[s - 1] = flags.left[s - 1] && flags.right[s - 1];
+  }
+  return flags;
+}
+
 namespace {
 
 TEST(Catalan, HandComputedExample) {

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <tuple>
 
+#include "checkers/chi_square.hpp"
 #include "engine/seed_sequence.hpp"
 #include "engine/thread_pool.hpp"
 #include "oracle/epoch.hpp"

@@ -6,6 +6,32 @@
 #include "fork/validate.hpp"
 
 namespace mh {
+
+/// Definition 23: F contains two maximum-length tines such that at least one
+/// carries a vertex labeled s, both carry >= k vertices with labels > s, and
+/// their last common vertex has label <= s-1.
+bool delta_settlement_violation_in_fork(const Fork& fork, std::size_t s, std::size_t k) {
+  const std::vector<VertexId> heads = fork.longest_tines();
+  auto stats = [&](VertexId head) {
+    bool carries_s = false;
+    std::size_t after = 0;
+    for (VertexId v = head; v != kRoot; v = fork.parent(v)) {
+      if (fork.label(v) == s) carries_s = true;
+      if (fork.label(v) > s) ++after;
+    }
+    return std::pair{carries_s, after};
+  };
+  for (std::size_t a = 0; a < heads.size(); ++a)
+    for (std::size_t b = a + 1; b < heads.size(); ++b) {
+      const auto [s1, after1] = stats(heads[a]);
+      const auto [s2, after2] = stats(heads[b]);
+      if (!s1 && !s2) continue;
+      if (after1 < k || after2 < k) continue;
+      if (fork.label(fork.lca(heads[a], heads[b])) <= s - 1) return true;
+    }
+  return false;
+}
+
 namespace {
 
 TEST(DeltaFork, ValidatesRelaxedDepths) {

@@ -1,4 +1,4 @@
-#include "fork/enumerate.hpp"
+#include "checkers/enumerate.hpp"
 
 #include <gtest/gtest.h>
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "checkers/viable.hpp"
 #include "fork_fixtures.hpp"
 
 namespace mh {

@@ -2,11 +2,11 @@
 // margin recurrence and the exact DP must all tell one consistent story.
 #include <gtest/gtest.h>
 
+#include "checkers/settlement.hpp"
 #include "core/exact_dp.hpp"
 #include "core/relative_margin.hpp"
-#include "core/settlement.hpp"
-#include "protocol/adversary.hpp"
 #include "fork/validate.hpp"
+#include "protocol/adversary.hpp"
 #include "protocol/bridge.hpp"
 #include "sim/experiments.hpp"
 

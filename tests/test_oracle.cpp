@@ -12,9 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include "checkers/enumerate.hpp"
+#include "checkers/first_run_codes.hpp"
 #include "core/relative_margin.hpp"
 #include "engine/seed_sequence.hpp"
-#include "fork/enumerate.hpp"
 #include "fork_fixtures.hpp"
 
 namespace mh {

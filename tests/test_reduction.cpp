@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "chars/dominance.hpp"
-#include "support/stats.hpp"
+#include "checkers/chi_square.hpp"
 
 namespace mh {
 namespace {

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 
+#include "checkers/first_run_codes.hpp"
 #include "engine/seed_sequence.hpp"
 #include "oracle/scenario.hpp"
 

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "support/stats.hpp"
+#include "checkers/chi_square.hpp"
 
 namespace mh {
 namespace {

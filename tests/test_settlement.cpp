@@ -1,4 +1,4 @@
-#include "core/settlement.hpp"
+#include "checkers/settlement.hpp"
 
 #include <gtest/gtest.h>
 

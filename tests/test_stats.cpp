@@ -5,6 +5,8 @@
 #include <cmath>
 #include <vector>
 
+#include "checkers/chi_square.hpp"
+
 namespace mh {
 namespace {
 

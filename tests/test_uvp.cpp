@@ -1,10 +1,10 @@
-#include "core/uvp.hpp"
+#include "checkers/uvp.hpp"
 
 #include <gtest/gtest.h>
 
 #include "chars/bernoulli.hpp"
+#include "checkers/enumerate.hpp"
 #include "core/catalan.hpp"
-#include "fork/enumerate.hpp"
 #include "support/random.hpp"
 
 namespace mh {
