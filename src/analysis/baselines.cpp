@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/exact_dp.hpp"
-#include "support/check.hpp"
 
 namespace mh {
 
@@ -21,15 +20,6 @@ long double praos_settlement_error(const SymbolLaw& law, std::size_t k, DpPrecis
   // The collapsed law may have pA >= 1/2 even when the threshold holds is
   // impossible (ph > pA + pH and ph + pH + pA = 1 imply pA + pH < 1/2).
   return settlement_violation_probability(collapsed, k, InitialReach::Stationary, precision);
-}
-
-SymbolLaw snow_white_conditioned_law(const SymbolLaw& law) {
-  law.validate();
-  const double active = law.ph + law.pA;
-  MH_REQUIRE_MSG(active > 0.0, "law must give some mass to decisive slots");
-  SymbolLaw conditioned{law.ph / active, 0.0, law.pA / active};
-  conditioned.validate();
-  return conditioned;
 }
 
 long double snow_white_settlement_error(const SymbolLaw& law, std::size_t k) {

@@ -31,10 +31,6 @@ SymbolLaw praos_collapsed_law(const SymbolLaw& law);
 long double praos_settlement_error(const SymbolLaw& law, std::size_t k,
                                    DpPrecision precision = DpPrecision::Reference);
 
-/// The conditioned law a Sleepy/Snow White-style argument certifies: H slots
-/// are ignored, so the effective string is the {h, A} subsequence.
-SymbolLaw snow_white_conditioned_law(const SymbolLaw& law);
-
 /// Snow White-certified settlement error: the e^{-Theta(sqrt k)} tail with the
 /// explicit rate their martingale argument yields (1.0 when inapplicable).
 /// `k` counts slots; only the ~(ph+pA) fraction that is h/A contributes.

@@ -15,18 +15,4 @@ std::vector<SettlementSeries> sweep_settlement_series(const std::vector<SymbolLa
   return out;
 }
 
-std::vector<long double> sweep_eventual_insecurity(const std::vector<SymbolLaw>& laws,
-                                                   const std::vector<std::size_t>& ks,
-                                                   const SweepOptions& opt) {
-  for (const SymbolLaw& law : laws) law.validate();
-  std::vector<long double> out(laws.size() * ks.size(), 0.0L);
-  engine::for_each_index(out.size(), opt.threads, [&](std::size_t cell) {
-    const std::size_t i = cell / ks.size();
-    const std::size_t j = cell % ks.size();
-    out[cell] = eventual_settlement_insecurity(laws[i], ks[j], InitialReach::Stationary,
-                                               opt.precision);
-  });
-  return out;
-}
-
 }  // namespace mh

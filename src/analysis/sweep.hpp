@@ -29,10 +29,4 @@ std::vector<SettlementSeries> sweep_settlement_series(const std::vector<SymbolLa
                                                       std::size_t k_max,
                                                       const SweepOptions& opt = {});
 
-/// The (law, k) product of eventual-settlement insecurities (each cell is its
-/// own DP pass). out[i * ks.size() + j] is the value for (laws[i], ks[j]).
-std::vector<long double> sweep_eventual_insecurity(const std::vector<SymbolLaw>& laws,
-                                                   const std::vector<std::size_t>& ks,
-                                                   const SweepOptions& opt = {});
-
 }  // namespace mh

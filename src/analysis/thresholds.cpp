@@ -14,23 +14,4 @@ RegimeReport classify_regime(const SymbolLaw& law) {
   return report;
 }
 
-bool applies(Analysis analysis, const SymbolLaw& law) {
-  const RegimeReport report = classify_regime(law);
-  switch (analysis) {
-    case Analysis::ThisWork: return report.this_work_applies;
-    case Analysis::Praos: return report.praos_applies;
-    case Analysis::SnowWhite: return report.snow_white_applies;
-  }
-  return false;
-}
-
-std::string to_string(Analysis analysis) {
-  switch (analysis) {
-    case Analysis::ThisWork: return "this work (ph+pH>pA)";
-    case Analysis::Praos: return "Praos/Genesis (ph-pH>pA)";
-    case Analysis::SnowWhite: return "Sleepy/SnowWhite (ph>pA)";
-  }
-  return "?";
-}
-
 }  // namespace mh

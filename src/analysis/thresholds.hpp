@@ -9,13 +9,9 @@
 // guarantee decay?
 #pragma once
 
-#include <string>
-
 #include "chars/bernoulli.hpp"
 
 namespace mh {
-
-enum class Analysis { ThisWork, Praos, SnowWhite };
 
 struct RegimeReport {
   bool this_work_applies = false;   ///< ph + pH > pA
@@ -29,9 +25,5 @@ struct RegimeReport {
 };
 
 RegimeReport classify_regime(const SymbolLaw& law);
-
-[[nodiscard]] bool applies(Analysis analysis, const SymbolLaw& law);
-
-std::string to_string(Analysis analysis);
 
 }  // namespace mh

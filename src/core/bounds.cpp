@@ -24,11 +24,6 @@ long double bound1_tail(const SymbolLaw& law, std::size_t k, std::size_t order) 
   return gf.smoothed_tail(k);
 }
 
-long double bound2_tail(const SymbolLaw& law, std::size_t k, std::size_t order) {
-  const ConsecutiveCatalanGF gf(law, default_order(k, order));
-  return gf.smoothed_tail(k);
-}
-
 long double bound1_decay_rate(const SymbolLaw& law) {
   // Radius computation needs no long series; order is irrelevant to it.
   const CatalanGF gf(law, 8);

@@ -3,7 +3,7 @@
 //   Bound 1: Pr[no uniquely honest Catalan slot in a k-window]
 //            <= exp(-k Omega(min(eps^3, eps^2 ph)))     (via CatalanGF tails)
 //   Bound 2: Pr[no consecutive Catalan pair in a k-window]
-//            <= exp(-k Omega(eps^3))                    (via ConsecutiveCatalanGF)
+//            <= exp(-k Omega(eps^3))       (via ConsecutiveCatalanGF::smoothed_tail)
 //   Bound 3 / Theorem 7: the Delta-synchronous random-walk tail
 //            f(Delta, k) <= O(1+Delta)/sqrt(k) exp(-k eps^2/2 + (1+Delta) eps/(1-eps)).
 //
@@ -22,9 +22,6 @@ namespace mh {
 /// prefix (valid for every |x| >= 0 by dominance). `order` trades accuracy for
 /// time; it must exceed k.
 long double bound1_tail(const SymbolLaw& law, std::size_t k, std::size_t order = 0);
-
-/// Sharp numeric Bound 2 (bivalent setting; uses law.pA only).
-long double bound2_tail(const SymbolLaw& law, std::size_t k, std::size_t order = 0);
 
 /// Asymptotic decay rates ln R from the radii of convergence.
 long double bound1_decay_rate(const SymbolLaw& law);

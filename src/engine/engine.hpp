@@ -14,7 +14,7 @@
 //     serial fallback at threads <= 1 (which runs the same chunked plan);
 //   * no locks or atomics on the hot path — shards share nothing;
 //   * Partial can be std::size_t (counts), std::vector (histograms), or any
-//     type with merge() (RunningStats, Proportion, experiment tallies).
+//     type with merge() (RunningStats, experiment tallies).
 #pragma once
 
 #include <algorithm>

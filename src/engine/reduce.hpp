@@ -10,7 +10,7 @@
 namespace mh::engine {
 
 /// A shard partial that can absorb another shard's result without
-/// double-counting (Proportion, RunningStats, experiment tallies, ...).
+/// double-counting (RunningStats, experiment tallies, ...).
 template <typename T>
 concept Mergeable = requires(T into, const T& from) { into.merge(from); };
 

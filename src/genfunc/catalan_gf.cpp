@@ -40,10 +40,6 @@ CatalanGF::CatalanGF(const SymbolLaw& law, std::size_t order)
   c_smoothed_ = denom.inverse().scaled(1.0L - beta) * c_hat_;
 }
 
-long double CatalanGF::tail(std::size_t k) const {
-  return std::max(0.0L, 1.0L - c_hat_.partial_sum(k));
-}
-
 long double CatalanGF::smoothed_tail(std::size_t k) const {
   return std::max(0.0L, 1.0L - c_smoothed_.partial_sum(k));
 }

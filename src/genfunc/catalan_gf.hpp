@@ -30,10 +30,9 @@ class CatalanGF {
   /// The smoothed series X_inf(D(Z)) * C_hat(Z) for the |x| -> infinity case.
   [[nodiscard]] const PowerSeries& c_smoothed() const noexcept { return c_smoothed_; }
 
-  /// Upper bound on Pr[no uniquely honest Catalan slot in a window of length k
-  /// starting the string]: 1 - sum_{t < k} c_hat_t.
-  [[nodiscard]] long double tail(std::size_t k) const;
-  /// Same with the stationary-prefix smoothing (any |x| >= 0 by dominance).
+  /// Upper bound on Pr[no uniquely honest Catalan slot in a window of length k]
+  /// after a stationary prefix (any |x| >= 0 by dominance): 1 - sum_{t < k} of
+  /// the smoothed coefficients.
   [[nodiscard]] long double smoothed_tail(std::size_t k) const;
 
   /// Radius of convergence R = min(R1, R2): R1 the composite walk domain,

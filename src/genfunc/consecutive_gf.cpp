@@ -34,10 +34,6 @@ ConsecutiveCatalanGF::ConsecutiveCatalanGF(const SymbolLaw& law, std::size_t ord
   m_smoothed_ = smooth_denom.inverse().scaled(1.0L - beta) * m_hat_;
 }
 
-long double ConsecutiveCatalanGF::tail(std::size_t k) const {
-  return std::max(0.0L, 1.0L - m_hat_.partial_sum(k));
-}
-
 long double ConsecutiveCatalanGF::smoothed_tail(std::size_t k) const {
   return std::max(0.0L, 1.0L - m_smoothed_.partial_sum(k));
 }

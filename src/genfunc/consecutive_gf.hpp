@@ -26,8 +26,8 @@ class ConsecutiveCatalanGF {
 
   [[nodiscard]] const PowerSeries& m_hat() const noexcept { return m_hat_; }
 
-  /// Upper bound on Pr[no consecutive Catalan pair starts in the first k slots].
-  [[nodiscard]] long double tail(std::size_t k) const;
+  /// Upper bound on Pr[no consecutive Catalan pair starts in the first k slots]
+  /// after a stationary prefix.
   [[nodiscard]] long double smoothed_tail(std::size_t k) const;
 
   /// Radius of convergence (composite walk domain or root of (1-eps)E = 1)

@@ -9,11 +9,6 @@ namespace mh {
 
 PowerSeries::PowerSeries(std::size_t order) : coeff_(order + 1, 0.0L) {}
 
-PowerSeries::PowerSeries(std::size_t order, std::vector<long double> coefficients)
-    : coeff_(std::move(coefficients)) {
-  coeff_.resize(order + 1, 0.0L);
-}
-
 PowerSeries PowerSeries::constant(std::size_t order, long double value) {
   PowerSeries s(order);
   s.coeff_[0] = value;

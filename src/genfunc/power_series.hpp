@@ -14,7 +14,6 @@ class PowerSeries {
  public:
   /// The zero series truncated at Z^order.
   explicit PowerSeries(std::size_t order);
-  PowerSeries(std::size_t order, std::vector<long double> coefficients);
 
   static PowerSeries constant(std::size_t order, long double value);
   /// The monomial coefficient * Z^power.

@@ -70,10 +70,6 @@ std::uint64_t Counter::value() const noexcept {
   return total;
 }
 
-void Counter::reset() noexcept {
-  for (detail::ShardCell& s : shards_) s.v.store(0, std::memory_order_relaxed);
-}
-
 void Gauge::set(std::int64_t v) noexcept {
   Slot& slot = slots_[thread_shard_index()];
   slot.v.store(v, std::memory_order_relaxed);
@@ -96,13 +92,6 @@ bool Gauge::ever_set() const noexcept {
   for (const Slot& slot : slots_)
     if (slot.set.load(std::memory_order_relaxed)) return true;
   return false;
-}
-
-void Gauge::reset() noexcept {
-  for (Slot& slot : slots_) {
-    slot.v.store(0, std::memory_order_relaxed);
-    slot.set.store(false, std::memory_order_relaxed);
-  }
 }
 
 std::size_t Histogram::bucket_of(std::uint64_t v) noexcept {
@@ -161,16 +150,6 @@ std::uint64_t Histogram::bucket_count(std::size_t bucket) const noexcept {
   std::uint64_t total = 0;
   for (const Shard& s : shards_) total += s.buckets[bucket].load(std::memory_order_relaxed);
   return total;
-}
-
-void Histogram::reset() noexcept {
-  for (Shard& s : shards_) {
-    s.count.store(0, std::memory_order_relaxed);
-    s.sum.store(0, std::memory_order_relaxed);
-    s.min.store(~std::uint64_t{0}, std::memory_order_relaxed);
-    s.max.store(0, std::memory_order_relaxed);
-    for (auto& b : s.buckets) b.store(0, std::memory_order_relaxed);
-  }
 }
 
 Registry& Registry::global() {
@@ -241,18 +220,6 @@ Snapshot Registry::snapshot() const {
     snap.histograms.push_back(std::move(hs));
   }
   return snap;
-}
-
-void Registry::reset() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
-}
-
-std::size_t Registry::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return by_name_.size();
 }
 
 std::uint64_t now_ns() noexcept {

@@ -73,7 +73,6 @@ class Counter {
     shards_[thread_shard_index()].v.fetch_add(n, std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t value() const noexcept;
-  void reset() noexcept;
 
  private:
   std::array<detail::ShardCell, kShards> shards_{};
@@ -87,7 +86,6 @@ class Gauge {
   void set(std::int64_t v) noexcept;
   [[nodiscard]] std::int64_t value() const noexcept;  ///< 0 when never set
   [[nodiscard]] bool ever_set() const noexcept;
-  void reset() noexcept;
 
  private:
   struct alignas(64) Slot {
@@ -115,7 +113,6 @@ class Histogram {
   [[nodiscard]] std::uint64_t min() const noexcept;  ///< 0 when empty
   [[nodiscard]] std::uint64_t max() const noexcept;  ///< 0 when empty
   [[nodiscard]] std::uint64_t bucket_count(std::size_t bucket) const noexcept;
-  void reset() noexcept;
 
  private:
   struct alignas(64) Shard {
@@ -206,12 +203,6 @@ class Registry {
 
   /// Merged values of every instrument, each kind in registration order.
   [[nodiscard]] Snapshot snapshot() const;
-
-  /// Zero every instrument (names and addresses stay registered). Benches use
-  /// this between measurement phases.
-  void reset();
-
-  [[nodiscard]] std::size_t size() const;
 
  private:
   struct Entry {

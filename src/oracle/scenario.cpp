@@ -193,15 +193,6 @@ std::vector<NamedLaw> default_matrix_laws() {
   };
 }
 
-std::size_t cell_index(const MatrixConfig& config, std::size_t tie_i, std::size_t delta_i,
-                       std::size_t strategy_i, std::size_t law_i, std::size_t fault_i) {
-  return (((fault_i * config.tie_breaks.size() + tie_i) * config.deltas.size() + delta_i) *
-              config.strategies.size() +
-          strategy_i) *
-             default_matrix_laws().size() +
-         law_i;
-}
-
 MatrixConfig fault_band_config() {
   MatrixConfig config;
   config.tie_breaks = {TieBreak::AdversarialOrder, TieBreak::ConsistentHash};

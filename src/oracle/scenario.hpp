@@ -122,11 +122,6 @@ struct MatrixResult {
 /// multiply-honest-heavy law (the Theorem-2 separation workload).
 std::vector<NamedLaw> default_matrix_laws();
 
-/// Flat index of a cell in MatrixResult::cells (`fault_i` indexes
-/// config.fault_profiles; the default band has only index 0).
-std::size_t cell_index(const MatrixConfig& config, std::size_t tie_i, std::size_t delta_i,
-                       std::size_t strategy_i, std::size_t law_i, std::size_t fault_i = 0);
-
 /// The chaos band: every fault profile (None baseline included) over a
 /// trimmed axis set sized for CI sanitizer runs — partitions and churn need
 /// Delta >= 1 to have a within-bound side, and two strategies suffice to

@@ -1,7 +1,6 @@
 #include "protocol/blocktree.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -339,16 +338,6 @@ BlockTree::AddResult TreeView::try_add(const Block& block, const Lookup& found,
 bool TreeView::contains(BlockHash hash) const {
   const std::uint32_t entry = store_->find(hash);
   return entry != kNone && holds(entry);
-}
-
-std::vector<BlockHash> TreeView::members() const {
-  const BlockTree::Storage& s = store_->s_;
-  std::vector<BlockHash> out;
-  out.reserve(count_);
-  for (std::size_t word = column_, row = 0; word < s.member.size(); word += s.columns, ++row)
-    for (std::uint64_t bits = s.member[word]; bits != 0; bits &= bits - 1)
-      out.push_back(s.arrival[row * 64 + std::countr_zero(bits)]);
-  return out;
 }
 
 }  // namespace mh

@@ -362,8 +362,6 @@ class TreeView {
   [[nodiscard]] std::vector<BlockHash> max_length_heads() const {
     return heads_.heads(store_->s_.arrival);
   }
-  /// The held blocks in store order: a set, not this view's arrival order.
-  [[nodiscard]] std::vector<BlockHash> members() const;
   [[nodiscard]] const BlockTree& store() const noexcept { return *store_; }
 
  private:

@@ -15,19 +15,6 @@ const std::vector<Transaction>* PayloadStore::batch(BlockHash block) const {
   return it == batches_.end() ? nullptr : &it->second;
 }
 
-std::uint64_t PayloadStore::digest(const std::vector<Transaction>& transactions) {
-  std::uint64_t acc = 0xcbf29ce484222325ULL;
-  for (const Transaction& tx : transactions) {
-    acc ^= tx.id;
-    acc *= 0x100000001b3ULL;
-    acc ^= tx.conflict;
-    acc *= 0x100000001b3ULL;
-    acc ^= (static_cast<std::uint64_t>(tx.sender) << 32) | tx.amount;
-    acc *= 0x100000001b3ULL;
-  }
-  return acc;
-}
-
 LedgerState replay_chain(const BlockTree& tree, BlockHash head, const PayloadStore& store) {
   LedgerState state;
   std::unordered_set<std::uint64_t> spent_classes;

@@ -32,9 +32,6 @@ class PayloadStore {
   void attach(BlockHash block, std::vector<Transaction> transactions);
   [[nodiscard]] const std::vector<Transaction>* batch(BlockHash block) const;
 
-  /// Digest used to commit a batch into a block header.
-  static std::uint64_t digest(const std::vector<Transaction>& transactions);
-
  private:
   std::unordered_map<BlockHash, std::vector<Transaction>> batches_;
 };

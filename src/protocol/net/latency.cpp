@@ -6,10 +6,6 @@
 
 namespace mh::net {
 
-std::size_t LatencyLaw::max_extra() const noexcept {
-  return kind == LatencyKind::Degenerate ? fixed : cap;
-}
-
 void LatencyLaw::validate() const {
   if (kind == LatencyKind::Geometric)
     MH_REQUIRE_MSG(p > 0.0 && p < 1.0,

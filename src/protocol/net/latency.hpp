@@ -8,7 +8,7 @@
 // a pure function of the scenario spec — independent of query order,
 // repetition, and thread count.
 //
-// Every law is CAPPED: max_extra() bounds every draw, so a heterogeneous
+// Every law is CAPPED (`fixed` or `cap` bounds every draw), so a heterogeneous
 // execution realizes a finite per-hop delay and Delta-synchrony is always
 // recoverable as the observed maximum over the run (which is exactly the
 // Delta the oracle grades the execution at; see Simulation::delivery_audit).
@@ -33,9 +33,6 @@ struct LatencyLaw {
   std::size_t fixed = 0;  ///< Degenerate only: the constant extra delay
   std::size_t cap = 0;    ///< Uniform/Geometric: inclusive draw bound
   double p = 0.5;         ///< Geometric tail weight, must lie in (0, 1)
-
-  /// The largest extra delay any draw can realize (the per-hop synchrony cap).
-  [[nodiscard]] std::size_t max_extra() const noexcept;
 
   /// Throws std::invalid_argument naming the offending field when the law is
   /// not well-formed (Geometric p outside (0, 1)).

@@ -103,17 +103,4 @@ Topology Topology::build(TopologyKind kind, std::size_t parties, std::size_t k,
   return topo;
 }
 
-std::size_t Topology::degree(PartyId p) const noexcept {
-  if (kind_ == TopologyKind::FullMesh) return parties_ - 1;
-  return offsets_[p + 1] - offsets_[p];
-}
-
-bool Topology::edge(PartyId from, PartyId to) const noexcept {
-  if (from == to) return false;
-  if (kind_ == TopologyKind::FullMesh) return true;
-  for (std::size_t i = offsets_[from]; i < offsets_[from + 1]; ++i)
-    if (edges_[i] == to) return true;
-  return false;
-}
-
 }  // namespace mh::net

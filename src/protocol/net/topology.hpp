@@ -41,12 +41,6 @@ class Topology {
 
   [[nodiscard]] std::size_t parties() const noexcept { return parties_; }
 
-  /// Out-degree of `p` (parties - 1 for the implicit full mesh).
-  [[nodiscard]] std::size_t degree(PartyId p) const noexcept;
-
-  /// Is `to` a direct out-neighbor of `from`? (Test and audit support.)
-  [[nodiscard]] bool edge(PartyId from, PartyId to) const noexcept;
-
   /// Visit every out-neighbor of `p` in the deterministic build order.
   template <class Fn>
   void for_each_neighbor(PartyId p, Fn&& fn) const {

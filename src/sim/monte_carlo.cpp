@@ -45,21 +45,6 @@ Proportion mc_settlement_violation(const SymbolLaw& law, std::size_t k, const Mc
   });
 }
 
-Proportion mc_settlement_violation_eventual(const SymbolLaw& law, std::size_t k,
-                                            std::size_t extra, const McOptions& opt) {
-  law.validate();
-  return mc_event_proportion(opt, [&](Rng& rng) {
-    MarginProcess p(sample_initial_reach(law, rng));
-    for (std::size_t t = 0; t < k; ++t) p.step(law.sample(rng));
-    bool violated = p.mu() >= 0;
-    for (std::size_t t = 0; t < extra && !violated; ++t) {
-      p.step(law.sample(rng));
-      violated = p.mu() >= 0;
-    }
-    return violated;
-  });
-}
-
 Proportion mc_no_unique_catalan(const SymbolLaw& law, std::size_t k, const McOptions& opt) {
   law.validate();
   const std::size_t horizon = k + opt.horizon_slack;
@@ -120,24 +105,6 @@ Proportion mc_cp_window_failure(const SymbolLaw& law, std::size_t horizon, std::
     }
     return bad_window;
   });
-}
-
-std::vector<std::size_t> mc_first_catalan_histogram(const SymbolLaw& law, std::size_t horizon,
-                                                    const McOptions& opt) {
-  law.validate();
-  // Same sharded path as every other estimator: per-chunk histograms merged
-  // element-wise, in chunk order, by engine::Reduce.
-  std::vector<std::size_t> histogram = engine::run_sharded<std::vector<std::size_t>>(
-      opt.samples, engine_options(opt),
-      [&](std::uint64_t /*index*/, Rng& rng, std::vector<std::size_t>& partial) {
-        if (partial.empty()) partial.assign(horizon + 2, 0);
-        thread_local CharString w;
-        law.sample_into(w, horizon + opt.horizon_slack, rng);
-        const std::size_t first = first_uniquely_honest_catalan(w, 1, horizon);
-        partial[first == 0 ? horizon + 1 : first] += 1;
-      });
-  histogram.resize(horizon + 2);  // an empty workload still gets the full bin layout
-  return histogram;
 }
 
 }  // namespace mh

@@ -30,11 +30,6 @@ struct McOptions {
 /// Theorem-5 recurrence (validates the exact DP).
 Proportion mc_settlement_violation(const SymbolLaw& law, std::size_t k, const McOptions& opt);
 
-/// Pr[mu_x(y_j) >= 0 for some j in [k, k + extra]]: the "violation at any time
-/// >= k within the horizon" variant (monotone in `extra`).
-Proportion mc_settlement_violation_eventual(const SymbolLaw& law, std::size_t k,
-                                            std::size_t extra, const McOptions& opt);
-
 /// Pr[no uniquely honest Catalan slot in w_1..w_k] (the Bound 1 event; the
 /// string continues for horizon_slack further slots).
 Proportion mc_no_unique_catalan(const SymbolLaw& law, std::size_t k, const McOptions& opt);
@@ -51,10 +46,5 @@ Proportion mc_delta_settlement_failure(const TetraLaw& law, std::size_t delta, s
 /// Catalan slot] — the Theorem-8 (k-CP^slot) union event.
 Proportion mc_cp_window_failure(const SymbolLaw& law, std::size_t horizon, std::size_t k,
                                 const McOptions& opt);
-
-/// Distribution (histogram) of the first uniquely honest Catalan slot over
-/// strings of length `horizon`; bin `horizon+1` counts "none found".
-std::vector<std::size_t> mc_first_catalan_histogram(const SymbolLaw& law, std::size_t horizon,
-                                                    const McOptions& opt);
 
 }  // namespace mh

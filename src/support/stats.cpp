@@ -9,9 +9,7 @@ namespace mh {
 
 void RunningStats::add(double x) noexcept {
   ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(n_);
 }
 
 void RunningStats::merge(const RunningStats& other) noexcept {
@@ -24,23 +22,7 @@ void RunningStats::merge(const RunningStats& other) noexcept {
   const double delta = other.mean_ - mean_;
   const double w_other = static_cast<double>(other.n_) / static_cast<double>(n);
   mean_ += delta * w_other;
-  m2_ += other.m2_ + delta * delta * static_cast<double>(n_) * w_other;
   n_ = n;
-}
-
-double RunningStats::variance() const noexcept {
-  return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stderror() const noexcept {
-  return n_ == 0 ? 0.0 : std::sqrt(variance() / static_cast<double>(n_));
-}
-
-void Proportion::merge(const Proportion& other) {
-  successes += other.successes;
-  trials += other.trials;
-  if (trials == 0) return;  // two empty shards: stay default
-  *this = wilson_interval(successes, trials);
 }
 
 Proportion wilson_interval(std::size_t successes, std::size_t trials, double z) {

@@ -1,4 +1,4 @@
-// Small statistics toolkit for Monte-Carlo experiments: streaming moments,
+// Small statistics toolkit for Monte-Carlo experiments: streaming means,
 // binomial confidence intervals, and least-squares decay-rate fits (used to measure the e^{-Theta(k)} slopes the paper predicts).
 #pragma once
 
@@ -8,7 +8,7 @@
 
 namespace mh {
 
-/// Streaming mean/variance accumulator (Welford).
+/// Streaming mean accumulator (Welford's update).
 class RunningStats {
  public:
   void add(double x) noexcept;
@@ -18,15 +18,10 @@ class RunningStats {
   void merge(const RunningStats& other) noexcept;
   [[nodiscard]] std::size_t count() const noexcept { return n_; }
   [[nodiscard]] double mean() const noexcept { return mean_; }
-  /// Unbiased sample variance; 0 for fewer than two observations.
-  [[nodiscard]] double variance() const noexcept;
-  /// Standard error of the mean.
-  [[nodiscard]] double stderror() const noexcept;
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
 };
 
 /// A binomial proportion estimate with a confidence interval.
@@ -36,10 +31,6 @@ struct Proportion {
   double estimate = 0.0;
   double lo = 0.0;  ///< lower bound of the CI
   double hi = 0.0;  ///< upper bound of the CI
-
-  /// Pool another disjoint sample: counts add, and the estimate and interval
-  /// are recomputed from the pooled counts (at the default 99% Wilson z).
-  void merge(const Proportion& other);
 
   friend bool operator==(const Proportion&, const Proportion&) = default;
 };

@@ -67,13 +67,5 @@ TEST(Baselines, SnowWhiteSlowerThanExactAtLargeK) {
             settlement_violation_probability(law, k));
 }
 
-TEST(Baselines, ConditionedLawNormalizes) {
-  const SymbolLaw law{0.5, 0.2, 0.3};
-  const SymbolLaw conditioned = snow_white_conditioned_law(law);
-  EXPECT_NEAR(conditioned.ph, 0.625, 1e-12);
-  EXPECT_NEAR(conditioned.pA, 0.375, 1e-12);
-  EXPECT_NEAR(conditioned.pH, 0.0, 1e-12);
-}
-
 }  // namespace
 }  // namespace mh

@@ -522,8 +522,10 @@ void expect_view_matches(const HonestNode& node, const ReferenceNode& reference,
   ASSERT_EQ(view.best_head(TieBreak::ConsistentHash), ref.best_head(TieBreak::ConsistentHash));
   ASSERT_EQ(node.buffered_orphans(), reference.orphans.size());
   for (const Block& u : universe) ASSERT_EQ(view.contains(u.hash), ref.contains(u.hash));
-  // members() enumerates this view's column alone.
-  std::vector<BlockHash> members = view.members();
+  // The store's blocks this view holds are exactly the reference's.
+  std::vector<BlockHash> members;
+  for (const BlockHash h : view.store().arrival_order())
+    if (view.contains(h)) members.push_back(h);
   std::vector<BlockHash> want = ref.arrival_order();
   ASSERT_EQ(members.size(), view.block_count());
   std::sort(members.begin(), members.end());
@@ -737,16 +739,23 @@ TEST(TreeView, ALateColumnOverAGrownMatrixStartsAtGenesis) {
     tip = b.hash;
   }
   HonestNode late(0, TieBreak::AdversarialOrder, &schedule, &store);
+  // The store blocks a view holds, in store order.
+  const auto members = [&store](const TreeView& view) {
+    std::vector<BlockHash> out;
+    for (const BlockHash h : store.arrival_order())
+      if (view.contains(h)) out.push_back(h);
+    return out;
+  };
   EXPECT_EQ(late.tree().block_count(), 1u);
-  EXPECT_EQ(late.tree().members(), std::vector<BlockHash>{genesis_block().hash});
+  EXPECT_EQ(members(late.tree()), std::vector<BlockHash>{genesis_block().hash});
   EXPECT_EQ(late.best_head(), genesis_block().hash);
   EXPECT_EQ(early.tree().block_count(), 201u);
-  EXPECT_EQ(early.tree().members(), store.arrival_order());
+  EXPECT_EQ(members(early.tree()), store.arrival_order());
   EXPECT_EQ(early.best_head(), tip);
   // The late view admits the stored chain in order, parents first.
   for (std::size_t i = 1; i < store.arrival_order().size(); ++i)
     late.receive(store.block(store.arrival_order()[i]));
-  EXPECT_EQ(late.tree().members(), store.arrival_order());
+  EXPECT_EQ(members(late.tree()), store.arrival_order());
   EXPECT_EQ(late.best_head(), tip);
 }
 

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "genfunc/consecutive_gf.hpp"
+
 namespace mh {
 namespace {
 
@@ -47,8 +49,9 @@ TEST(Bounds, Bound1RateMatchesTailSlope) {
 TEST(Bounds, Bound2RateMatchesTailSlope) {
   const SymbolLaw law = bernoulli_condition(0.5, 0.0);
   const double rate = static_cast<double>(bound2_decay_rate(law));
+  const ConsecutiveCatalanGF gf(law, 4 * 400 + 256);
   const double slope =
-      -std::log(static_cast<double>(bound2_tail(law, 400) / bound2_tail(law, 300))) / 100.0;
+      -std::log(static_cast<double>(gf.smoothed_tail(400) / gf.smoothed_tail(300))) / 100.0;
   EXPECT_NEAR(slope, rate, rate * 0.2);
 }
 

@@ -121,7 +121,6 @@ TEST(Reduce, FoldEqualsPairwiseMerges) {
   EXPECT_EQ(left.count(), 6u);
   EXPECT_EQ(right.count(), 6u);
   EXPECT_NEAR(left.mean(), right.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), right.variance(), 1e-12);
 
   const RunningStats folded = engine::Reduce::fold(std::vector<RunningStats>{a, b, c});
   EXPECT_EQ(folded.count(), 6u);
@@ -203,14 +202,12 @@ void expect_same_counts(const Proportion& a, const Proportion& b) {
   EXPECT_DOUBLE_EQ(a.hi, b.hi);
 }
 
-TEST(ThreadInvariance, AllSevenMcEstimators) {
+TEST(ThreadInvariance, AllFiveMcEstimators) {
   const SymbolLaw law = bernoulli_condition(0.3, 0.4);
   const TetraLaw tetra = theorem7_law(0.5, 0.2, 0.2);
   for (std::size_t threads : {2u, 8u}) {
     expect_same_counts(mc_settlement_violation(law, 30, mc_options(1)),
                        mc_settlement_violation(law, 30, mc_options(threads)));
-    expect_same_counts(mc_settlement_violation_eventual(law, 30, 40, mc_options(1)),
-                       mc_settlement_violation_eventual(law, 30, 40, mc_options(threads)));
     expect_same_counts(mc_no_unique_catalan(law, 20, mc_options(1)),
                        mc_no_unique_catalan(law, 20, mc_options(threads)));
     expect_same_counts(mc_no_consecutive_catalan(law, 20, mc_options(1)),
@@ -219,8 +216,6 @@ TEST(ThreadInvariance, AllSevenMcEstimators) {
                        mc_delta_settlement_failure(tetra, 2, 12, mc_options(threads)));
     expect_same_counts(mc_cp_window_failure(law, 60, 15, mc_options(1)),
                        mc_cp_window_failure(law, 60, 15, mc_options(threads)));
-    EXPECT_EQ(mc_first_catalan_histogram(law, 40, mc_options(1)),
-              mc_first_catalan_histogram(law, 40, mc_options(threads)));
   }
 }
 
@@ -268,12 +263,9 @@ TEST(ThreadInvariance, ProtocolExperimentDrivers) {
 TEST(ThreadInvariance, AnalysisSweepsBitIdentical) {
   const std::vector<SymbolLaw> laws = {bernoulli_condition(0.3, 0.4), table1_law(0.2, 0.5),
                                        SymbolLaw{0.40, 0.25, 0.35}};
-  const std::vector<std::size_t> ks = {5, 20, 40};
-
   SweepOptions serial;
   serial.threads = 1;
   const std::vector<SettlementSeries> series1 = sweep_settlement_series(laws, 40, serial);
-  const std::vector<long double> eventual1 = sweep_eventual_insecurity(laws, ks, serial);
 
   for (const std::size_t threads : {2u, 8u}) {
     SweepOptions opt;
@@ -285,37 +277,7 @@ TEST(ThreadInvariance, AnalysisSweepsBitIdentical) {
       EXPECT_EQ(series[i].always_violating, series1[i].always_violating);
       EXPECT_EQ(series[i].never_violating, series1[i].never_violating);
     }
-    EXPECT_EQ(sweep_eventual_insecurity(laws, ks, opt), eventual1);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Histogram bin accounting (the `horizon + 1` "none found" bin)
-// ---------------------------------------------------------------------------
-
-TEST(Histogram, NoneFoundBinBalancesTheBooks) {
-  const std::size_t horizon = 25;
-  const SymbolLaw law = bernoulli_condition(0.3, 0.4);
-  McOptions opt = mc_options(4);
-  const auto histogram = mc_first_catalan_histogram(law, horizon, opt);
-  ASSERT_EQ(histogram.size(), horizon + 2);
-  EXPECT_EQ(histogram[0], 0u);  // slots are 1-based
-  std::size_t found = 0;
-  for (std::size_t s = 1; s <= horizon; ++s) found += histogram[s];
-  EXPECT_EQ(found + histogram[horizon + 1], opt.samples);
-}
-
-TEST(Histogram, AllMassInNoneFoundBinWhenNoUniquelyHonestSlots) {
-  // ph = 0: no slot is ever uniquely honest, so every sample must land in the
-  // overflow bin horizon + 1.
-  const std::size_t horizon = 10;
-  const SymbolLaw law{0.0, 0.6, 0.4};
-  McOptions opt = mc_options(2);
-  opt.samples = 500;
-  const auto histogram = mc_first_catalan_histogram(law, horizon, opt);
-  ASSERT_EQ(histogram.size(), horizon + 2);
-  EXPECT_EQ(histogram[horizon + 1], opt.samples);
-  for (std::size_t s = 0; s <= horizon; ++s) EXPECT_EQ(histogram[s], 0u);
 }
 
 }  // namespace

@@ -415,7 +415,8 @@ TEST(FaultSimulation, FuzzedPlansKeepPublicTreeTheUnionOfViews) {
       const auto check_union = [&](std::size_t slot) {
         std::vector<BlockHash> seen;
         for (const HonestNode& node : sim.nodes())
-          for (const BlockHash h : node.tree().members()) {
+          for (const BlockHash h : node.tree().store().arrival_order()) {
+            if (!node.tree().contains(h)) continue;
             EXPECT_TRUE(sim.public_tree().contains(h))
                 << "lost node-accepted block at slot " << slot << ", seed " << seed
                 << ", profile " << faults::fault_profile_name(profile);
@@ -626,12 +627,11 @@ TEST(FaultMatrix, FaultBandIsBitIdenticalAcrossThreadCounts) {
   EXPECT_TRUE(r1.cells == r2.cells);
   EXPECT_TRUE(r1.cells == r8.cells);
 
-  // Axis bookkeeping: every cell echoes the profile its index encodes.
-  for (std::size_t f = 0; f < config.fault_profiles.size(); ++f) {
-    const std::size_t idx = oracle::cell_index(config, 1, 1, 1, 1, f);
-    ASSERT_LT(idx, r1.cells.size());
-    EXPECT_EQ(r1.cells[idx].fault_profile, config.fault_profiles[f]);
-  }
+  // Axis bookkeeping: cells are row-major with the fault profile outermost,
+  // and every cell echoes the profile its index encodes.
+  const std::size_t per_profile = r1.cells.size() / config.fault_profiles.size();
+  for (std::size_t i = 0; i < r1.cells.size(); ++i)
+    EXPECT_EQ(r1.cells[i].fault_profile, config.fault_profiles[i / per_profile]) << "cell " << i;
 
   // The fault band's oracle contract in aggregate: zero invariant failures
   // (within-bound AND degraded-graded), real injected faults, and an

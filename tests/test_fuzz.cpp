@@ -107,7 +107,8 @@ TEST_P(ChaosFuzz, InvariantsSurviveChaos) {
     std::unordered_map<BlockHash, const Block*> recorded;
     for (const Block& b : sim.all_blocks()) recorded.emplace(b.hash, &b);
     for (const HonestNode& node : sim.nodes())
-      for (BlockHash h : node.tree().members()) {
+      for (BlockHash h : node.tree().store().arrival_order()) {
+        if (!node.tree().contains(h)) continue;
         const auto it = recorded.find(h);
         ASSERT_NE(it, recorded.end()) << "node " << node.id() << " holds an unrecorded block";
         ASSERT_EQ(sim.global_tree().block(h), *it->second);

@@ -72,13 +72,6 @@ TEST(Ledger, DoubleSpendDetection) {
   EXPECT_FALSE(double_spend_succeeded(fx.tree, fx.a2.hash, fx.b2.hash, fx.store, 7, 3));
 }
 
-TEST(Ledger, DigestIsOrderSensitive) {
-  const std::vector<Transaction> ab{{1, 7, 0, 10}, {2, 8, 1, 20}};
-  const std::vector<Transaction> ba{{2, 8, 1, 20}, {1, 7, 0, 10}};
-  EXPECT_NE(PayloadStore::digest(ab), PayloadStore::digest(ba));
-  EXPECT_EQ(PayloadStore::digest(ab), PayloadStore::digest(ab));
-}
-
 TEST(Ledger, AttachReplaces) {
   PayloadStore store;
   store.attach(5, {Transaction{1, 1, 0, 1}});

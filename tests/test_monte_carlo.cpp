@@ -18,16 +18,6 @@ TEST(MonteCarlo, SettlementMatchesExactDp) {
   EXPECT_GE(mc.hi, exact);
 }
 
-TEST(MonteCarlo, EventualViolationDominatesPointViolation) {
-  const SymbolLaw law = table1_law(0.40, 0.5);
-  McOptions opt;
-  opt.samples = 20'000;
-  opt.seed = 72;
-  const Proportion at = mc_settlement_violation(law, 60, opt);
-  const Proportion eventually = mc_settlement_violation_eventual(law, 60, 120, opt);
-  EXPECT_GE(eventually.estimate + 0.01, at.estimate);
-}
-
 TEST(MonteCarlo, CatalanScarcityDecreasesWithWindow) {
   const SymbolLaw law = bernoulli_condition(0.3, 0.4);
   McOptions opt;
@@ -61,18 +51,6 @@ TEST(MonteCarlo, CpWindowFailureGrowsWithHorizon) {
   EXPECT_GE(long_run.estimate + 0.01, short_run.estimate);
 }
 
-TEST(MonteCarlo, FirstCatalanHistogramMassesSum) {
-  const SymbolLaw law = bernoulli_condition(0.4, 0.5);
-  McOptions opt;
-  opt.samples = 5'000;
-  opt.seed = 76;
-  const auto histogram = mc_first_catalan_histogram(law, 50, opt);
-  std::size_t total = 0;
-  for (std::size_t c : histogram) total += c;
-  EXPECT_EQ(total, opt.samples);
-  EXPECT_EQ(histogram[0], 0u);  // slot indices start at 1
-}
-
 TEST(MonteCarlo, HistogramHeadMatchesTheory) {
   // Pr[first uniquely honest Catalan slot = 1] = Pr[slot 1 is h and Catalan].
   // For eps-biased walks this is ph * Pr[walk from -1 never returns to 0]
@@ -83,11 +61,10 @@ TEST(MonteCarlo, HistogramHeadMatchesTheory) {
   opt.samples = 200'000;
   opt.seed = 77;
   opt.horizon_slack = 2048;
-  const auto histogram = mc_first_catalan_histogram(law, 4, opt);
+  const Proportion none_at_1 = mc_no_unique_catalan(law, 1, opt);
   const double q = (1.0 + eps) / 2.0;
-  const double expected = ph * eps / q;
-  const double observed = static_cast<double>(histogram[1]) / opt.samples;
-  EXPECT_NEAR(observed, expected, 0.005);
+  const double expected = 1.0 - ph * eps / q;
+  EXPECT_NEAR(none_at_1.estimate, expected, 0.005);
 }
 
 }  // namespace

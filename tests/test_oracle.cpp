@@ -179,20 +179,23 @@ TEST(ScenarioMatrix, Theorem2SeparationOnMultiplyHonestHeavyLaw) {
   // honest leaders under adversarial tie-breaking (A0) and violates
   // settlement, while consistent tie-breaking (A0') removes that lever
   // entirely - same law, same seeds, zero violations.
-  const MatrixConfig config = small_matrix(24);  // index geometry only
   const MatrixResult& result = default_matrix_result();
 
   const std::size_t mh_heavy = 1;  // default_matrix_laws() order
-  const std::size_t balance = 1;   // strategies order
-  const std::size_t adversarial_order = 0, consistent_hash = 1, delta0 = 0;
-  const auto& split_cell =
-      result.cells[cell_index(config, adversarial_order, delta0, balance, mh_heavy)];
-  const auto& held_cell =
-      result.cells[cell_index(config, consistent_hash, delta0, balance, mh_heavy)];
-
-  ASSERT_EQ(split_cell.tie_break, TieBreak::AdversarialOrder);
-  ASSERT_EQ(held_cell.tie_break, TieBreak::ConsistentHash);
-  ASSERT_EQ(split_cell.strategy, Strategy::Balance);
+  // The Delta = 0 balance-attack cell on that law, found by the axes it echoes.
+  const auto balance_cell = [&](TieBreak tie_break) -> const oracle::CellVerdict* {
+    for (const oracle::CellVerdict& c : result.cells)
+      if (c.tie_break == tie_break && c.delta == 0 && c.strategy == Strategy::Balance &&
+          c.law_index == mh_heavy)
+        return &c;
+    return nullptr;
+  };
+  const oracle::CellVerdict* split = balance_cell(TieBreak::AdversarialOrder);
+  const oracle::CellVerdict* held = balance_cell(TieBreak::ConsistentHash);
+  ASSERT_NE(split, nullptr);
+  ASSERT_NE(held, nullptr);
+  const oracle::CellVerdict& split_cell = *split;
+  const oracle::CellVerdict& held_cell = *held;
 
   EXPECT_GT(split_cell.simulated_violations, 0u);
   EXPECT_EQ(held_cell.simulated_violations, 0u);

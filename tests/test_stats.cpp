@@ -10,19 +10,11 @@
 namespace mh {
 namespace {
 
-TEST(RunningStats, MeanAndVariance) {
+TEST(RunningStats, MeanAndCount) {
   RunningStats s;
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
   EXPECT_EQ(s.count(), 8u);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // unbiased
-}
-
-TEST(RunningStats, SingleObservationHasZeroVariance) {
-  RunningStats s;
-  s.add(3.14);
-  EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.stderror(), 0.0);
 }
 
 TEST(RunningStats, MergeMatchesSerialAccumulation) {
@@ -30,7 +22,7 @@ TEST(RunningStats, MergeMatchesSerialAccumulation) {
   RunningStats serial;
   for (double x : xs) serial.add(x);
   // Split the stream at every cut point; the merged shards must reproduce the
-  // serial accumulator (no double-counting, Chan-stable moments).
+  // serial accumulator (no double-counting, Chan-stable means).
   for (std::size_t cut = 0; cut <= xs.size(); ++cut) {
     RunningStats left, right;
     for (std::size_t i = 0; i < cut; ++i) left.add(xs[i]);
@@ -38,7 +30,6 @@ TEST(RunningStats, MergeMatchesSerialAccumulation) {
     left.merge(right);
     EXPECT_EQ(left.count(), serial.count());
     EXPECT_NEAR(left.mean(), serial.mean(), 1e-12);
-    EXPECT_NEAR(left.variance(), serial.variance(), 1e-12);
   }
 }
 
@@ -53,31 +44,6 @@ TEST(RunningStats, MergeWithEmptyIsIdentity) {
   empty.merge(s);
   EXPECT_EQ(empty.count(), 2u);
   EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
-  EXPECT_NEAR(empty.variance(), s.variance(), 1e-12);
-}
-
-TEST(Proportion, MergePoolsCountsAndRecomputesInterval) {
-  Proportion a = wilson_interval(10, 100);
-  const Proportion b = wilson_interval(30, 200);
-  a.merge(b);
-  const Proportion pooled = wilson_interval(40, 300);
-  EXPECT_EQ(a.successes, 40u);
-  EXPECT_EQ(a.trials, 300u);
-  EXPECT_DOUBLE_EQ(a.estimate, pooled.estimate);
-  EXPECT_DOUBLE_EQ(a.lo, pooled.lo);
-  EXPECT_DOUBLE_EQ(a.hi, pooled.hi);
-}
-
-TEST(Proportion, MergeIntoDefaultShard) {
-  Proportion empty;  // a default-constructed shard partial
-  empty.merge(wilson_interval(5, 50));
-  EXPECT_EQ(empty.successes, 5u);
-  EXPECT_EQ(empty.trials, 50u);
-  EXPECT_DOUBLE_EQ(empty.estimate, 0.1);
-  Proportion still_empty;
-  still_empty.merge(Proportion{});
-  EXPECT_EQ(still_empty.trials, 0u);
-  EXPECT_DOUBLE_EQ(still_empty.estimate, 0.0);
 }
 
 TEST(Wilson, CenteredForHalf) {

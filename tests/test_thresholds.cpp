@@ -43,18 +43,5 @@ TEST(Thresholds, DishonestMajorityNothingApplies) {
   EXPECT_FALSE(report.snow_white_applies);
 }
 
-TEST(Thresholds, AppliesHelperMatchesReport) {
-  const SymbolLaw law{0.35, 0.35, 0.3};
-  EXPECT_TRUE(applies(Analysis::ThisWork, law));
-  EXPECT_FALSE(applies(Analysis::Praos, law));
-  EXPECT_TRUE(applies(Analysis::SnowWhite, law));
-}
-
-TEST(Thresholds, Names) {
-  EXPECT_NE(to_string(Analysis::ThisWork).find("ph+pH"), std::string::npos);
-  EXPECT_NE(to_string(Analysis::Praos).find("Praos"), std::string::npos);
-  EXPECT_NE(to_string(Analysis::SnowWhite).find("Snow"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace mh
