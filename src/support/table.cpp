@@ -9,9 +9,10 @@
 namespace mh {
 
 std::string paper_scientific(long double value) {
-  MH_REQUIRE(value >= 0.0L);
+  MH_REQUIRE(std::isfinite(value) && value >= 0.0L);
   if (value == 0.0L) return "0.00E+000";
-  int exponent = static_cast<int>(std::floor(std::log10(static_cast<double>(value))));
+  // On the long double itself: a double would flush values below ~1e-308 to 0.
+  int exponent = static_cast<int>(std::floor(log10l(value)));
   long double mantissa = value / powl(10.0L, exponent);
   // Guard against log10 rounding placing the mantissa outside [1, 10).
   if (mantissa >= 10.0L) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace mh {
 namespace {
 
@@ -22,8 +24,19 @@ TEST(PaperScientific, RoundsMantissaCarry) {
   EXPECT_EQ(paper_scientific(9.999e-4L), "1.00E-003");
 }
 
+TEST(PaperScientific, BelowDoubleRange) {
+  EXPECT_EQ(paper_scientific(1e-400L), "1.00E-400");
+}
+
 TEST(PaperScientific, RejectsNegative) {
   EXPECT_THROW(paper_scientific(-1.0L), std::invalid_argument);
+}
+
+TEST(PaperScientific, RejectsNonFinite) {
+  EXPECT_THROW(paper_scientific(std::numeric_limits<long double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(paper_scientific(std::numeric_limits<long double>::quiet_NaN()),
+               std::invalid_argument);
 }
 
 TEST(Fixed, FormatsDigits) {
