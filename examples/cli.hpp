@@ -1,14 +1,15 @@
 // Positional arguments for the examples, read with the text parsers behind
-// the MH_* environment knobs (support/env.hpp), then range-checked. A
-// malformed or out-of-range argument, or one argument too many, prints the
-// usage line and names the offending argument on stderr, then exits with
-// status 2.
+// the MH_* environment knobs (support/env.hpp) or a library parser, then
+// range-checked. A malformed or out-of-range argument, or one argument too
+// many, prints the usage line and names the offending argument on stderr,
+// then exits with status 2.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "support/env.hpp"
@@ -46,6 +47,20 @@ class Args {
       reject_value(name, index,
                    "an integer in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]");
     return *value;
+  }
+
+  /// Argument `index` (1-based) read by `parse`, which throws
+  /// std::invalid_argument on a malformed value (`expected` describes a
+  /// well-formed one); `parse(fallback)` when the argument is absent.
+  template <typename Parse>
+  [[nodiscard]] auto parsed(int index, const char* name, const char* fallback,
+                            const char* expected, Parse parse) const {
+    if (index >= argc_) return parse(fallback);
+    try {
+      return parse(argv_[index]);
+    } catch (const std::invalid_argument&) {
+      reject_value(name, index, expected);
+    }
   }
 
  private:

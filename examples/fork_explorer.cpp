@@ -5,7 +5,9 @@
 //
 //   ./fork_explorer [characteristic-string]     e.g.  ./fork_explorer hAhAhHAAH
 #include <cstdio>
+#include <string_view>
 
+#include "cli.hpp"
 #include "core/astar.hpp"
 #include "core/catalan.hpp"
 #include "core/relative_margin.hpp"
@@ -13,8 +15,10 @@
 #include "fork/margin.hpp"
 
 int main(int argc, char** argv) {
+  const mh::cli::Args args(argc, argv, "[characteristic-string]", 1);
   const mh::CharString w =
-      mh::CharString::parse(argc > 1 ? argv[1] : "hAhAhHAAH");
+      args.parsed(1, "characteristic-string", "hAhAhHAAH", "a string over {h, H, A}",
+                  [](std::string_view text) { return mh::CharString::parse(text); });
 
   std::printf("characteristic string: %s  (h: unique honest, H: concurrent honest, A: adversarial)\n\n",
               w.to_string().c_str());
