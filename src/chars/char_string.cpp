@@ -73,18 +73,6 @@ CharString CharString::prefix(std::size_t len) const {
                                         symbols_.begin() + static_cast<std::ptrdiff_t>(len)));
 }
 
-CharString CharString::suffix(std::size_t from) const {
-  MH_REQUIRE(from >= 1 && from <= symbols_.size() + 1);
-  return CharString(std::vector<Symbol>(symbols_.begin() + static_cast<std::ptrdiff_t>(from - 1),
-                                        symbols_.end()));
-}
-
-CharString CharString::concat(const CharString& tail) const {
-  std::vector<Symbol> merged = symbols_;
-  merged.insert(merged.end(), tail.symbols_.begin(), tail.symbols_.end());
-  return CharString(std::move(merged));
-}
-
 std::string CharString::to_string() const {
   std::string out;
   out.reserve(symbols_.size());

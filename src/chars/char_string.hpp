@@ -48,10 +48,8 @@ class CharString {
   /// not hH-heavy.
   [[nodiscard]] bool A_heavy(std::size_t lo, std::size_t hi) const;
 
-  /// Prefix w_1..w_len and suffix w_{from}..w_n as new strings.
+  /// Prefix w_1..w_len as a new string.
   [[nodiscard]] CharString prefix(std::size_t len) const;
-  [[nodiscard]] CharString suffix(std::size_t from) const;
-  [[nodiscard]] CharString concat(const CharString& tail) const;
 
   [[nodiscard]] std::string to_string() const;
 

@@ -32,18 +32,6 @@ std::int64_t rho_of(const CharString& w) {
   return p.rho();
 }
 
-std::vector<std::int64_t> rho_prefixes(const CharString& w) {
-  std::vector<std::int64_t> out;
-  out.reserve(w.size() + 1);
-  MarginProcess p;
-  out.push_back(p.rho());
-  for (Symbol s : w.symbols()) {
-    p.step(s);
-    out.push_back(p.rho());
-  }
-  return out;
-}
-
 std::int64_t relative_margin_recurrence(const CharString& w, std::size_t x_len) {
   return margin_trajectory(w, x_len).back();
 }

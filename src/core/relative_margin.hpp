@@ -41,9 +41,6 @@ class MarginProcess {
 /// rho(w) from the empty-string start.
 std::int64_t rho_of(const CharString& w);
 
-/// rho(w_1..w_t) for all t in [0, n].
-std::vector<std::int64_t> rho_prefixes(const CharString& w);
-
 /// mu_x(y) where w = xy and |x| = x_len.
 std::int64_t relative_margin_recurrence(const CharString& w, std::size_t x_len);
 

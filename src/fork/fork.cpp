@@ -38,17 +38,6 @@ std::uint32_t Fork::depth(VertexId v) const {
   return depth_[v];
 }
 
-std::vector<VertexId> Fork::path_to(VertexId v) const {
-  MH_REQUIRE(v < parent_.size());
-  std::vector<VertexId> path;
-  for (VertexId cur = v;; cur = parent_[cur]) {
-    path.push_back(cur);
-    if (cur == kRoot) break;
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
 VertexId Fork::lca(VertexId u, VertexId v) const {
   MH_REQUIRE(u < parent_.size() && v < parent_.size());
   while (u != v) {

@@ -44,9 +44,6 @@ class Fork {
   /// Length of the longest tine.
   [[nodiscard]] std::uint32_t height() const noexcept { return height_; }
 
-  /// Root-to-v vertex sequence (inclusive).
-  [[nodiscard]] std::vector<VertexId> path_to(VertexId v) const;
-
   /// Deepest common vertex of the tines ending at u and v.
   [[nodiscard]] VertexId lca(VertexId u, VertexId v) const;
 

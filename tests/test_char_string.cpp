@@ -59,13 +59,11 @@ TEST(CharString, HeavinessPredicates) {
   EXPECT_TRUE(w.hH_heavy(5, 6));    // hH
 }
 
-TEST(CharString, PrefixSuffixConcat) {
+TEST(CharString, Prefix) {
   const CharString w = CharString::parse("hAhAH");
   EXPECT_EQ(w.prefix(2).to_string(), "hA");
-  EXPECT_EQ(w.suffix(3).to_string(), "hAH");
   EXPECT_EQ(w.prefix(0).to_string(), "");
-  EXPECT_EQ(w.suffix(6).to_string(), "");
-  EXPECT_EQ(w.prefix(2).concat(w.suffix(3)), w);
+  EXPECT_EQ(w.prefix(5), w);
 }
 
 TEST(CharString, Bivalent) {

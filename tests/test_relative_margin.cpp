@@ -19,10 +19,10 @@ TEST(RelativeMargin, RhoRecurrenceHandChecks) {
   EXPECT_EQ(rho_of(CharString::parse("AAh")), 1);
 }
 
-TEST(RelativeMargin, RhoPrefixesStreamsAllValues) {
+TEST(RelativeMargin, RhoOfEveryPrefix) {
   const CharString w = CharString::parse("AAhhA");
   const std::vector<std::int64_t> expected{0, 1, 2, 1, 0, 1};
-  EXPECT_EQ(rho_prefixes(w), expected);
+  for (std::size_t t = 0; t <= w.size(); ++t) EXPECT_EQ(rho_of(w.prefix(t)), expected[t]) << t;
 }
 
 TEST(RelativeMargin, MuEmptySuffixEqualsRho) {
