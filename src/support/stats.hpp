@@ -1,5 +1,6 @@
 // Small statistics toolkit for Monte-Carlo experiments: streaming means,
-// binomial confidence intervals, and least-squares decay-rate fits (used to measure the e^{-Theta(k)} slopes the paper predicts).
+// binomial confidence intervals, and least-squares decay-rate fits (used to
+// measure the e^{-Theta(k)} slopes the paper predicts).
 #pragma once
 
 #include <cstddef>
